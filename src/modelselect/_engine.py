@@ -3,11 +3,24 @@
 Candidate supermodels are bitmasks over model indices. At decision step t
 every still-active query has computed exactly t models, so queries can be
 grouped by their computed prefix and each group scored on the shared lattice
-of free-model submasks at once. Negative marginal gains flag candidates and
-a subset-sum sweep propagates the flags to every superset, removing flagged
-candidates and their supersets from selection. Expected-max quality columns
-are cached per prefix and reused across budgets and hyperparameter
-evaluations, which is what makes fitting affordable.
+of free-model submasks at once.
+
+Everything about a prefix that does not depend on the price is cached with
+the prefix, as two ``(n, 2^f)`` tables over the f free models:
+
+- the expected-max quality of every candidate, from the query's shared
+  Monte Carlo draws;
+- the block threshold ``beta``: the smallest marginal gain per unit cost,
+  ``(q(T) - q(T - {j})) / c_j``, over every subset T of the candidate and
+  member j of T. The sunk cost cancels from a marginal gain, so pruning at
+  price ``lam`` is the single test ``lam > beta``; it removes each candidate
+  with a negative marginal gain together with all its supersets.
+
+A table row is filled the first time its query reaches the prefix, so only
+reached (prefix, query) pairs are ever computed, and every later run at any
+price, pick or budget reads them back. That reuse is what makes fitting
+affordable. Chain-only engines cache the expected maxima of chain prefixes
+per step instead.
 
 This module is internal; the public per-query operations live in
 ``cascading`` and ``cascade_routing`` and are cross-checked against it.
@@ -59,6 +72,48 @@ def _lattice_tables(k: int) -> _LatticeTables:
     return _LatticeTables(masks, bits, bit_set, parent, popcount)
 
 
+@dataclass(frozen=True)
+class _PrefixTables:
+    """Price-independent tables of one computed prefix, filled row by row.
+
+    Rows index the engine's table and columns the free-model submasks; only
+    rows whose ``filled`` flag is set hold computed values.
+    """
+
+    quality: np.ndarray  # (n, 2^f) expected-max quality of prefix | submask
+    beta: Optional[np.ndarray]  # (n, 2^f) block threshold; None when not pruning
+    filled: np.ndarray  # (n,) bool
+
+
+def _block_threshold(quality: np.ndarray, cost: np.ndarray, empty_prefix: bool) -> np.ndarray:
+    """Largest price at which each submask survives pruning, per row.
+
+    ``beta(S) = min over T ⊆ S, j ∈ T of (q(T) - q(T - {j})) / c_j``: a
+    candidate is blocked at price ``lam`` exactly when ``lam > beta(S)``,
+    i.e. when some subset of it loses score by adding one of its members.
+    The sunk cost cancels from every marginal gain, so ``beta`` does not
+    depend on the price. A zero-cost member blocks at every price when its
+    gain is negative and never otherwise. Against the empty prefix a
+    singleton has no marginal gain, and the bare prefix is never blocked.
+    """
+    f = cost.shape[1]
+    tabs = _lattice_tables(f)
+    beta = np.full(quality.shape, np.inf)
+    for j in range(f):
+        cols = tabs.masks[tabs.bit_set[j]]
+        par = tabs.parent[j][cols]
+        if empty_prefix:
+            cols, par = cols[par != 0], par[par != 0]
+        dq = quality[:, cols] - quality[:, par]
+        c = cost[:, j : j + 1]
+        ratio = np.divide(dq, c, out=np.where(dq < 0, -np.inf, np.inf), where=c > 0)
+        beta[:, cols] = np.minimum(beta[:, cols], ratio)
+    for j in range(f):
+        cols = tabs.masks[tabs.bit_set[j]]
+        beta[:, cols] = np.minimum(beta[:, cols], beta[:, tabs.parent[j][cols]])
+    return beta
+
+
 @dataclass
 class RunResult:
     """Per-query outcome of one deterministic cascade run."""
@@ -96,8 +151,8 @@ class BatchCascadeEngine:
         k = table.n_models
         if self.sigma.shape != (k, k + 1):
             raise ValueError("sigma must be shaped (n_models, n_models + 1)")
-        if np.any(self.sigma < 0):
-            raise ValueError("sigma must be >= 0")
+        if not (np.isfinite(self.sigma) & (self.sigma >= 0)).all():
+            raise ValueError("sigma must be finite and >= 0")
         self.mc = mc or MonteCarloConfig()
         self.variant = variant
         self.chain_only = chain_only
@@ -111,7 +166,7 @@ class BatchCascadeEngine:
         self.answer_mode = answer_mode
         self._z: Optional[np.ndarray] = None
         self._chain_quality_cache: dict[int, np.ndarray] = {}
-        self._prefix_quality_cache: dict[int, np.ndarray] = {}
+        self._prefix_cache: dict[int, _PrefixTables] = {}
         self._cost_open_cache: dict[int, np.ndarray] = {}
         if table.true_cost is not None:
             self._known_cost = table.true_cost
@@ -144,8 +199,8 @@ class BatchCascadeEngine:
         self._chain_quality_cache[t] = out
         return out
 
-    def _regime_state(self, prefix: int, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Effective (means (n, k), stds (k,)) given the computed set.
+    def _regime_state(self, prefix: int, t: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Effective (means (rows, k), stds (k,)) given the computed set.
 
         Each model is read from the nearest step slice whose chain convention
         has it in its true computed/uncomputed regime; for chain prefixes
@@ -155,7 +210,7 @@ class BatchCascadeEngine:
         idx = np.arange(k)
         computed = (prefix >> idx) & 1 == 1
         steps = np.where(computed, np.maximum(t, idx + 1), np.minimum(t, idx))
-        means = self.table.quality_mean[:, steps, idx]
+        means = self.table.quality_mean[rows[:, None], steps[None, :], idx[None, :]]
         stds = self.sigma[idx, steps]
         return means, stds
 
@@ -169,21 +224,50 @@ class BatchCascadeEngine:
             self._cost_open_cache[t] = cached
         return cached
 
-    def _prefix_quality(self, prefix: int, t: int) -> np.ndarray:
-        """(n, 2^f) candidate quality per free-model submask given a prefix.
+    def _prefix_tables(
+        self, prefix: int, t: int, rows: np.ndarray
+    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
+        """(quality, beta) of ``rows`` given a prefix, each (rows, 2^f).
+
+        Both tables are price-independent and cached per prefix; a row is
+        computed the first time it reaches the prefix and read afterwards.
+        ``beta`` is None for the SLOW variant, which never prunes.
+        """
+        tables = self._prefix_cache.get(prefix)
+        if tables is None:
+            n = self.table.n_queries
+            width = 1 << (self.table.n_models - bin(prefix).count("1"))
+            tables = _PrefixTables(
+                quality=np.empty((n, width)),
+                beta=None if self.variant is Variant.SLOW else np.empty((n, width)),
+                filled=np.zeros(n, dtype=bool),
+            )
+            self._prefix_cache[prefix] = tables
+        todo = rows[~tables.filled[rows]]
+        if todo.size:
+            quality = self._lattice_quality(prefix, t, todo)
+            tables.quality[todo] = quality
+            if tables.beta is not None:
+                free = [i for i in range(self.table.n_models) if not prefix >> i & 1]
+                cost = self._cost_open(t)[todo][:, free]
+                tables.beta[todo] = _block_threshold(quality, cost, prefix == 0)
+            tables.filled[todo] = True
+        beta = None if tables.beta is None else tables.beta[rows]
+        return tables.quality[rows], beta
+
+    def _lattice_quality(self, prefix: int, t: int, rows: np.ndarray) -> np.ndarray:
+        """(rows, 2^f) candidate quality per free-model submask given a prefix.
 
         Column ``s`` scores the supermodel ``prefix | spread(s)``; column 0
         (the bare prefix) is NaN when the prefix is empty. Sample maxima are
         accumulated up the sublattice, one elementwise maximum per submask.
         """
-        cached = self._prefix_quality_cache.get(prefix)
-        if cached is not None:
-            return cached
-        n, k = self.table.n_queries, self.table.n_models
-        means, stds = self._regime_state(prefix, t)
+        k = self.table.n_models
+        means, stds = self._regime_state(prefix, t, rows)
         free = [i for i in range(k) if not prefix >> i & 1]
         pcols = [i for i in range(k) if prefix >> i & 1]
         f = len(free)
+        n = rows.size
         out = np.full((n, 1 << f), np.nan)
         low_idx = [0] * (1 << f)
         for sub in range(1, 1 << f):
@@ -204,20 +288,19 @@ class BatchCascadeEngine:
             chunk = max(8, int(4_000_000 // (n_samples * (1 << f))) or 8)
             draws = self._draws()
             for start in range(0, n, chunk):
-                rows = slice(start, min(start + chunk, n))
-                vals = means[rows, None, :] + stds[None, None, :] * draws[rows]
+                part = slice(start, min(start + chunk, n))
+                vals = means[part, None, :] + stds[None, None, :] * draws[rows[part]]
                 store: list = [None] * (1 << f)
                 if pcols:
                     store[0] = vals[:, :, pcols].max(axis=2)
-                    out[rows, 0] = store[0].mean(axis=1)
+                    out[part, 0] = store[0].mean(axis=1)
                 for sub in range(1, 1 << f):
                     j = low_idx[sub]
                     rest = sub ^ (1 << j)
                     prev = store[rest]
                     sm = vals[:, :, free[j]] if prev is None else np.maximum(prev, vals[:, :, free[j]])
                     store[sub] = sm
-                    out[rows, sub] = sm.mean(axis=1)
-        self._prefix_quality_cache[prefix] = out
+                    out[part, sub] = sm.mean(axis=1)
         return out
 
     # -- one decision step ----------------------------------------------------
@@ -253,14 +336,15 @@ class BatchCascadeEngine:
         chain_masks = (np.int64(1) << length.astype(np.int64)) - 1
         return chain_masks
 
-    def _select_lattice(self, t, lam, pick, act, prefix_mask, prefix_bits, sunk):
+    def _select_lattice(self, t, lam, pick, act, prefix_mask, sunk):
         """Pick one candidate supermodel per active query.
 
         Queries are grouped by their computed prefix; within a group every
         candidate is the prefix plus a submask of the free models, scored on
-        the shared free-model sublattice. Negative marginal gains seed flags
-        that a subset-sum sweep propagates to every superset; flagged and
-        blocked candidates are excluded from selection. Submask order is
+        the shared free-model sublattice. The group's rows of the prefix's
+        quality and block-threshold tables are filled on first use and read
+        afterwards; a candidate is pruned when ``lam > beta``, which is the
+        negative-marginal-gain rule closed over supersets. Submask order is
         ascending in the full candidate mask, which implements the lowest-id
         residual tie-break.
         """
@@ -278,7 +362,7 @@ class BatchCascadeEngine:
             spread = np.array([1 << i for i in free], dtype=np.int64)
             full_masks = prefix + (tabs.bit_set.T.astype(np.int64) @ spread)
 
-            quality = self._prefix_quality(int(prefix), t)[rows]
+            quality, beta = self._prefix_tables(int(prefix), t, rows)
             added = cost_open[rows][:, free] @ tabs.bits.T if f else np.zeros((rows.size, 1))
             cost = sunk[rows][:, None] + added
             tau = quality - lam * cost
@@ -288,21 +372,8 @@ class BatchCascadeEngine:
                 selectable[:, 0] = False  # running nothing is never a candidate
             if self.variant is Variant.GREEDY:
                 selectable &= tabs.popcount[None, :] <= 1
-
-            if self.variant is not Variant.SLOW and f:
-                blocked = np.zeros_like(selectable)
-                for j in range(f):
-                    par = tabs.parent[j]
-                    applies = tabs.bit_set[j][None, :]
-                    if prefix == 0:
-                        # no marginal gain against the empty supermodel
-                        applies = applies & (par[None, :] != 0)
-                    blocked |= (tau - tau[:, par] < 0) & applies
-                if blocked.any():
-                    for j in range(f):
-                        par = tabs.parent[j]
-                        blocked |= blocked[:, par] & tabs.bit_set[j][None, :]
-                    selectable &= ~blocked
+            if beta is not None:
+                selectable &= ~(lam > beta)
 
             choice = argmax_tradeoff_rows(tau, cost, selectable, pick)
             chosen[in_group] = full_masks[choice]
@@ -348,9 +419,7 @@ class BatchCascadeEngine:
             if self.chain_only:
                 chosen = self._select_chain(t, lam, pick, act, sunk)
             else:
-                chosen = self._select_lattice(
-                    t, lam, pick, act, prefix_mask, prefix_bits, sunk
-                )
+                chosen = self._select_lattice(t, lam, pick, act, prefix_mask, sunk)
             stay = chosen == prefix_mask[act]
             finish(act[stay], t)
             go = act[~stay]
@@ -371,6 +440,8 @@ class BatchCascadeEngine:
             last_model[go] = nxt
             n_exec[go] += 1
 
+        if np.any(n_exec == 0):
+            raise RuntimeError("a query finished without executing any model")
         return RunResult(
             answer=answer,
             exec_order=exec_order,

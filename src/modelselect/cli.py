@@ -16,8 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascading import fit_cascade, fit_threshold_cascade
-from .cascade_routing import fit_cascade_router
 from .core import StrategyParams
 from .estimators import WorkloadSpec, generate_workload
 from .harness import (
@@ -30,7 +28,7 @@ from .harness import (
     write_csv,
     write_report,
 )
-from .routing import FittedRouter, fit_router
+from .routing import FittedRouter
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -63,7 +61,12 @@ def _build_parser() -> _Parser:
         if name in ("fit", "evaluate"):
             cmd.add_argument("--strategy", choices=list(STRATEGY_NAMES), default="cascade-routing")
         if name == "fit":
-            cmd.add_argument("--budget", type=float, required=True)
+            cmd.add_argument(
+                "--budget", type=float, required=True,
+                help="validation cost budget; a budget equal to grid point i of the sweep "
+                     "uses that point's search seed and reproduces the sweep's fit, any "
+                     "other budget searches with the config seed",
+            )
         if name == "evaluate":
             cmd.add_argument("--params", required=True, help="params JSON written by fit")
         if name == "sweep":
@@ -130,24 +133,12 @@ def _cmd_fit(args) -> int:
     config = _load_config(args)
     ctx = prepare_run(config)
     budget = args.budget
-    if args.strategy == "routing":
-        fitted = fit_router(ctx.val_table, budget)
-    elif args.strategy == "cascade":
-        fitted = fit_cascade(
-            ctx.val_table, budget, sigma=ctx.sigma, mc=ctx.mc,
-            search_config=config.search_config(config.seed),
-        ).params
-    elif args.strategy == "cascade-routing":
-        fitted = fit_cascade_router(
-            ctx.val_table, budget, config.variant_enum(), sigma=ctx.sigma, mc=ctx.mc,
-            search_config=config.search_config(config.seed),
-        )
-    elif args.strategy == "threshold":
-        fitted = fit_threshold_cascade(
-            ctx.val_table, budget, search_config=config.search_config(config.seed)
-        )
+    runner = _StrategyRunner(args.strategy, ctx)
+    grid = np.flatnonzero(ctx.budgets == budget)
+    if grid.size:
+        fitted = runner.fit(budget, int(grid[0]))
     else:
-        fitted = None
+        fitted = runner.fit_seeded(budget, config.seed)
     payload = _params_to_dict(args.strategy, fitted, budget)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:

@@ -197,6 +197,13 @@ class DecisionTrace:
             raise ValueError("answer model must be one of the executed models")
 
 
+def _require_finite(table, names: Sequence[str]) -> None:
+    """Reject NaN and infinite entries before they can reach a decision."""
+    for name in names:
+        if not np.isfinite(getattr(table, name)).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass
 class TrueTable:
     """Ground-truth quality/cost per (query, model), before any estimation.
@@ -219,6 +226,7 @@ class TrueTable:
             raise ValueError("true table shapes disagree")
         if n < 1 or k < 1:
             raise ValueError("true table needs at least one query and one model")
+        _require_finite(self, ("quality", "cost"))
         if np.any(self.cost < 0):
             raise ValueError("true costs must be >= 0")
 
@@ -271,6 +279,7 @@ class EstimateTable:
                 raise ValueError(f"{name} shape disagrees with quality_mean")
         if self.query_ids.shape != (n,):
             raise ValueError("query_ids length disagrees with estimates")
+        _require_finite(self, ("quality_mean", "quality_std", "cost_mean", "cost_std"))
         if np.any(self.cost_mean < 0):
             raise ValueError("cost estimate means must be >= 0")
         if np.any(self.quality_std < 0) or np.any(self.cost_std < 0):
@@ -282,6 +291,7 @@ class EstimateTable:
                 if arr.shape != (n, k):
                     raise ValueError(f"{name} must be (n_queries, n_models)")
                 setattr(self, name, arr)
+                _require_finite(self, (name,))
 
     @staticmethod
     def build(

@@ -566,9 +566,13 @@ class _StrategyRunner:
         return -np.inf
 
     def fit(self, budget: float, budget_index: int):
+        """Fit at grid point ``budget_index`` with that point's search seed."""
+        return self.fit_seeded(budget, _search_seed(self.ctx.config, self.name, budget_index))
+
+    def fit_seeded(self, budget: float, search_seed: int):
         ctx = self.ctx
         cfg = ctx.config
-        search = cfg.search_config(_search_seed(cfg, self.name, budget_index))
+        search = cfg.search_config(search_seed)
         if self.name == "routing":
             return fit_router(ctx.val_table, budget)
         if self.name == "cascade":

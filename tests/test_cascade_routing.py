@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from modelselect._engine import BatchCascadeEngine, Variant
+from modelselect._engine import BatchCascadeEngine, Variant, _block_threshold
 from modelselect.cascade_routing import (
     CandidateSet,
     enumerate_candidates,
@@ -155,6 +155,24 @@ class TestSelectSupermodel:
             assert tau(sel) == pytest.approx(best, abs=1e-9)
 
 
+PRICE_LADDER = (0.0, 0.05, 0.2, 0.6, 2.0)
+
+
+def assert_engine_matches_per_query(table, sigma, mc):
+    """One engine per variant serves the whole price ladder, so later prices
+    read prefix rows filled by earlier ones and fill new ones."""
+    k = table.n_models
+    for variant in Variant:
+        engine = BatchCascadeEngine(table, sigma, mc, variant)
+        for lam in PRICE_LADDER:
+            params = StrategyParams.equal(lam, k)
+            for pick in Pick:
+                batch = engine.run(params.lambdas, pick)
+                for q in range(table.n_queries):
+                    tr = run_cascade_route(table, q, params, sigma, variant, mc, pick=pick)
+                    assert tr.executed == batch.executed_list(q)
+
+
 def reference_simulation(table, q, lambdas, sigma, mc):
     """Independent step-by-step simulator: exhaustive candidates, MIN pick.
 
@@ -252,17 +270,64 @@ class TestRunCascadeRoute:
             assert len(tr.executed) == len(set(tr.executed)) <= 5
 
     def test_batch_engine_agrees_with_per_query(self, rng):
-        t = random_table(rng, n=25, k=4, step_varying=True)
-        sigma = rng.uniform(0, 0.35, (4, 5))
-        mc = MonteCarloConfig(seed=23)
-        params = StrategyParams.equal(0.4, 4, gamma=0.3)
+        k = 6
+        t = random_table(rng, n=10, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        assert_engine_matches_per_query(t, sigma, MonteCarloConfig(seed=23))
+
+    def test_fill_order_does_not_change_results(self, rng):
+        k = 5
+        t = random_table(rng, n=40, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(seed=47)
+        runs = [(lam, pick) for lam in PRICE_LADDER for pick in Pick]
         for variant in Variant:
-            engine = BatchCascadeEngine(t, sigma, mc, variant)
-            for pick in Pick:
-                batch = engine.run(params.lambdas, pick)
-                for q in range(t.n_queries):
-                    tr = run_cascade_route(t, q, params, sigma, variant, mc, pick=pick)
-                    assert tr.executed == batch.executed_list(q)
+            warm = BatchCascadeEngine(t, sigma, mc, variant)
+            for i in rng.permutation(len(runs)):
+                lam, pick = runs[i]
+                warm.run([lam] * k, pick)
+            for lam, pick in runs:
+                got = warm.run([lam] * k, pick)
+                want = BatchCascadeEngine(t, sigma, mc, variant).run([lam] * k, pick)
+                for field in ("answer", "exec_order", "n_executed", "realized_cost"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_zero_cost_model_agrees_with_per_query(self, rng):
+        k = 4
+        t = random_table(rng, n=12, k=k, step_varying=True)
+        t.cost_mean[:, :, 2] = 0.0
+        t.true_cost[:, 2] = 0.0
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        assert_engine_matches_per_query(t, sigma, MonteCarloConfig(seed=53))
+
+    def test_block_threshold_matches_brute_force(self, rng):
+        f = 3
+        quality = rng.uniform(0, 1, (20, 1 << f))
+        cost = rng.uniform(0, 1, (20, f))
+        cost[::3, 1] = 0.0
+        for empty_prefix in (False, True):
+            beta = _block_threshold(quality, cost, empty_prefix)
+            for row in range(20):
+                for cand in range(1 << f):
+                    want = np.inf
+                    for sub in range(1, 1 << f):
+                        if sub & ~cand:
+                            continue
+                        for j in range(f):
+                            rest = sub ^ (1 << j)
+                            if not sub >> j & 1 or (empty_prefix and rest == 0):
+                                continue
+                            dq = quality[row, sub] - quality[row, rest]
+                            c = cost[row, j]
+                            want = min(want, dq / c if c > 0 else (-np.inf if dq < 0 else np.inf))
+                    assert beta[row, cand] == want
+
+    def test_query_without_executed_model_raises(self, rng):
+        t = random_table(rng, n=6, k=3)
+        engine = BatchCascadeEngine(t, np.zeros((3, 4)), MonteCarloConfig(seed=59))
+        t.quality_mean[2] = np.nan  # bypasses the table's own validation
+        with pytest.raises(RuntimeError, match="without executing"):
+            engine.run([0.1] * 3, Pick.MIN_COST)
 
 
 class TestOrderInvariance:

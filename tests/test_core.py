@@ -10,6 +10,7 @@ from modelselect.core import (
     Pick,
     StrategyParams,
     Supermodel,
+    TrueTable,
     argmax_tradeoff,
     tradeoff,
 )
@@ -122,6 +123,25 @@ class TestTypes:
     def test_table_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             EstimateTable.build(np.zeros((2, 2)), -np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field", ["quality_mean", "quality_std", "cost_mean", "cost_std", "true_quality", "true_cost"]
+    )
+    def test_estimate_table_rejects_non_finite(self, field, bad):
+        arrays = {name: np.full((2, 3), 0.5) for name in
+                  ("quality_mean", "quality_std", "cost_mean", "cost_std", "true_quality", "true_cost")}
+        arrays[field][1, 2] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EstimateTable.build(**arrays)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["quality", "cost"])
+    def test_true_table_rejects_non_finite(self, field, bad):
+        arrays = {"quality": np.full((2, 2), 0.5), "cost": np.ones((2, 2))}
+        arrays[field][0, 1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrueTable(query_ids=np.arange(2), **arrays)
 
     def test_build_broadcasts_steps(self):
         t = EstimateTable.build(np.ones((4, 3)) * 0.5, np.ones((4, 3)))

@@ -9,11 +9,13 @@ from modelselect.harness import (
     BenchmarkConfig,
     DataFormatError,
     SweepReport,
+    _StrategyRunner,
     auc,
     budget_grid,
     linear_interp_baseline,
     load_csv,
     pareto_frontier,
+    prepare_run,
     run_sweep,
     split_dataset,
     write_csv,
@@ -350,6 +352,28 @@ class TestCli:
                          "--output", str(metrics_path)]) == 0
         metrics = json.loads(metrics_path.read_text())
         assert {"test_cost", "test_quality"} <= set(metrics)
+
+    # grid points where the config seed and the sweep's search seed disagree
+    @pytest.mark.parametrize("strategy,index", [("cascade-routing", 3), ("threshold", 2)])
+    def test_fit_at_grid_budget_reproduces_sweep_point(self, tmp_path, strategy, index):
+        cfg = {
+            "data": {"workload": {"n_queries": 120, "n_models": 3, "seed": 8}},
+            "noise": "low", "splits": [0.3, 0.3, 0.4], "budget_points": 4,
+            "seed": 6, "search": {"max_evals": 12}, "mc_samples": 64,
+        }
+        cfg_path = write(tmp_path, "c.json", json.dumps(cfg))
+        ctx = prepare_run(BenchmarkConfig.from_dict(cfg))
+        budget = float(ctx.budgets[index])
+        params_path = tmp_path / "p.json"
+        assert cli_main(["fit", "--config", str(cfg_path), "--strategy", strategy,
+                         "--budget", repr(budget), "--output", str(params_path)]) == 0
+        payload = json.loads(params_path.read_text())
+        want = _StrategyRunner(strategy, ctx).fit(budget, index)
+        if strategy == "threshold":
+            assert payload["thresholds"] == [float(v) for v in want]
+        else:
+            assert payload["lambdas"] == list(want.lambdas)
+            assert payload["gamma"] == want.gamma
 
     def test_ablate_runs_all_variants(self, tmp_path, capsys):
         cfg = {
