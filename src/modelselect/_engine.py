@@ -20,7 +20,14 @@ A table row is filled the first time its query reaches the prefix, so only
 reached (prefix, query) pairs are ever computed, and every later run at any
 price, pick or budget reads them back. That reuse is what makes fitting
 affordable. Chain-only engines cache the expected maxima of chain prefixes
-per step instead.
+per step instead, built with a running elementwise maximum in one buffer.
+
+The Monte Carlo draws are held as one ``(n, k, S)`` tensor: row r holds the
+transposed ``query_normals`` matrix of query ``query_ids[r]``, so the S
+samples of each model are contiguous. Reading a model's samples is then a
+contiguous slice, and every expected maximum is a mean over a contiguous
+run of S samples, which sums in the same order as
+``EmaxEvaluator.expected_max`` and so gives the same value to the last bit.
 
 This module is internal; the public per-query operations live in
 ``cascading`` and ``cascade_routing`` and are cross-checked against it.
@@ -178,9 +185,9 @@ class BatchCascadeEngine:
     def _draws(self) -> np.ndarray:
         if self._z is None:
             n, k = self.table.n_queries, self.table.n_models
-            z = np.empty((n, 2 * self.mc.half, k))
+            z = np.empty((n, k, 2 * self.mc.half))
             for row, qid in enumerate(self.table.query_ids):
-                z[row] = query_normals(self.mc, int(qid), k)
+                z[row] = query_normals(self.mc, int(qid), k).T
             self._z = z
         return self._z
 
@@ -194,8 +201,11 @@ class BatchCascadeEngine:
         if self.variant is Variant.NO_EXPECT or np.all(stds == 0):
             out = np.maximum.accumulate(means, axis=1)
         else:
-            vals = means[:, None, :] + stds[None, None, :] * self._draws()
-            out = np.maximum.accumulate(vals, axis=2).mean(axis=1)
+            vals = self._draws() * stds[None, :, None]
+            vals += means[:, :, None]
+            for i in range(1, vals.shape[1]):
+                np.maximum(vals[:, i - 1], vals[:, i], out=vals[:, i])
+            out = vals.mean(axis=2)
         self._chain_quality_cache[t] = out
         return out
 
@@ -289,16 +299,16 @@ class BatchCascadeEngine:
             draws = self._draws()
             for start in range(0, n, chunk):
                 part = slice(start, min(start + chunk, n))
-                vals = means[part, None, :] + stds[None, None, :] * draws[rows[part]]
+                vals = means[part, :, None] + stds[None, :, None] * draws[rows[part]]
                 store: list = [None] * (1 << f)
                 if pcols:
-                    store[0] = vals[:, :, pcols].max(axis=2)
+                    store[0] = vals[:, pcols].max(axis=1)
                     out[part, 0] = store[0].mean(axis=1)
                 for sub in range(1, 1 << f):
                     j = low_idx[sub]
                     rest = sub ^ (1 << j)
                     prev = store[rest]
-                    sm = vals[:, :, free[j]] if prev is None else np.maximum(prev, vals[:, :, free[j]])
+                    sm = vals[:, free[j]] if prev is None else np.maximum(prev, vals[:, free[j]])
                     store[sub] = sm
                     out[part, sub] = sm.mean(axis=1)
         return out

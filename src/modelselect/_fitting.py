@@ -17,6 +17,16 @@ LAMBDA_CAP = 2.0**64
 _BISECT_REL_WIDTH = 1e-9
 
 
+def check_budget_floor(budget: float, floor: float, infeasible_msg: str) -> None:
+    """Raise ``ValueError(infeasible_msg)`` when the budget is below the floor.
+
+    A budget short of the floor by at most a relative 1e-9 counts as
+    feasible, so rounding in the floor cannot reject a budget set to it.
+    """
+    if budget < floor - 1e-9 * (1.0 + abs(floor)):
+        raise ValueError(infeasible_msg)
+
+
 def fit_budget_mixture(
     cost_fn: Callable[[float, Pick], float],
     budget: float,

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._engine import BatchCascadeEngine, Variant
-from ._fitting import fit_budget_mixture
+from ._fitting import check_budget_floor, fit_budget_mixture
 from .cascading import StepEstimates, estimate_sigma, supermodel_estimate
 from .core import (
     DecisionTrace,
@@ -339,8 +339,7 @@ def fit_cascade_router(
     elif engine.variant is not variant or engine.chain_only != chain_only:
         raise ValueError("engine was built for a different variant")
     floor = route_floor_cost(table, sigma, mc, engine=engine)
-    if budget < floor - 1e-9 * (1.0 + abs(floor)):
-        raise ValueError("infeasible budget: below the cheapest strategy cost")
+    check_budget_floor(budget, floor, "infeasible budget: below the cheapest strategy cost")
 
     def cost_fn(lam: float, pick: Pick) -> float:
         return engine.run_metrics([lam] * k, pick)[1]

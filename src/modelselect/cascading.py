@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._engine import BatchCascadeEngine, RunResult, Variant
-from ._fitting import fit_budget_mixture
+from ._fitting import check_budget_floor, fit_budget_mixture
 from .core import (
     DecisionTrace,
     EstimateTable,
@@ -287,8 +287,7 @@ def fit_cascade(
     elif not engine.chain_only:
         raise ValueError("fit_cascade needs a chain-only engine")
     floor = cascade_floor_cost(table)
-    if budget < floor - 1e-9 * (1.0 + abs(floor)):
-        raise ValueError("infeasible budget: below the cheapest cascade cost")
+    check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
 
     def cost_fn(lam: float, pick: Pick) -> float:
         return engine.run_metrics([lam] * k, pick)[1]
@@ -366,8 +365,7 @@ def fit_threshold_cascade(
     """
     k = table.n_models
     floor = cascade_floor_cost(table)
-    if budget < floor - 1e-9 * (1.0 + abs(floor)):
-        raise ValueError("infeasible budget: below the cheapest cascade cost")
+    check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
 
     def cost_at(tau: float) -> float:
         return threshold_metrics(table, np.full(k, tau))[1]

@@ -12,6 +12,7 @@ ground truth.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -69,13 +70,27 @@ class DataFormatError(ValueError):
 # -- IO ------------------------------------------------------------------------
 
 
+def _query_id_value(raw: str) -> int:
+    """The integer a CSV ``query_id`` cell stands for.
+
+    A decimal integer below 2^63 is kept as it is; any other id maps to the
+    first 8 bytes of its UTF-8 SHA-256 digest shifted right by one, which is
+    stable across processes and always a non-negative int64.
+    """
+    if raw.isascii() and raw.isdigit() and int(raw) < 1 << 63:
+        return int(raw)
+    return int.from_bytes(hashlib.sha256(raw.encode("utf-8")).digest()[:8], "big") >> 1
+
+
 def load_csv(path) -> TrueTable:
     """Load a ground-truth table.
 
     Expected header: ``query_id``, then ``quality.<name>`` and ``cost.<name>``
     for each model (model order follows the quality columns), optionally
     ``split`` with values train/validation/test. Comma-separated, ``.``
-    decimals, UTF-8.
+    decimals, UTF-8. Query ids are read by ``_query_id_value``, so per-query
+    random streams follow the id, not the row; two ids that map to the same
+    integer are rejected.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -96,15 +111,22 @@ def load_csv(path) -> TrueTable:
                 raise DataFormatError(f"{path}: missing column cost.{name}")
         split_col = col_of.get("split")
 
-        seen: dict[str, int] = {}
-        quality_rows, cost_rows, labels = [], [], []
+        seen: dict[int, tuple[str, int]] = {}
+        ids, quality_rows, cost_rows, labels = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataFormatError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
             qid = row[qcol]
-            if qid in seen:
-                raise DataFormatError(f"{path}:{lineno}: duplicate query_id {qid!r} (first at line {seen[qid]})")
-            seen[qid] = lineno
+            value = _query_id_value(qid)
+            if value in seen:
+                other, first = seen[value]
+                if other == qid:
+                    raise DataFormatError(f"{path}:{lineno}: duplicate query_id {qid!r} (first at line {first})")
+                raise DataFormatError(
+                    f"{path}:{lineno}: query_id {qid!r} maps to the same id {value} as {other!r} (line {first})"
+                )
+            seen[value] = (qid, lineno)
+            ids.append(value)
 
             def cell(colname: str) -> float:
                 raw = row[col_of[colname]]
@@ -127,7 +149,7 @@ def load_csv(path) -> TrueTable:
     if not quality_rows:
         raise DataFormatError(f"{path}: no data rows")
     return TrueTable(
-        query_ids=np.arange(len(quality_rows)),
+        query_ids=np.array(ids, dtype=np.int64),
         quality=np.array(quality_rows),
         cost=np.array(cost_rows),
         split_labels=np.array(labels) if labels else None,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fitting import check_budget_floor
 from .core import EstimateTable, Pick, argmax_tradeoff_rows
 
 LAMBDA_CAP = 2.0**64
@@ -89,8 +90,7 @@ def fit_router(table: EstimateTable, budget: float) -> FittedRouter:
     Raises for budgets below the cheapest admissible strategy.
     """
     floor = cheapest_strategy_cost(table)
-    if budget < floor - 1e-9 * (1.0 + abs(floor)):
-        raise ValueError("budget below cheapest strategy")
+    check_budget_floor(budget, floor, "budget below cheapest strategy")
 
     cost_max0 = strategy_cost(table, 0.0, Pick.MAX_COST)
     if cost_max0 <= budget:

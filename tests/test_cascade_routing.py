@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modelselect._engine import BatchCascadeEngine, Variant, _block_threshold
 from modelselect.cascade_routing import (
@@ -156,6 +158,7 @@ class TestSelectSupermodel:
 
 
 PRICE_LADDER = (0.0, 0.05, 0.2, 0.6, 2.0)
+RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
 
 
 def assert_engine_matches_per_query(table, sigma, mc):
@@ -289,7 +292,7 @@ class TestRunCascadeRoute:
             for lam, pick in runs:
                 got = warm.run([lam] * k, pick)
                 want = BatchCascadeEngine(t, sigma, mc, variant).run([lam] * k, pick)
-                for field in ("answer", "exec_order", "n_executed", "realized_cost"):
+                for field in RUN_FIELDS:
                     assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_zero_cost_model_agrees_with_per_query(self, rng):
@@ -328,6 +331,69 @@ class TestRunCascadeRoute:
         t.quality_mean[2] = np.nan  # bypasses the table's own validation
         with pytest.raises(RuntimeError, match="without executing"):
             engine.run([0.1] * 3, Pick.MIN_COST)
+
+
+def scalar_evaluator(table, q, t, sigma, executed, mc):
+    est = StepEstimates.from_table(table, q, t, sigma, executed)
+    return EmaxEvaluator.for_query(mc, int(table.query_ids[q]), est.quality_mean, est.quality_std)
+
+
+class TestEngineMatchesScalarExactly:
+    """The engine's expected maxima are the scalar evaluator's, bit for bit."""
+
+    def test_chain_quality(self, rng):
+        k = 5
+        t = random_table(rng, n=16, k=k, step_varying=True)
+        sigma = rng.uniform(0.05, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(seed=41)
+        engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+        for step in range(k):
+            got = engine._chain_quality(step)
+            for q in range(t.n_queries):
+                ev = scalar_evaluator(t, q, step, sigma, list(range(step)), mc)
+                for i in range(k):
+                    assert got[q, i] == ev.expected_max(range(i + 1))
+
+    @pytest.mark.parametrize("prefix_members, step", [((1,), 1), ((0, 2), 2), ((3,), 1)])
+    def test_lattice_quality_out_of_order_prefix(self, rng, prefix_members, step):
+        k = 4
+        t = random_table(rng, n=12, k=k, step_varying=True)
+        sigma = rng.uniform(0.05, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(seed=43)
+        engine = BatchCascadeEngine(t, sigma, mc)
+        prefix = sum(1 << m for m in prefix_members)
+        free = [m for m in range(k) if m not in prefix_members]
+        got = engine._lattice_quality(prefix, step, np.arange(t.n_queries))
+        for q in range(t.n_queries):
+            ev = scalar_evaluator(t, q, step, sigma, list(prefix_members), mc)
+            for sub in range(1 << len(free)):
+                added = [m for j, m in enumerate(free) if sub >> j & 1]
+                assert got[q, sub] == ev.expected_max(list(prefix_members) + added)
+
+
+class TestRowPermutation:
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 12),
+        k=st.integers(1, 5),
+        lam=st.sampled_from(PRICE_LADDER),
+        pick=st.sampled_from(list(Pick)),
+        chain_only=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_decisions_follow_query_not_row(self, seed, n, k, lam, pick, chain_only, data):
+        # Draws are keyed by query id, so permuting the rows permutes the
+        # per-query results and changes nothing else.
+        rng = np.random.default_rng(seed)
+        t = random_table(rng, n=n, k=k, step_varying=True)
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        mc = MonteCarloConfig(seed=seed)
+        base = BatchCascadeEngine(t, sigma, mc, chain_only=chain_only).run([lam] * k, pick)
+        moved = BatchCascadeEngine(t.subset(perm), sigma, mc, chain_only=chain_only).run([lam] * k, pick)
+        for field in RUN_FIELDS:
+            assert np.array_equal(getattr(moved, field), getattr(base, field)[perm])
 
 
 class TestOrderInvariance:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -75,6 +76,31 @@ class TestLoadCsv:
         back = load_csv(path)
         np.testing.assert_allclose(back.quality, t.quality)
         np.testing.assert_allclose(back.cost, t.cost)
+
+    def test_shuffled_rows_keep_their_ids(self, tmp_path, rng):
+        ids = np.array([17, 3, 42, 8, 0, 99])
+        t = TrueTable(ids, rng.uniform(0, 1, (6, 2)), rng.uniform(0.1, 1, (6, 2)))
+        path = tmp_path / "shuffled.csv"
+        write_csv(path, t)
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        back = load_csv(path)
+        file_ids = [int(r.split(",")[0]) for r in rows]
+        assert back.query_ids.tolist() == file_ids
+        order = [int(np.flatnonzero(ids == q)[0]) for q in file_ids]
+        np.testing.assert_array_equal(back.quality, t.quality[order])
+
+    def test_string_ids_hash_stably(self, tmp_path):
+        t = load_csv(write(tmp_path, "ok.csv", WELL_FORMED))
+        want = [int.from_bytes(hashlib.sha256(q.encode()).digest()[:8], "big") >> 1 for q in ("q1", "q2")]
+        assert t.query_ids.tolist() == want
+        assert (t.query_ids >= 0).all()
+
+    def test_ids_mapping_to_one_value_rejected(self, tmp_path):
+        text = "query_id,quality.a,cost.a\n7,0.5,1.0\nq,0.4,1.0\n007,0.6,1.0\n"
+        with pytest.raises(DataFormatError, match=r":4: query_id '007' .* as '7' \(line 2\)"):
+            load_csv(write(tmp_path, "clash.csv", text))
 
 
 class TestSplitDataset:
