@@ -49,10 +49,8 @@ from .core import (
 )
 from .estimators import (
     NOISE_PRESETS,
-    LinearEstimator,
     NoiseSpec,
     WorkloadSpec,
-    fit_linear_estimator,
     generate_workload,
     simulate_estimates,
 )

@@ -1,4 +1,4 @@
-"""Shared budget bisection for the sequential strategies.
+"""Shared budget bisection for every strategy fitted by a price.
 
 The cost of the cheap deterministic strategy falls as the price rises, so a
 budget is met by doubling the price until the cheap strategy is affordable
@@ -14,38 +14,52 @@ import numpy as np
 from .core import Pick
 
 LAMBDA_CAP = 2.0**64
+
+# Bracketing leaves the two deterministic strategies straddling a breakpoint
+# price; the expensive side may only be visible just below it.
 _BISECT_REL_WIDTH = 1e-9
 
 
-def check_budget_floor(budget: float, floor: float, infeasible_msg: str) -> None:
-    """Raise ``ValueError(infeasible_msg)`` when the budget is below the floor.
+def check_budget_floor(budget: float, floor: float, infeasible_msg: str) -> float:
+    """The budget to fit against: ``max(budget, floor)``.
 
-    A budget short of the floor by at most a relative 1e-9 counts as
-    feasible, so rounding in the floor cannot reject a budget set to it.
+    Raises ``ValueError(infeasible_msg)`` when the budget is below the floor
+    by more than a relative 1e-9; a budget within that tolerance is raised
+    to the floor, so rounding in the floor cannot reject a budget set to it.
     """
     if budget < floor - 1e-9 * (1.0 + abs(floor)):
         raise ValueError(infeasible_msg)
+    return max(budget, floor)
+
+
+def mixing_weight(cost_min: float, cost_max: float, budget: float) -> float:
+    """Probability of the cheap branch that puts the blend's cost on the budget."""
+    if cost_max <= cost_min:
+        return 1.0
+    return float(np.clip((cost_max - budget) / (cost_max - cost_min), 0.0, 1.0))
 
 
 def fit_budget_mixture(
     cost_fn: Callable[[float, Pick], float],
     budget: float,
     infeasible_msg: str = "budget below cheapest strategy",
-) -> tuple[float, float, float, float]:
-    """Find ``(lambda_star, gamma, cost_min, cost_max)`` meeting the budget.
+) -> tuple[float, float, float, float, float]:
+    """Find ``(lambda_star, gamma, cost_min, cost_max, lambda_lo)`` meeting the budget.
 
     ``cost_fn(lam, pick)`` is the fitting-data cost of the deterministic
     strategy at price ``lam``. The returned mixture is always feasible:
     either the interpolated cost equals the budget, or gamma is clamped on
-    the affordable side.
+    the affordable side. ``lambda_lo`` is the bisection bracket's infeasible
+    end, a price at which the cheap strategy is over budget; it equals
+    ``lambda_star`` when price zero already fits.
     """
     cost_max0 = cost_fn(0.0, Pick.MAX_COST)
     if cost_max0 <= budget:
-        return 0.0, 0.0, cost_fn(0.0, Pick.MIN_COST), cost_max0
+        return 0.0, 0.0, cost_fn(0.0, Pick.MIN_COST), cost_max0, 0.0
 
     cost_min0 = cost_fn(0.0, Pick.MIN_COST)
     if cost_min0 <= budget:
-        lam = 0.0
+        lo = lam = 0.0
         cost_min, cost_max = cost_min0, cost_max0
     else:
         lo, hi = 0.0, 1.0
@@ -63,9 +77,4 @@ def fit_budget_mixture(
         lam = hi
         cost_min = cost_fn(hi, Pick.MIN_COST)
         cost_max = cost_fn(hi, Pick.MAX_COST)
-
-    if cost_max <= cost_min:
-        gamma = 1.0
-    else:
-        gamma = float(np.clip((cost_max - budget) / (cost_max - cost_min), 0.0, 1.0))
-    return lam, gamma, cost_min, cost_max
+    return lam, mixing_weight(cost_min, cost_max, budget), cost_min, cost_max, lo

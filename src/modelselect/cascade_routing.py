@@ -10,15 +10,14 @@ against per-decision runtime.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from ._engine import BatchCascadeEngine, Variant
 from ._fitting import check_budget_floor, fit_budget_mixture
-from .cascading import StepEstimates, estimate_sigma, supermodel_estimate
+from .cascading import StepEstimates, decision_trace, estimate_sigma, supermodel_estimate
 from .core import (
     DecisionTrace,
     EstimateTable,
@@ -37,7 +36,6 @@ __all__ = [
     "prune_candidates",
     "select_supermodel",
     "run_cascade_route",
-    "run_cascade_route_timed",
     "fit_cascade_router",
     "route_floor_cost",
 ]
@@ -182,85 +180,6 @@ def select_supermodel(
     return select_with_pick(candidates, est, lam, pick, variant, evaluator)
 
 
-def _route_one(
-    table: EstimateTable,
-    q: int,
-    params: StrategyParams,
-    sigma: np.ndarray,
-    variant: Variant,
-    mc: MonteCarloConfig,
-    pick: Pick,
-    chain_only: bool,
-    answer_mode: str,
-) -> tuple[DecisionTrace, float]:
-    """Run one query; returns the trace and the decision wall time in seconds."""
-    k = table.n_models
-    qid = int(table.query_ids[q])
-    executed: list[int] = []
-    decision_seconds = 0.0
-    stop_step = k
-    for t in range(k):
-        started = time.perf_counter()
-        est = StepEstimates.from_table(table, q, t, sigma, executed)
-        evaluator = EmaxEvaluator.for_query(mc, qid, est.quality_mean, est.quality_std)
-        prefix = Supermodel(tuple(executed))
-        if chain_only:
-            candidates = CandidateSet(
-                prefix, tuple(Supermodel.chain(i) for i in range(max(t, 1), k + 1))
-            )
-        else:
-            free = [m for m in range(k) if m not in prefix.member_set]
-            candidates = enumerate_candidates(prefix, free, variant)
-            candidates = prune_candidates(candidates, est, params.lambdas[t], variant, evaluator)
-        selection = select_with_pick(
-            candidates, est, params.lambdas[t], pick, variant, evaluator
-        )
-        decision_seconds += time.perf_counter() - started
-        if selection.member_set == prefix.member_set:
-            stop_step = t
-            break
-        if chain_only:
-            nxt = t
-        else:
-            new = sorted(selection.member_set - prefix.member_set)
-            costs = est.cost_mean[new]
-            nxt = new[int(np.argmin(costs))]
-        executed.append(int(nxt))
-    trace = _trace(table, q, executed, stop_step, answer_mode)
-    return trace, decision_seconds
-
-
-def _trace(
-    table: EstimateTable,
-    q: int,
-    executed: Sequence[int],
-    stop_step: int,
-    answer_mode: str,
-) -> DecisionTrace:
-    if answer_mode == "best":
-        # answer with the computed model whose current estimate is highest;
-        # exact ties fall to the lowest model index
-        ordered = sorted(executed)
-        ests = [table.quality_mean[q, max(stop_step, m + 1), m] for m in ordered]
-        answer = ordered[int(np.argmax(ests))]
-    else:
-        answer = executed[-1]
-    if table.true_cost is not None:
-        cost = float(table.true_cost[q, list(executed)].sum())
-    else:
-        cost = float(table.cost_mean[q, table.n_models, list(executed)].sum())
-    quality = (
-        float(table.true_quality[q, answer]) if table.true_quality is not None else float("nan")
-    )
-    return DecisionTrace(
-        query=int(table.query_ids[q]),
-        executed=tuple(executed),
-        answer_model=int(answer),
-        realized_cost=cost,
-        realized_quality=quality,
-    )
-
-
 def run_cascade_route(
     table: EstimateTable,
     q: int,
@@ -280,29 +199,47 @@ def run_cascade_route(
     ``answer_mode='last'`` restores the plain-cascading convention.
     """
     mc = mc or MonteCarloConfig()
+    qid = int(table.query_ids[q])
     if pick is None:
-        u = mixing_uniform(mc.seed, int(table.query_ids[q]))
+        u = mixing_uniform(mc.seed, qid)
         pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
-    trace, _ = _route_one(table, q, params, sigma, variant, mc, pick, chain_only, answer_mode)
-    return trace
-
-
-def run_cascade_route_timed(
-    table: EstimateTable,
-    q: int,
-    params: StrategyParams,
-    sigma: np.ndarray,
-    variant: Variant = Variant.DEFAULT,
-    mc: Optional[MonteCarloConfig] = None,
-    pick: Optional[Pick] = None,
-    answer_mode: str = "best",
-) -> tuple[DecisionTrace, float]:
-    """Like ``run_cascade_route`` but also reports decision seconds spent."""
-    mc = mc or MonteCarloConfig()
-    if pick is None:
-        u = mixing_uniform(mc.seed, int(table.query_ids[q]))
-        pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
-    return _route_one(table, q, params, sigma, variant, mc, pick, False, answer_mode)
+    k = table.n_models
+    executed: list[int] = []
+    stop_step = k
+    for t in range(k):
+        est = StepEstimates.from_table(table, q, t, sigma, executed)
+        evaluator = EmaxEvaluator.for_query(mc, qid, est.quality_mean, est.quality_std)
+        prefix = Supermodel(tuple(executed))
+        if chain_only:
+            candidates = CandidateSet(
+                prefix, tuple(Supermodel.chain(i) for i in range(max(t, 1), k + 1))
+            )
+        else:
+            free = [m for m in range(k) if m not in prefix.member_set]
+            candidates = enumerate_candidates(prefix, free, variant)
+            candidates = prune_candidates(candidates, est, params.lambdas[t], variant, evaluator)
+        selection = select_with_pick(
+            candidates, est, params.lambdas[t], pick, variant, evaluator
+        )
+        if selection.member_set == prefix.member_set:
+            stop_step = t
+            break
+        if chain_only:
+            nxt = t
+        else:
+            new = sorted(selection.member_set - prefix.member_set)
+            costs = est.cost_mean[new]
+            nxt = new[int(np.argmin(costs))]
+        executed.append(int(nxt))
+    if answer_mode == "best":
+        # answer with the computed model whose current estimate is highest;
+        # exact ties fall to the lowest model index
+        ordered = sorted(executed)
+        ests = [table.quality_mean[q, max(stop_step, m + 1), m] for m in ordered]
+        answer = ordered[int(np.argmax(ests))]
+    else:
+        answer = executed[-1]
+    return decision_trace(table, q, executed, answer)
 
 
 def route_floor_cost(
@@ -339,11 +276,11 @@ def fit_cascade_router(
     elif engine.variant is not variant or engine.chain_only != chain_only:
         raise ValueError("engine was built for a different variant")
     floor = route_floor_cost(table, sigma, mc, engine=engine)
-    check_budget_floor(budget, floor, "infeasible budget: below the cheapest strategy cost")
+    budget = check_budget_floor(budget, floor, "infeasible budget: below the cheapest strategy cost")
 
     def cost_fn(lam: float, pick: Pick) -> float:
         return engine.run_metrics([lam] * k, pick)[1]
 
-    lam_star, gamma, _, _ = fit_budget_mixture(cost_fn, budget)
+    lam_star, gamma, _, _, _ = fit_budget_mixture(cost_fn, budget)
     init = StrategyParams.equal(lam_star, k, gamma)
     return optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init)

@@ -238,11 +238,13 @@ def run_cascade(
         if cascade_step(table, q, j, params, sigma, mc, u) is Decision.STOP:
             break
         executed.append(j - 1)
-    return _trace_from_executed(table, q, executed)
+    return decision_trace(table, q, executed, executed[-1])
 
 
-def _trace_from_executed(table: EstimateTable, q: int, executed: Sequence[int]) -> DecisionTrace:
-    answer = executed[-1]
+def decision_trace(
+    table: EstimateTable, q: int, executed: Sequence[int], answer: int
+) -> DecisionTrace:
+    """What running ``executed`` on query ``q`` and answering with ``answer`` realized."""
     if table.true_cost is not None:
         cost = float(table.true_cost[q, list(executed)].sum())
     else:
@@ -251,7 +253,7 @@ def _trace_from_executed(table: EstimateTable, q: int, executed: Sequence[int]) 
     return DecisionTrace(
         query=int(table.query_ids[q]),
         executed=tuple(executed),
-        answer_model=answer,
+        answer_model=int(answer),
         realized_cost=cost,
         realized_quality=quality,
     )
@@ -287,12 +289,12 @@ def fit_cascade(
     elif not engine.chain_only:
         raise ValueError("fit_cascade needs a chain-only engine")
     floor = cascade_floor_cost(table)
-    check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
+    budget = check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
 
     def cost_fn(lam: float, pick: Pick) -> float:
         return engine.run_metrics([lam] * k, pick)[1]
 
-    lam_star, gamma, _, _ = fit_budget_mixture(cost_fn, budget)
+    lam_star, gamma, _, _, _ = fit_budget_mixture(cost_fn, budget)
     init = StrategyParams.equal(lam_star, k, gamma)
     best = optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init)
     return FittedCascade(params=best, sigma=np.asarray(sigma, dtype=np.float64))
@@ -318,7 +320,7 @@ def threshold_cascade(table: EstimateTable, q: int, thresholds: Sequence[float])
         if table.quality_mean[q, t, last] >= thr[t]:
             break
         executed.append(t)
-    return _trace_from_executed(table, q, executed)
+    return decision_trace(table, q, executed, executed[-1])
 
 
 def _threshold_batch(table: EstimateTable, thresholds: np.ndarray) -> RunResult:
@@ -365,7 +367,7 @@ def fit_threshold_cascade(
     """
     k = table.n_models
     floor = cascade_floor_cost(table)
-    check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
+    budget = check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
 
     def cost_at(tau: float) -> float:
         return threshold_metrics(table, np.full(k, tau))[1]

@@ -9,29 +9,36 @@ JSON), ``evaluate`` (fitted params against the test split), and ``ablate``
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import StrategyParams
+from ._engine import Variant
 from .estimators import WorkloadSpec, generate_workload
 from .harness import (
+    STRATEGIES,
+    STRATEGY_NAMES,
     BenchmarkConfig,
     DataFormatError,
-    STRATEGY_NAMES,
-    _StrategyRunner,
     prepare_run,
     run_sweep,
     write_csv,
     write_report,
 )
-from .routing import FittedRouter
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+
+
+def _variant_name(variant: Variant) -> str:
+    """A variant's name on the command line and in ablation rows."""
+    return variant.value.replace("_", "-")
+
+
+# Each variant's hyphenated name, then its enum value where that differs.
+VARIANT_CHOICES = list(dict.fromkeys(n for v in Variant for n in (_variant_name(v), v.value)))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,25 +58,25 @@ def _build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", required=True)
 
-    for name in ("sweep", "fit", "evaluate", "ablate"):
-        cmd = sub.add_parser(name)
+    for command in ("sweep", "fit", "evaluate", "ablate"):
+        cmd = sub.add_parser(command)
         cmd.add_argument("--config", required=True, help="JSON benchmark config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--output", default=None)
         cmd.add_argument("--budget-points", type=int, default=None)
-        cmd.add_argument("--variant", default=None, choices=["default", "slow", "greedy", "no-expect", "no_expect"])
-        if name in ("fit", "evaluate"):
+        cmd.add_argument("--variant", default=None, choices=VARIANT_CHOICES)
+        if command in ("fit", "evaluate"):
             cmd.add_argument("--strategy", choices=list(STRATEGY_NAMES), default="cascade-routing")
-        if name == "fit":
+        if command == "fit":
             cmd.add_argument(
                 "--budget", type=float, required=True,
                 help="validation cost budget; a budget equal to grid point i of the sweep "
                      "uses that point's search seed and reproduces the sweep's fit, any "
                      "other budget searches with the config seed",
             )
-        if name == "evaluate":
+        if command == "evaluate":
             cmd.add_argument("--params", required=True, help="params JSON written by fit")
-        if name == "sweep":
+        if command == "sweep":
             cmd.add_argument(
                 "--strategy", choices=list(STRATEGY_NAMES), default=None,
                 help="run a single strategy instead of the config list",
@@ -115,31 +122,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _params_to_dict(strategy: str, fitted, budget: float) -> dict:
-    out = {"strategy": strategy, "budget": budget}
-    if isinstance(fitted, FittedRouter):
-        out.update(dataclasses.asdict(fitted))
-    elif isinstance(fitted, StrategyParams):
-        out.update(
-            {"lambdas": list(fitted.lambdas), "gamma": fitted.gamma,
-             "thresholds": None if fitted.thresholds is None else list(fitted.thresholds)}
-        )
-    elif fitted is not None:  # thresholds vector
-        out["thresholds"] = [float(v) for v in np.asarray(fitted)]
-    return out
-
-
 def _cmd_fit(args) -> int:
     config = _load_config(args)
     ctx = prepare_run(config)
     budget = args.budget
-    runner = _StrategyRunner(args.strategy, ctx)
+    runner = STRATEGIES[args.strategy](ctx)
     grid = np.flatnonzero(ctx.budgets == budget)
     if grid.size:
         fitted = runner.fit(budget, int(grid[0]))
     else:
         fitted = runner.fit_seeded(budget, config.seed)
-    payload = _params_to_dict(args.strategy, fitted, budget)
+    payload = {"strategy": args.strategy, "budget": budget, **runner.to_json(fitted)}
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="utf-8")
@@ -155,19 +148,10 @@ def _cmd_evaluate(args) -> int:
     payload = json.loads(Path(args.params).read_text(encoding="utf-8"))
     strategy = payload.get("strategy", args.strategy)
     budget = float(payload["budget"])
-    runner = _StrategyRunner(strategy, ctx)
-    if strategy == "routing":
-        fitted = FittedRouter(
-            lambda_star=payload["lambda_star"], gamma=payload["gamma"],
-            budget=budget, fit_cost_min=payload["fit_cost_min"],
-            fit_cost_max=payload["fit_cost_max"], lambda_max=payload["lambda_max"],
-        )
-    elif strategy in ("cascade", "cascade-routing"):
-        fitted = StrategyParams(lambdas=tuple(payload["lambdas"]), gamma=payload["gamma"])
-    elif strategy == "threshold":
-        fitted = np.asarray(payload["thresholds"], dtype=np.float64)
-    else:
-        fitted = None
+    if strategy not in STRATEGIES:
+        raise DataFormatError(f"{args.params}: unknown strategy {strategy!r}")
+    runner = STRATEGIES[strategy](ctx)
+    fitted = runner.from_json(payload)
     cost, quality = runner.evaluate(fitted, budget)
     result = {"strategy": strategy, "budget": budget, "test_cost": cost, "test_quality": quality}
     text = json.dumps(result, indent=2, sort_keys=True)
@@ -182,7 +166,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_ablate(args) -> int:
     config = _load_config(args)
     rows = {}
-    for variant in ("default", "slow", "greedy", "no-expect"):
+    for variant in map(_variant_name, Variant):
         cfg = BenchmarkConfig.from_dict(config.to_dict())
         cfg.variant = variant
         cfg.strategies = ("cascade-routing",)

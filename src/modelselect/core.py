@@ -162,14 +162,12 @@ EMPTY_SUPERMODEL = Supermodel(())
 class StrategyParams:
     """Fitted hyperparameters shared by the sequential strategies.
 
-    ``lambdas`` holds one cost price per decision step, ``gamma`` is the
-    probability of the cheap tie-break branch, and ``thresholds`` is only
-    populated by the threshold-cascade baseline.
+    ``lambdas`` holds one cost price per decision step and ``gamma`` is the
+    probability of the cheap tie-break branch.
     """
 
     lambdas: tuple[float, ...]
     gamma: float = 1.0
-    thresholds: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if any(l < 0 or not math.isfinite(l) for l in self.lambdas):

@@ -139,47 +139,6 @@ def generate_workload(spec: WorkloadSpec) -> TrueTable:
     return TrueTable(query_ids=np.arange(n), quality=quality, cost=cost)
 
 
-@dataclass(frozen=True)
-class LinearEstimator:
-    """Ordinary least squares with intercept, plus its residual std."""
-
-    coef: tuple[float, ...]
-    intercept: float
-    residual_std: float
-    ridge_fallback: bool = False
-
-    def predict(self, features) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return x @ np.asarray(self.coef) + self.intercept
-
-
-def fit_linear_estimator(features, targets) -> LinearEstimator:
-    """Fit OLS; rank-deficient designs fall back to a tiny ridge penalty."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if x.shape[0] == 1 and x.shape[1] > 1:
-        x = x.T
-    y = np.asarray(targets, dtype=np.float64)
-    n, m = x.shape
-    if n < 2:
-        raise ValueError("need at least 2 samples to fit")
-    design = np.column_stack([np.ones(n), x])
-    ridge = False
-    if np.linalg.matrix_rank(design) < design.shape[1]:
-        ridge = True
-        gram = design.T @ design + 1e-8 * np.eye(design.shape[1])
-        beta = np.linalg.solve(gram, design.T @ y)
-    else:
-        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    pred = design @ beta
-    resid = float(np.sqrt(np.mean((y - pred) ** 2)))
-    return LinearEstimator(
-        coef=tuple(float(b) for b in beta[1:]),
-        intercept=float(beta[0]),
-        residual_std=resid,
-        ridge_fallback=ridge,
-    )
-
-
 def _fit_signal_map(signal: np.ndarray, target: np.ndarray) -> tuple[float, float, float]:
     """Univariate slope/intercept/residual-std mapping a noisy signal to truth.
 

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,11 +31,7 @@ from .cascading import (
     threshold_cascade,
     threshold_metrics,
 )
-from .cascade_routing import (
-    fit_cascade_router,
-    route_floor_cost,
-    run_cascade_route_timed,
-)
+from .cascade_routing import fit_cascade_router, route_floor_cost, run_cascade_route
 from .core import EstimateTable, Pick, StrategyParams, TrueTable
 from .estimators import (
     NOISE_PRESETS,
@@ -56,8 +52,6 @@ from .search import SearchConfig
 
 _STREAM_SPLIT = 0x50
 _STREAM_SEARCH_MIX = 0x5A
-
-STRATEGY_NAMES = ("linear-interp", "routing", "threshold", "cascade", "cascade-routing")
 
 # Fields that may differ between otherwise identical runs.
 TIMING_FIELDS = ("mean_decision_ms",)
@@ -224,6 +218,18 @@ def _model_mean_costs(table, indices=None) -> np.ndarray:
     return costs.mean(axis=0)
 
 
+def _model_mean_qualities(table, indices=None) -> np.ndarray:
+    if isinstance(table, TrueTable):
+        quality = table.quality
+    elif table.true_quality is not None:
+        quality = table.true_quality
+    else:
+        quality = table.quality_mean[:, 0, :]
+    if indices is not None:
+        quality = quality[np.asarray(indices)]
+    return quality.mean(axis=0)
+
+
 def budget_grid(table, n_points: int = 20, indices=None) -> np.ndarray:
     """Evenly spaced budgets from the cheapest to the dearest model's mean cost."""
     means = _model_mean_costs(table, indices)
@@ -269,16 +275,8 @@ def pareto_frontier(costs: np.ndarray, qualities: np.ndarray) -> list[tuple[floa
 
 def linear_interp_baseline(table, budget: float, indices=None) -> float:
     """Piecewise-linear quality at ``budget`` along the model Pareto frontier."""
-    if isinstance(table, TrueTable):
-        quality = table.quality
-    elif table.true_quality is not None:
-        quality = table.true_quality
-    else:
-        quality = table.quality_mean[:, 0, :]
-    if indices is not None:
-        quality = quality[np.asarray(indices)]
     mean_cost = _model_mean_costs(table, indices)
-    mean_quality = quality.mean(axis=0)
+    mean_quality = _model_mean_qualities(table, indices)
     frontier = pareto_frontier(mean_cost, mean_quality)
     xs = np.array([c for c, _ in frontier])
     ys = np.array([q for _, q in frontier])
@@ -296,6 +294,210 @@ def _interp_mixture(frontier: list[tuple[float, float]], budget: float):
     a, b = j - 1, j
     alpha = (xs[b] - budget) / (xs[b] - xs[a])
     return [a, b], [float(alpha), float(1.0 - alpha)]
+
+
+# -- strategies -------------------------------------------------------------------
+
+
+class _StrategyRunner:
+    """One strategy's part of a sweep on a prepared run.
+
+    Each subclass holds everything about its strategy: ``name``, the engines
+    it needs, ``floor()`` (the cheapest validation cost it can reach),
+    ``fit_seeded(budget, search_seed)``, ``evaluate(fitted, budget)`` (the
+    realized test-split cost and quality), ``decide(fitted, q)`` (one test
+    query's decision) and the fitted params' JSON form, ``to_json(fitted)``
+    and ``from_json(payload)``. A strategy that fits nothing returns None and
+    needs no ``decide``. ``STRATEGIES`` lists the subclasses.
+    """
+
+    name: str
+
+    def __init__(self, ctx: RunContext):
+        self.ctx = ctx
+
+    def fit(self, budget: float, budget_index: int):
+        """Fit at grid point ``budget_index`` with that point's search seed."""
+        return self.fit_seeded(budget, _search_seed(self.ctx.config, self.name, budget_index))
+
+    def measure_decision_ms(self, fits: dict, sample_size: int = 32) -> float:
+        """Mean per-query ``decide`` wall time, milliseconds.
+
+        Sampled over a few fitted budgets so one atypical operating point
+        does not dominate; model "execution" (a table lookup) is excluded.
+        """
+        n = min(sample_size, self.ctx.test_table.n_queries)
+        total, count = 0.0, 0
+        for fitted in fits.values():
+            for q in range(n):
+                t0 = time.perf_counter()
+                self.decide(fitted, q)
+                total += time.perf_counter() - t0
+                count += 1
+        return total / max(count, 1) * 1000.0
+
+
+class _LinearInterp(_StrategyRunner):
+    """Mix the two validation-frontier models around the budget; nothing is fitted."""
+
+    name = "linear-interp"
+
+    def __init__(self, ctx: RunContext):
+        super().__init__(ctx)
+        mean_cost = _model_mean_costs(ctx.val_table)
+        mean_quality = _model_mean_qualities(ctx.val_table)
+        self.frontier_models = pareto_indices(mean_cost, mean_quality)
+        self.frontier = [(float(mean_cost[i]), float(mean_quality[i])) for i in self.frontier_models]
+
+    def floor(self) -> float:
+        return -np.inf
+
+    def fit_seeded(self, budget: float, search_seed: int):
+        return None
+
+    def evaluate(self, fitted, budget: float) -> tuple[float, float]:
+        # realize the validation-frontier mixture on test data
+        positions, weights = _interp_mixture(self.frontier, budget)
+        model_cols = [self.frontier_models[p] for p in positions]
+        test_cost_means = _model_mean_costs(self.ctx.test_table)
+        test_quality_means = _model_mean_qualities(self.ctx.test_table)
+        cost = sum(w * test_cost_means[m] for w, m in zip(weights, model_cols))
+        quality = sum(w * test_quality_means[m] for w, m in zip(weights, model_cols))
+        return float(cost), float(quality)
+
+    def to_json(self, fitted) -> dict:
+        return {}
+
+    def from_json(self, payload: dict):
+        return None
+
+
+class _Routing(_StrategyRunner):
+    name = "routing"
+
+    def floor(self) -> float:
+        return cheapest_strategy_cost(self.ctx.val_table)
+
+    def fit_seeded(self, budget: float, search_seed: int) -> FittedRouter:
+        return fit_router(self.ctx.val_table, budget)
+
+    def evaluate(self, fitted: FittedRouter, budget: float) -> tuple[float, float]:
+        test = self.ctx.test_table
+        pick_min = choose_models(test, fitted.lambda_star, Pick.MIN_COST)
+        pick_max = choose_models(test, fitted.lambda_max, Pick.MAX_COST)
+        chosen = np.where(self.ctx.test_coins < fitted.gamma, pick_min, pick_max)
+        rows = np.arange(test.n_queries)
+        return float(test.true_cost[rows, chosen].mean()), float(test.true_quality[rows, chosen].mean())
+
+    def decide(self, fitted: FittedRouter, q: int):
+        return route_query(fitted, self.ctx.test_table, q, self.ctx.test_coins[q])
+
+    def to_json(self, fitted: FittedRouter) -> dict:
+        return asdict(fitted)
+
+    def from_json(self, payload: dict) -> FittedRouter:
+        return FittedRouter(**{f.name: payload[f.name] for f in fields(FittedRouter)})
+
+
+class _Threshold(_StrategyRunner):
+    name = "threshold"
+
+    def floor(self) -> float:
+        return cascade_floor_cost(self.ctx.val_table)
+
+    def fit_seeded(self, budget: float, search_seed: int) -> np.ndarray:
+        search = self.ctx.config.search_config(search_seed)
+        return fit_threshold_cascade(self.ctx.val_table, budget, search_config=search)
+
+    def evaluate(self, fitted: np.ndarray, budget: float) -> tuple[float, float]:
+        quality, cost = threshold_metrics(self.ctx.test_table, fitted)
+        return cost, quality
+
+    def decide(self, fitted: np.ndarray, q: int):
+        return threshold_cascade(self.ctx.test_table, q, fitted)
+
+    def to_json(self, fitted: np.ndarray) -> dict:
+        return {"thresholds": [float(v) for v in fitted]}
+
+    def from_json(self, payload: dict) -> np.ndarray:
+        return np.asarray(payload["thresholds"], dtype=np.float64)
+
+
+class _EngineStrategy(_StrategyRunner):
+    """A strategy fitted and evaluated through ``BatchCascadeEngine`` runs."""
+
+    def __init__(self, ctx: RunContext, variant: Variant, chain_only: bool):
+        super().__init__(ctx)
+        self.variant = variant
+        self.val_engine = BatchCascadeEngine(ctx.val_table, ctx.sigma, ctx.mc, variant, chain_only)
+        self.test_engine = BatchCascadeEngine(ctx.test_table, ctx.sigma, ctx.mc, variant, chain_only)
+
+    def evaluate(self, fitted: StrategyParams, budget: float) -> tuple[float, float]:
+        run_min = self.test_engine.run(fitted.lambdas, Pick.MIN_COST)
+        run_max = (
+            run_min if fitted.gamma == 1.0 else self.test_engine.run(fitted.lambdas, Pick.MAX_COST)
+        )
+        take_min = self.ctx.test_coins < fitted.gamma
+        rows = np.arange(self.ctx.test_table.n_queries)
+        truth_q = self.ctx.test_table.true_quality
+        cost = np.where(take_min, run_min.realized_cost, run_max.realized_cost)
+        quality = np.where(take_min, truth_q[rows, run_min.answer], truth_q[rows, run_max.answer])
+        return float(cost.mean()), float(quality.mean())
+
+    def to_json(self, fitted: StrategyParams) -> dict:
+        return {"lambdas": list(fitted.lambdas), "gamma": fitted.gamma}
+
+    def from_json(self, payload: dict) -> StrategyParams:
+        return StrategyParams(lambdas=tuple(payload["lambdas"]), gamma=payload["gamma"])
+
+
+class _Cascade(_EngineStrategy):
+    name = "cascade"
+
+    def __init__(self, ctx: RunContext):
+        super().__init__(ctx, Variant.DEFAULT, chain_only=True)
+
+    def floor(self) -> float:
+        return cascade_floor_cost(self.ctx.val_table)
+
+    def fit_seeded(self, budget: float, search_seed: int) -> StrategyParams:
+        ctx = self.ctx
+        return fit_cascade(
+            ctx.val_table, budget, sigma=ctx.sigma, mc=ctx.mc,
+            search_config=ctx.config.search_config(search_seed), engine=self.val_engine,
+        ).params
+
+    def decide(self, fitted: StrategyParams, q: int):
+        return run_cascade(self.ctx.test_table, q, fitted, self.ctx.sigma, self.ctx.mc)
+
+
+class _CascadeRouting(_EngineStrategy):
+    name = "cascade-routing"
+
+    def __init__(self, ctx: RunContext):
+        super().__init__(ctx, ctx.config.variant_enum(), chain_only=False)
+
+    def floor(self) -> float:
+        return route_floor_cost(self.ctx.val_table, self.ctx.sigma, self.ctx.mc, engine=self.val_engine)
+
+    def fit_seeded(self, budget: float, search_seed: int) -> StrategyParams:
+        ctx = self.ctx
+        return fit_cascade_router(
+            ctx.val_table, budget, self.variant, sigma=ctx.sigma, mc=ctx.mc,
+            search_config=ctx.config.search_config(search_seed), engine=self.val_engine,
+        )
+
+    def decide(self, fitted: StrategyParams, q: int):
+        ctx = self.ctx
+        return run_cascade_route(ctx.test_table, q, fitted, ctx.sigma, self.variant, ctx.mc)
+
+
+# Strategy name -> runner class. The order is part of every search seed
+# (``_search_seed`` hashes a strategy's index), so new strategies go last.
+STRATEGIES = {
+    cls.name: cls for cls in (_LinearInterp, _Routing, _Threshold, _Cascade, _CascadeRouting)
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -537,156 +739,6 @@ def _search_seed(config: BenchmarkConfig, strategy: str, budget_index: int) -> i
     return int(seq.generate_state(1)[0])
 
 
-def _mix_runs(coins, gamma, run_min, run_max, truth_q):
-    take_min = coins < gamma
-    cost = np.where(take_min, run_min.realized_cost, run_max.realized_cost)
-    q_min = truth_q[np.arange(truth_q.shape[0]), run_min.answer]
-    q_max = truth_q[np.arange(truth_q.shape[0]), run_max.answer]
-    quality = np.where(take_min, q_min, q_max)
-    return float(cost.mean()), float(quality.mean())
-
-
-class _StrategyRunner:
-    """Fit-and-evaluate plumbing for one strategy across the budget grid."""
-
-    def __init__(self, name: str, ctx: RunContext):
-        self.name = name
-        self.ctx = ctx
-        cfg = ctx.config
-        variant = cfg.variant_enum()
-        if name == "cascade":
-            self.val_engine = BatchCascadeEngine(
-                ctx.val_table, ctx.sigma, ctx.mc, Variant.DEFAULT, chain_only=True
-            )
-            self.test_engine = BatchCascadeEngine(
-                ctx.test_table, ctx.sigma, ctx.mc, Variant.DEFAULT, chain_only=True
-            )
-        elif name == "cascade-routing":
-            self.val_engine = BatchCascadeEngine(ctx.val_table, ctx.sigma, ctx.mc, variant)
-            self.test_engine = BatchCascadeEngine(ctx.test_table, ctx.sigma, ctx.mc, variant)
-        else:
-            self.val_engine = self.test_engine = None
-        if name == "linear-interp":
-            mean_cost = _model_mean_costs(ctx.val_table)
-            if ctx.val_table.true_quality is not None:
-                mean_quality = ctx.val_table.true_quality.mean(axis=0)
-            else:
-                mean_quality = ctx.val_table.quality_mean[:, 0, :].mean(axis=0)
-            self.frontier_models = pareto_indices(mean_cost, mean_quality)
-            self.frontier = [
-                (float(mean_cost[i]), float(mean_quality[i])) for i in self.frontier_models
-            ]
-
-    def floor(self) -> float:
-        ctx = self.ctx
-        if self.name == "routing":
-            return cheapest_strategy_cost(ctx.val_table)
-        if self.name in ("cascade", "threshold"):
-            return cascade_floor_cost(ctx.val_table)
-        if self.name == "cascade-routing":
-            return route_floor_cost(ctx.val_table, ctx.sigma, ctx.mc, engine=self.val_engine)
-        return -np.inf
-
-    def fit(self, budget: float, budget_index: int):
-        """Fit at grid point ``budget_index`` with that point's search seed."""
-        return self.fit_seeded(budget, _search_seed(self.ctx.config, self.name, budget_index))
-
-    def fit_seeded(self, budget: float, search_seed: int):
-        ctx = self.ctx
-        cfg = ctx.config
-        search = cfg.search_config(search_seed)
-        if self.name == "routing":
-            return fit_router(ctx.val_table, budget)
-        if self.name == "cascade":
-            return fit_cascade(
-                ctx.val_table, budget, sigma=ctx.sigma, mc=ctx.mc,
-                search_config=search, engine=self.val_engine,
-            ).params
-        if self.name == "cascade-routing":
-            return fit_cascade_router(
-                ctx.val_table, budget, cfg.variant_enum(), sigma=ctx.sigma, mc=ctx.mc,
-                search_config=search, engine=self.val_engine,
-            )
-        if self.name == "threshold":
-            return fit_threshold_cascade(ctx.val_table, budget, search_config=search)
-        return None  # linear-interp has no fitted state
-
-    def evaluate(self, fitted, budget: float) -> tuple[float, float]:
-        """Realized (cost, quality) on the test split."""
-        ctx = self.ctx
-        test = ctx.test_table
-        truth_q = test.true_quality
-        if self.name == "routing":
-            router: FittedRouter = fitted
-            pick_min = choose_models(test, router.lambda_star, Pick.MIN_COST)
-            pick_max = choose_models(test, router.lambda_max, Pick.MAX_COST)
-            chosen = np.where(ctx.test_coins < router.gamma, pick_min, pick_max)
-            rows = np.arange(test.n_queries)
-            return (
-                float(test.true_cost[rows, chosen].mean()),
-                float(truth_q[rows, chosen].mean()),
-            )
-        if self.name in ("cascade", "cascade-routing"):
-            params: StrategyParams = fitted
-            run_min = self.test_engine.run(params.lambdas, Pick.MIN_COST)
-            run_max = (
-                run_min
-                if params.gamma == 1.0
-                else self.test_engine.run(params.lambdas, Pick.MAX_COST)
-            )
-            cost, quality = _mix_runs(ctx.test_coins, params.gamma, run_min, run_max, truth_q)
-            return cost, quality
-        if self.name == "threshold":
-            quality, cost = threshold_metrics(test, fitted)
-            return cost, quality
-        # linear-interp: realize the validation-frontier mixture on test data
-        positions, weights = _interp_mixture(self.frontier, budget)
-        model_cols = [self.frontier_models[p] for p in positions]
-        test_cost_means = _model_mean_costs(test)
-        if truth_q is not None:
-            test_quality_means = truth_q.mean(axis=0)
-        else:
-            test_quality_means = test.quality_mean[:, 0, :].mean(axis=0)
-        cost = sum(w * test_cost_means[m] for w, m in zip(weights, model_cols))
-        quality = sum(w * test_quality_means[m] for w, m in zip(weights, model_cols))
-        return float(cost), float(quality)
-
-    def measure_decision_ms(self, fits: dict, sample_size: int = 32) -> float:
-        """Mean per-query decision wall time, milliseconds.
-
-        Sampled over a few fitted budgets so one atypical operating point
-        does not dominate; model "execution" (a table lookup) is excluded.
-        """
-        ctx = self.ctx
-        test = ctx.test_table
-        n = min(sample_size, test.n_queries)
-        total, count = 0.0, 0
-        for fitted in fits.values():
-            for q in range(n):
-                if self.name == "routing":
-                    u = ctx.test_coins[q]
-                    t0 = time.perf_counter()
-                    route_query(fitted, test, q, u)
-                    total += time.perf_counter() - t0
-                elif self.name == "cascade":
-                    t0 = time.perf_counter()
-                    run_cascade(test, q, fitted, ctx.sigma, ctx.mc)
-                    total += time.perf_counter() - t0
-                elif self.name == "cascade-routing":
-                    _, secs = run_cascade_route_timed(
-                        test, q, fitted, ctx.sigma, ctx.config.variant_enum(), ctx.mc
-                    )
-                    total += secs
-                elif self.name == "threshold":
-                    t0 = time.perf_counter()
-                    threshold_cascade(test, q, fitted)
-                    total += time.perf_counter() - t0
-                else:
-                    return 0.0
-                count += 1
-        return total / max(count, 1) * 1000.0
-
-
 def run_sweep(
     config: BenchmarkConfig,
     estimates: Optional[EstimateTable] = None,
@@ -706,7 +758,7 @@ def run_sweep(
     for name in config.strategies:
         result = StrategyResult(name=name)
         try:
-            runner = _StrategyRunner(name, ctx)
+            runner = STRATEGIES[name](ctx)
             floor = runner.floor()
             timing_fits = {}
             for bi, budget in enumerate(ctx.budgets):
@@ -726,8 +778,7 @@ def run_sweep(
                     result.auc = auc([(p["cost"], p["quality"]) for p in result.points])
                 except ValueError:
                     result.auc = None  # curve degenerated to one distinct cost
-            if timing_fits or name == "linear-interp":
-                result.mean_decision_ms = runner.measure_decision_ms(timing_fits)
+            result.mean_decision_ms = runner.measure_decision_ms(timing_fits)
         except Exception as exc:  # noqa: BLE001 - recorded per strategy by design
             result.error = f"{type(exc).__name__}: {exc}"
         report.strategies[name] = result

@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fitting import check_budget_floor
+from ._fitting import check_budget_floor, fit_budget_mixture, mixing_weight
 from .core import EstimateTable, Pick, argmax_tradeoff_rows
-
-LAMBDA_CAP = 2.0**64
-
-# Bracketing leaves the two deterministic strategies straddling a breakpoint
-# price; the expensive side may only be visible just below it.
-_BISECT_REL_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,44 +84,20 @@ def fit_router(table: EstimateTable, budget: float) -> FittedRouter:
     Raises for budgets below the cheapest admissible strategy.
     """
     floor = cheapest_strategy_cost(table)
-    check_budget_floor(budget, floor, "budget below cheapest strategy")
+    budget = check_budget_floor(budget, floor, "budget below cheapest strategy")
 
-    cost_max0 = strategy_cost(table, 0.0, Pick.MAX_COST)
-    if cost_max0 <= budget:
-        cost_min0 = strategy_cost(table, 0.0, Pick.MIN_COST)
-        return FittedRouter(0.0, 0.0, budget, cost_min0, cost_max0, 0.0)
+    def cost_fn(lam: float, pick: Pick) -> float:
+        return strategy_cost(table, lam, pick)
 
-    cost_min0 = strategy_cost(table, 0.0, Pick.MIN_COST)
-    if cost_min0 <= budget:
-        lam_star = lam_max = 0.0
-        cost_min, cost_max = cost_min0, cost_max0
-    else:
-        lo, hi = 0.0, 1.0
-        while strategy_cost(table, hi, Pick.MIN_COST) > budget:
-            lo = hi
-            hi *= 2.0
-            if hi > LAMBDA_CAP:
-                raise ValueError("budget below cheapest strategy")
-        while hi - lo > _BISECT_REL_WIDTH * (1.0 + hi):
-            mid = 0.5 * (lo + hi)
-            if strategy_cost(table, mid, Pick.MIN_COST) <= budget:
-                hi = mid
-            else:
-                lo = mid
-        lam_star = lam_max = hi
-        cost_min = strategy_cost(table, hi, Pick.MIN_COST)
-        cost_max = strategy_cost(table, hi, Pick.MAX_COST)
-        if cost_max < budget:
-            # The breakpoint's expensive maximizer is only tied within
-            # tolerance on the low side of the bracket.
-            cost_max_lo = strategy_cost(table, lo, Pick.MAX_COST)
-            if cost_max_lo >= budget:
-                lam_max, cost_max = lo, cost_max_lo
-
-    if cost_max <= cost_min:
-        gamma = 1.0
-    else:
-        gamma = float(np.clip((cost_max - budget) / (cost_max - cost_min), 0.0, 1.0))
+    lam_star, gamma, cost_min, cost_max, lam_lo = fit_budget_mixture(cost_fn, budget)
+    lam_max = lam_star
+    if lam_lo < lam_star and cost_max < budget:
+        # The breakpoint's expensive maximizer is only tied within
+        # tolerance on the low side of the bracket.
+        cost_max_lo = strategy_cost(table, lam_lo, Pick.MAX_COST)
+        if cost_max_lo >= budget:
+            lam_max, cost_max = lam_lo, cost_max_lo
+            gamma = mixing_weight(cost_min, cost_max, budget)
     return FittedRouter(lam_star, gamma, budget, cost_min, cost_max, lam_max)
 
 

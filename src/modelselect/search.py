@@ -9,8 +9,8 @@ config seed, and the returned point is always feasible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class SearchConfig:
     lambda_log_scale: float = 0.6
     gamma_scale: float = 0.15
     threshold_scale: float = 0.1
-    init: Optional[StrategyParams] = None
 
     def __post_init__(self) -> None:
         if self.max_evals < 1:
@@ -67,18 +66,15 @@ def optimize(
     objective: Callable[[StrategyParams], tuple[float, float]],
     budget: float,
     config: SearchConfig,
-    init: Optional[StrategyParams] = None,
+    init: StrategyParams,
 ) -> StrategyParams:
-    """Maximize quality subject to ``cost <= budget`` near an initial point.
+    """Maximize quality subject to ``cost <= budget`` near ``init``.
 
     ``objective`` maps params to ``(quality, cost)`` on the fitting data.
     Infeasible proposals still consume evaluations. Raises if the initial
     point itself violates the budget.
     """
-    start = init or config.init
-    if start is None:
-        raise ValueError("an initial point is required")
-    k = len(start.lambdas)
+    k = len(init.lambdas)
 
     def pack(p: StrategyParams) -> np.ndarray:
         return np.array(list(p.lambdas) + [p.gamma])
@@ -104,11 +100,8 @@ def optimize(
         return out
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SEARCH)))
-    best = _local_search(evaluate, propose, pack(start), budget, config.max_evals, rng)
-    result = unpack(best)
-    if start.thresholds is not None:
-        result = replace(result, thresholds=start.thresholds)
-    return result
+    best = _local_search(evaluate, propose, pack(init), budget, config.max_evals, rng)
+    return unpack(best)
 
 
 def optimize_thresholds(

@@ -5,10 +5,8 @@ from modelselect.cascading import estimate_sigma
 from modelselect.core import TrueTable
 from modelselect.estimators import (
     NOISE_PRESETS,
-    LinearEstimator,
     NoiseSpec,
     WorkloadSpec,
-    fit_linear_estimator,
     generate_workload,
     simulate_estimates,
 )
@@ -113,38 +111,3 @@ class TestSimulateEstimates:
             est = simulate_estimates(truth, NoiseSpec(sb, 0.0, 0.0, 0.0), seed=7)
             sigmas.append(estimate_sigma(est)[0, 0])
         assert sigmas[0] < sigmas[1] < sigmas[2]
-
-
-class TestLinearEstimator:
-    def test_exact_line(self):
-        x = np.arange(10.0)
-        fit = fit_linear_estimator(x, 2 * x + 1)
-        assert fit.coef[0] == pytest.approx(2.0)
-        assert fit.intercept == pytest.approx(1.0)
-        assert fit.residual_std == pytest.approx(0.0, abs=1e-9)
-
-    def test_constant_targets(self):
-        x = np.arange(8.0)
-        fit = fit_linear_estimator(x, np.full(8, 3.5))
-        assert fit.coef[0] == pytest.approx(0.0, abs=1e-12)
-        assert fit.residual_std == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_normal_equations(self, rng):
-        x = rng.normal(size=(100, 2))
-        y = x @ np.array([1.5, -0.7]) + 0.3 + rng.normal(0, 0.1, 100)
-        fit = fit_linear_estimator(x, y)
-        design = np.column_stack([np.ones(100), x])
-        beta = np.linalg.solve(design.T @ design, design.T @ y)
-        assert fit.intercept == pytest.approx(beta[0], abs=1e-9)
-        assert fit.coef[0] == pytest.approx(beta[1], abs=1e-9)
-        assert fit.coef[1] == pytest.approx(beta[2], abs=1e-9)
-
-    def test_rank_deficient_falls_back_to_ridge(self, rng):
-        x = np.ones((10, 2))  # duplicate constant columns
-        x[:, 1] = 1.0
-        fit = fit_linear_estimator(x, rng.normal(size=10))
-        assert fit.ridge_fallback
-
-    def test_predict_shape(self):
-        fit = LinearEstimator(coef=(2.0,), intercept=1.0, residual_std=0.0)
-        np.testing.assert_allclose(fit.predict([[1.0], [2.0]]), [3.0, 5.0])

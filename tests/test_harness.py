@@ -4,13 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from modelselect.cli import main as cli_main
+from modelselect.cli import _build_parser, main as cli_main
 from modelselect.core import EstimateTable, TrueTable
 from modelselect.harness import (
+    STRATEGIES,
+    STRATEGY_NAMES,
     BenchmarkConfig,
     DataFormatError,
     SweepReport,
-    _StrategyRunner,
     auc,
     budget_grid,
     linear_interp_baseline,
@@ -298,12 +299,12 @@ class TestRunSweep:
         # estimated cost, so it is checked in estimate space
         from modelselect._engine import BatchCascadeEngine, Variant
         from modelselect.cascading import threshold_metrics
-        from modelselect.harness import _StrategyRunner, prepare_run
+        from modelselect.harness import prepare_run
         from modelselect.routing import expected_metrics
 
         ctx = prepare_run(small_config())
         for name in ("cascade", "cascade-routing", "threshold", "routing"):
-            runner = _StrategyRunner(name, ctx)
+            runner = STRATEGIES[name](ctx)
             floor = runner.floor()
             for bi, budget in enumerate(ctx.budgets):
                 eff = max(float(budget), floor)
@@ -379,27 +380,76 @@ class TestCli:
         metrics = json.loads(metrics_path.read_text())
         assert {"test_cost", "test_quality"} <= set(metrics)
 
-    # grid points where the config seed and the sweep's search seed disagree
-    @pytest.mark.parametrize("strategy,index", [("cascade-routing", 3), ("threshold", 2)])
-    def test_fit_at_grid_budget_reproduces_sweep_point(self, tmp_path, strategy, index):
-        cfg = {
-            "data": {"workload": {"n_queries": 120, "n_models": 3, "seed": 8}},
-            "noise": "low", "splits": [0.3, 0.3, 0.4], "budget_points": 4,
-            "seed": 6, "search": {"max_evals": 12}, "mc_samples": 64,
-        }
-        cfg_path = write(tmp_path, "c.json", json.dumps(cfg))
-        ctx = prepare_run(BenchmarkConfig.from_dict(cfg))
+    GRID_CONFIG = {
+        "data": {"workload": {"n_queries": 120, "n_models": 3, "seed": 8}},
+        "noise": "low", "splits": [0.3, 0.3, 0.4], "budget_points": 4,
+        "seed": 6, "search": {"max_evals": 12}, "mc_samples": 64,
+    }
+
+    def fit_at_grid_point(self, tmp_path, strategy, index):
+        """``modelselect fit`` at grid budget ``index``; returns the paths, ctx and budget."""
+        cfg_path = write(tmp_path, "c.json", json.dumps(self.GRID_CONFIG))
+        ctx = prepare_run(BenchmarkConfig.from_dict(self.GRID_CONFIG))
         budget = float(ctx.budgets[index])
         params_path = tmp_path / "p.json"
         assert cli_main(["fit", "--config", str(cfg_path), "--strategy", strategy,
                          "--budget", repr(budget), "--output", str(params_path)]) == 0
+        return cfg_path, params_path, ctx, budget
+
+    # for cascade-routing and threshold, grid points where the config seed
+    # and the sweep's search seed disagree
+    @pytest.mark.parametrize("strategy,index", [
+        ("cascade-routing", 3), ("threshold", 2), ("routing", 1), ("cascade", 1),
+        ("linear-interp", 1),
+    ])
+    def test_fit_at_grid_budget_reproduces_sweep_point(self, tmp_path, strategy, index):
+        _, params_path, ctx, budget = self.fit_at_grid_point(tmp_path, strategy, index)
         payload = json.loads(params_path.read_text())
-        want = _StrategyRunner(strategy, ctx).fit(budget, index)
-        if strategy == "threshold":
-            assert payload["thresholds"] == [float(v) for v in want]
-        else:
-            assert payload["lambdas"] == list(want.lambdas)
-            assert payload["gamma"] == want.gamma
+        runner = STRATEGIES[strategy](ctx)
+        want = runner.fit(budget, index)
+        assert payload == {"strategy": strategy, "budget": budget, **runner.to_json(want)}
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_evaluate_round_trip(self, tmp_path, strategy):
+        cfg_path, params_path, ctx, budget = self.fit_at_grid_point(tmp_path, strategy, 2)
+        metrics_path = tmp_path / "m.json"
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path),
+                         "--output", str(metrics_path)]) == 0
+        runner = STRATEGIES[strategy](ctx)
+        cost, quality = runner.evaluate(runner.fit(budget, 2), budget)
+        assert json.loads(metrics_path.read_text()) == {
+            "strategy": strategy, "budget": budget, "test_cost": cost, "test_quality": quality,
+        }
+
+    def test_evaluate_reads_params_with_null_thresholds(self, tmp_path):
+        # cascade params files once carried "thresholds": null
+        cfg_path, params_path, ctx, budget = self.fit_at_grid_point(tmp_path, "cascade", 1)
+        payload = json.loads(params_path.read_text())
+        assert "thresholds" not in payload
+        params_path.write_text(json.dumps({**payload, "thresholds": None}))
+        metrics_path = tmp_path / "m.json"
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path),
+                         "--output", str(metrics_path)]) == 0
+        runner = STRATEGIES["cascade"](ctx)
+        want = runner.evaluate(runner.fit(budget, 1), budget)
+        metrics = json.loads(metrics_path.read_text())
+        assert (metrics["test_cost"], metrics["test_quality"]) == want
+
+    def test_choices_follow_the_tables(self):
+        commands = _build_parser()._subparsers._group_actions[0].choices
+
+        def choices(command, dest):
+            return next(a.choices for a in commands[command]._actions if a.dest == dest)
+
+        assert STRATEGY_NAMES == (
+            "linear-interp", "routing", "threshold", "cascade", "cascade-routing"
+        )
+        for command in ("sweep", "fit", "evaluate"):
+            assert choices(command, "strategy") == list(STRATEGY_NAMES)
+        for command in ("sweep", "fit", "evaluate", "ablate"):
+            assert choices(command, "variant") == [
+                "default", "slow", "greedy", "no-expect", "no_expect"
+            ]
 
     def test_ablate_runs_all_variants(self, tmp_path, capsys):
         cfg = {

@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from modelselect._fitting import fit_budget_mixture
+from modelselect.cascade_routing import fit_cascade_router, route_floor_cost
+from modelselect.cascading import (
+    cascade_floor_cost,
+    estimate_sigma,
+    fit_cascade,
+    fit_threshold_cascade,
+)
 from modelselect.core import Pick
 from modelselect.montecarlo import (
     EmaxEvaluator,
@@ -11,6 +18,10 @@ from modelselect.montecarlo import (
     mixing_uniform,
     query_normals,
 )
+from modelselect.routing import cheapest_strategy_cost, fit_router
+from modelselect.search import SearchConfig
+
+from conftest import random_table
 
 
 class TestDraws:
@@ -77,8 +88,8 @@ class TestFitBudgetMixture:
         return cost_fn
 
     def test_rich_budget_returns_zero_lambda(self):
-        lam, gamma, cmin, cmax = fit_budget_mixture(self.costs([1.0]), budget=10.0)
-        assert lam == 0.0 and gamma == 0.0
+        lam, gamma, cmin, cmax, lam_lo = fit_budget_mixture(self.costs([1.0]), budget=10.0)
+        assert lam == 0.0 and gamma == 0.0 and lam_lo == lam
 
     def test_interpolates_between_picks(self):
         def cost_fn(lam, pick):
@@ -86,10 +97,37 @@ class TestFitBudgetMixture:
                 return 2.0
             return 1.0 if pick is Pick.MIN_COST else 2.0
 
-        lam, gamma, cmin, cmax = fit_budget_mixture(cost_fn, budget=1.5)
+        lam, gamma, cmin, cmax, lam_lo = fit_budget_mixture(cost_fn, budget=1.5)
         assert cmin <= 1.5 <= cmax
+        # the bracket's lower end is the infeasible side of the breakpoint
+        assert lam_lo < 1.0 <= lam and cost_fn(lam_lo, Pick.MIN_COST) > 1.5
         assert gamma * cmin + (1 - gamma) * cmax == pytest.approx(1.5)
 
     def test_infeasible_budget_raises(self):
         with pytest.raises(ValueError, match="below cheapest"):
             fit_budget_mixture(lambda lam, pick: 5.0, budget=1.0)
+
+
+@pytest.mark.parametrize("fitter", ["fit_router", "fit_cascade", "fit_cascade_router",
+                                    "fit_threshold_cascade"])
+def test_budget_within_tolerance_below_floor_fits_at_floor(rng, fitter):
+    table = random_table(rng, 40, 3, cost_low=1.5, cost_high=4.0)
+    sigma = estimate_sigma(table)
+    mc = MonteCarloConfig(n_samples=64, seed=0)
+    search = SearchConfig(max_evals=5)
+    fit, floor = {
+        "fit_router": (lambda b: fit_router(table, b), cheapest_strategy_cost(table)),
+        "fit_cascade": (lambda b: fit_cascade(table, b, sigma, mc, search),
+                        cascade_floor_cost(table)),
+        "fit_cascade_router": (
+            lambda b: fit_cascade_router(table, b, sigma=sigma, mc=mc, search_config=search),
+            route_floor_cost(table, sigma, mc),
+        ),
+        "fit_threshold_cascade": (lambda b: fit_threshold_cascade(table, b, search),
+                                  cascade_floor_cost(table)),
+    }[fitter]
+    # above 1, the gap below exceeds the search's absolute 1e-9 slack
+    assert floor > 1.0
+    fit(floor - 0.5e-9 * (1.0 + floor))
+    with pytest.raises(ValueError):
+        fit(floor - 2e-9 * (1.0 + floor))
