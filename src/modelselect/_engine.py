@@ -60,6 +60,31 @@ class Variant(Enum):
     NO_EXPECT = "no_expect"
 
 
+def check_decision_inputs(
+    n_models: int,
+    sigma: Optional[np.ndarray] = None,
+    lambdas: Optional[Sequence[float]] = None,
+    answer_mode: Optional[str] = None,
+) -> None:
+    """Reject inputs that would otherwise become a silent wrong decision.
+
+    Shared by the engine and the per-query paths: ``sigma`` must be a finite,
+    nonnegative ``(n_models, n_models + 1)`` matrix, ``lambdas`` must hold
+    one price per model and ``answer_mode`` must be ``'last'`` or ``'best'``.
+    Arguments left as None are not checked.
+    """
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=np.float64)
+        if sigma.shape != (n_models, n_models + 1):
+            raise ValueError("sigma must be shaped (n_models, n_models + 1)")
+        if not (np.isfinite(sigma) & (sigma >= 0)).all():
+            raise ValueError("sigma must be finite and >= 0")
+    if lambdas is not None and np.shape(lambdas) != (n_models,):
+        raise ValueError("lambdas must have one entry per model")
+    if answer_mode is not None and answer_mode not in ("last", "best"):
+        raise ValueError("answer_mode must be 'last' or 'best'")
+
+
 @dataclass(frozen=True)
 class _LatticeTables:
     masks: np.ndarray  # (2^k,) ascending
@@ -154,22 +179,17 @@ class BatchCascadeEngine:
         answer_mode: Optional[str] = None,
     ):
         self.table = table
-        self.sigma = np.asarray(sigma, dtype=np.float64)
         k = table.n_models
-        if self.sigma.shape != (k, k + 1):
-            raise ValueError("sigma must be shaped (n_models, n_models + 1)")
-        if not (np.isfinite(self.sigma) & (self.sigma >= 0)).all():
-            raise ValueError("sigma must be finite and >= 0")
-        self.mc = mc or MonteCarloConfig()
-        self.variant = variant
-        self.chain_only = chain_only
         # Plain cascading answers with the last computed model; cascade
         # routing is not bound by that restriction and answers with the
         # computed model whose current quality estimate is highest.
         if answer_mode is None:
             answer_mode = "last" if chain_only else "best"
-        if answer_mode not in ("last", "best"):
-            raise ValueError("answer_mode must be 'last' or 'best'")
+        check_decision_inputs(k, sigma=sigma, answer_mode=answer_mode)
+        self.sigma = np.asarray(sigma, dtype=np.float64)
+        self.mc = mc or MonteCarloConfig()
+        self.variant = variant
+        self.chain_only = chain_only
         self.answer_mode = answer_mode
         self._z: Optional[np.ndarray] = None
         self._chain_quality_cache: dict[int, np.ndarray] = {}
@@ -394,9 +414,8 @@ class BatchCascadeEngine:
     def run(self, lambdas: Sequence[float], pick: Pick) -> RunResult:
         table = self.table
         n, k = table.n_queries, table.n_models
+        check_decision_inputs(k, lambdas=lambdas)
         lams = np.asarray(lambdas, dtype=np.float64)
-        if lams.shape != (k,):
-            raise ValueError("lambdas must have one entry per model")
         prefix_mask = np.zeros(n, dtype=np.int64)
         prefix_bits = np.zeros((n, k), dtype=bool)
         sunk = np.zeros(n)

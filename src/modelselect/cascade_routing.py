@@ -7,17 +7,21 @@ win are pruned through negative marginal gains, the winning supermodel's
 cheapest uncomputed member is executed, estimates advance one step, and the
 loop repeats until stopping. The variants trade selection thoroughness
 against per-decision runtime.
+
+Each step runs on candidate bitmasks: one private core enumerates, prunes
+and selects, and the public per-step functions over ``Supermodel`` values
+are adapters of that same core.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._engine import BatchCascadeEngine, Variant
+from ._engine import BatchCascadeEngine, Variant, check_decision_inputs
 from ._fitting import check_budget_floor, fit_budget_mixture
-from .cascading import StepEstimates, decision_trace, estimate_sigma, supermodel_estimate
+from .cascading import StepEstimates, decision_trace, estimate_sigma
 from .core import (
     DecisionTrace,
     EstimateTable,
@@ -26,7 +30,7 @@ from .core import (
     Supermodel,
     argmax_tradeoff,
 )
-from .montecarlo import EmaxEvaluator, MonteCarloConfig, mixing_uniform
+from .montecarlo import EmaxEvaluator, MonteCarloConfig, mixing_uniform, query_normals
 from .search import SearchConfig, optimize
 
 __all__ = [
@@ -59,6 +63,117 @@ class CandidateSet:
                 raise ValueError("every extension must contain the prefix")
 
 
+# -- the per-step core, over candidate bitmasks ---------------------------------
+
+
+def _size_then_mask(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask
+
+
+def _candidate_masks(prefix: int, free: Sequence[int], greedy: bool) -> list[int]:
+    """The bare prefix (unless empty) and its extensions, in (size, mask) order.
+
+    GREEDY extends by single models; the other variants by every nonempty
+    subset of ``free``.
+    """
+    if greedy:
+        masks = [prefix | 1 << m for m in free]
+    else:
+        masks = [prefix]
+        for m in free:
+            masks += [x | 1 << m for x in masks]
+        masks = masks[1:]
+    if prefix:
+        masks.append(prefix)
+    masks.sort(key=_size_then_mask)
+    return masks
+
+
+class _StepScores:
+    """Quality and cost of candidate masks at one decision step, memoized.
+
+    A candidate is the computed prefix plus added models. Its cost is summed
+    in the order ``StepEstimates.supermodel_cost`` uses over a candidate's
+    members: the prefix in execution order, then the added models in
+    ascending order; each cost extends the memoized cost of the candidate
+    without its highest added model, so the floats are the same.
+    """
+
+    def __init__(
+        self,
+        est: StepEstimates,
+        evaluator: EmaxEvaluator,
+        prefix: Sequence[int],
+        no_expect: bool,
+    ):
+        self._unit_cost = est.member_costs()
+        self.prefix = 0
+        sunk = 0.0
+        for m in prefix:
+            self.prefix |= 1 << m
+            sunk += self._unit_cost[m]
+        self._cost = {self.prefix: sunk}
+        self.quality = evaluator.max_mean_mask if no_expect else evaluator.expected_max_mask
+
+    def cost(self, mask: int) -> float:
+        hit = self._cost.get(mask)
+        if hit is None:
+            top = (mask & ~self.prefix).bit_length() - 1
+            hit = self.cost(mask ^ (1 << top)) + self._unit_cost[top]
+            self._cost[mask] = hit
+        return hit
+
+
+def _prune(candidates: list[int], scores: _StepScores, lam: float) -> list[int]:
+    """Survivors of the negative-marginal-gain sweep, in candidate order.
+
+    Sweeping in (size, mask) order, a candidate whose score drops when one
+    of its added models is removed can never be selected, nor can anything
+    containing all of it; the bare prefix always survives.
+    """
+    quality, cost, prefix = scores.quality, scores.cost, scores.prefix
+    tau: dict[int, float] = {}
+    flagged: list[int] = []
+    survivors: list[int] = []
+    for cand in candidates:
+        for base in flagged:
+            if cand & base == base:
+                break
+        else:
+            own = tau.get(cand)
+            if own is None:
+                own = tau[cand] = quality(cand) - lam * cost(cand)
+            added = cand & ~prefix
+            while added:
+                low = added & -added
+                parent = cand ^ low
+                if parent:
+                    score = tau.get(parent)
+                    if score is None:
+                        score = tau[parent] = quality(parent) - lam * cost(parent)
+                    if own - score < 0:
+                        flagged.append(cand)
+                        break
+                added ^= low
+            else:
+                survivors.append(cand)
+    return survivors
+
+
+def _select(candidates: list[int], scores: _StepScores, lam: float, pick: Pick) -> int:
+    """Best score with the ``pick`` cost tie-break; residual ties to the lowest mask."""
+    return argmax_tradeoff([(m, scores.quality(m), scores.cost(m)) for m in candidates], lam, pick)
+
+
+# -- public per-step operations, adapters over the core -------------------------------
+
+
+def _ordered_masks(candidates: CandidateSet) -> dict[int, Supermodel]:
+    """The candidates keyed by mask, in (size, mask) order."""
+    by_mask = {c.mask(): c for c in candidates.extensions}
+    return {m: by_mask[m] for m in sorted(by_mask, key=_size_then_mask)}
+
+
 def enumerate_candidates(
     prefix: Supermodel,
     uncomputed: Iterable[int],
@@ -72,34 +187,12 @@ def enumerate_candidates(
     free = sorted(set(uncomputed))
     if prefix.member_set & set(free):
         raise ValueError("prefix and uncomputed models must be disjoint")
-    extensions: list[Supermodel] = []
-    if not prefix.is_empty:
-        extensions.append(prefix)
-    if variant is Variant.GREEDY:
-        extensions.extend(prefix.extend([m]) for m in free)
-    else:
-        for bits in range(1, 1 << len(free)):
-            subset = [free[i] for i in range(len(free)) if bits >> i & 1]
-            extensions.append(prefix.extend(subset))
-    extensions.sort(key=lambda s: (len(s.members), s.mask()))
-    return CandidateSet(prefix, tuple(extensions))
-
-
-def _tau(
-    sm: Supermodel,
-    est: StepEstimates,
-    lam: float,
-    evaluator: EmaxEvaluator,
-    no_expect: bool,
-    memo: dict,
-) -> float:
-    key = sm.member_set
-    hit = memo.get(key)
-    if hit is None:
-        se = supermodel_estimate(sm, est, evaluator, no_expect)
-        hit = se.quality_mean - lam * se.cost_mean
-        memo[key] = hit
-    return hit
+    pmask = prefix.mask()
+    masks = _candidate_masks(pmask, free, variant is Variant.GREEDY)
+    return CandidateSet(
+        prefix,
+        tuple(Supermodel(prefix.members + Supermodel.from_mask(m & ~pmask).members) for m in masks),
+    )
 
 
 def prune_candidates(
@@ -118,30 +211,10 @@ def prune_candidates(
     """
     if variant is Variant.SLOW:
         return candidates
-    no_expect = variant is Variant.NO_EXPECT
-    memo: dict = {}
-    flagged: list[frozenset] = []
-    survivors: list[Supermodel] = []
-    for cand in sorted(candidates.extensions, key=lambda s: (len(s.members), s.mask())):
-        members = cand.member_set
-        if any(base <= members for base in flagged):
-            continue
-        own_tau = _tau(cand, est, lam, evaluator, no_expect, memo)
-        negative = False
-        for m in cand.members:
-            if est.computed[m]:
-                continue
-            parent = Supermodel(tuple(x for x in cand.members if x != m))
-            if parent.is_empty:
-                continue
-            if own_tau - _tau(parent, est, lam, evaluator, no_expect, memo) < 0:
-                negative = True
-                break
-        if negative:
-            flagged.append(members)
-            continue
-        survivors.append(cand)
-    return CandidateSet(candidates.prefix, tuple(survivors))
+    ordered = _ordered_masks(candidates)
+    scores = _StepScores(est, evaluator, candidates.prefix.members, variant is Variant.NO_EXPECT)
+    survivors = _prune(list(ordered), scores, lam)
+    return CandidateSet(candidates.prefix, tuple(ordered[m] for m in survivors))
 
 
 def select_with_pick(
@@ -153,17 +226,10 @@ def select_with_pick(
     evaluator: EmaxEvaluator,
 ) -> Supermodel:
     """Deterministic branch of the selection: best score, cost tie-break."""
-    if not candidates.extensions:
-        raise ValueError("no candidates")
-    no_expect = variant is Variant.NO_EXPECT
-    scored = []
-    by_mask = {}
-    for cand in candidates.extensions:
-        se = supermodel_estimate(cand, est, evaluator, no_expect)
-        mask = cand.mask()
-        scored.append((mask, se.quality_mean, se.cost_mean))
-        by_mask[mask] = cand
-    return by_mask[argmax_tradeoff(scored, lam, pick)]
+    ordered = _ordered_masks(candidates)
+    scores = _StepScores(est, evaluator, candidates.prefix.members, variant is Variant.NO_EXPECT)
+    chosen = _select(list(ordered), scores, lam, pick)
+    return ordered[chosen]
 
 
 def select_supermodel(
@@ -195,42 +261,48 @@ def run_cascade_route(
 
     The mixing coin is flipped once per query (deterministically from the
     Monte Carlo seed and the query id) unless ``pick`` forces a branch.
-    Cascade routing answers with the best-estimated computed model;
-    ``answer_mode='last'`` restores the plain-cascading convention.
+    The query's draw matrix is drawn once and shared by every step's
+    evaluator. Cascade routing answers with the best-estimated computed
+    model; ``answer_mode='last'`` restores the plain-cascading convention.
     """
+    k = table.n_models
+    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas, answer_mode=answer_mode)
     mc = mc or MonteCarloConfig()
     qid = int(table.query_ids[q])
     if pick is None:
         u = mixing_uniform(mc.seed, qid)
         pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
-    k = table.n_models
+    z = query_normals(mc, qid, k)
+    no_expect = variant is Variant.NO_EXPECT
+    prune = not chain_only and variant is not Variant.SLOW
     executed: list[int] = []
+    prefix = 0
     stop_step = k
     for t in range(k):
         est = StepEstimates.from_table(table, q, t, sigma, executed)
-        evaluator = EmaxEvaluator.for_query(mc, qid, est.quality_mean, est.quality_std)
-        prefix = Supermodel(tuple(executed))
-        if chain_only:
-            candidates = CandidateSet(
-                prefix, tuple(Supermodel.chain(i) for i in range(max(t, 1), k + 1))
-            )
-        else:
-            free = [m for m in range(k) if m not in prefix.member_set]
-            candidates = enumerate_candidates(prefix, free, variant)
-            candidates = prune_candidates(candidates, est, params.lambdas[t], variant, evaluator)
-        selection = select_with_pick(
-            candidates, est, params.lambdas[t], pick, variant, evaluator
+        scores = _StepScores(
+            est, EmaxEvaluator(z, est.quality_mean, est.quality_std), executed, no_expect
         )
-        if selection.member_set == prefix.member_set:
+        lam = params.lambdas[t]
+        if chain_only:
+            candidates = [(1 << i) - 1 for i in range(max(t, 1), k + 1)]
+        else:
+            free = [m for m in range(k) if not prefix >> m & 1]
+            candidates = _candidate_masks(prefix, free, variant is Variant.GREEDY)
+        if prune:
+            candidates = _prune(candidates, scores, lam)
+        chosen = _select(candidates, scores, lam, pick)
+        if chosen == prefix:
             stop_step = t
             break
         if chain_only:
             nxt = t
         else:
-            new = sorted(selection.member_set - prefix.member_set)
-            costs = est.cost_mean[new]
-            nxt = new[int(np.argmin(costs))]
-        executed.append(int(nxt))
+            # the cheapest added model runs first; ties to the lowest id
+            added = Supermodel.from_mask(chosen & ~prefix).members
+            nxt = min(added, key=lambda m: est.cost_mean[m])
+        executed.append(nxt)
+        prefix |= 1 << nxt
     if answer_mode == "best":
         # answer with the computed model whose current estimate is highest;
         # exact ties fall to the lowest model index

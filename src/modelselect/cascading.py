@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._engine import BatchCascadeEngine, RunResult, Variant
+from ._engine import BatchCascadeEngine, RunResult, Variant, check_decision_inputs
 from ._fitting import check_budget_floor, fit_budget_mixture
 from .core import (
     DecisionTrace,
@@ -36,6 +36,7 @@ from .montecarlo import (
     expected_max,
     expected_max_stderr,
     mixing_uniform,
+    query_normals,
 )
 from .search import SearchConfig, optimize, optimize_thresholds
 
@@ -127,12 +128,17 @@ class StepEstimates:
             computed=computed,
         )
 
+    def member_costs(self) -> list[float]:
+        """Per model, the observed cost if computed, else the estimate."""
+        return np.where(self.computed, self.known_cost, self.cost_mean).tolist()
+
     def supermodel_cost(self, members: Sequence[int]) -> float:
         """Observed cost of computed members plus estimates for the rest."""
+        costs = self.member_costs()
         total = 0.0
         for m in members:
-            total += self.known_cost[m] if self.computed[m] else self.cost_mean[m]
-        return float(total)
+            total += costs[m]
+        return total
 
 
 def supermodel_estimate(
@@ -165,24 +171,34 @@ def estimate_sigma(table: EstimateTable, validation_indices=None) -> np.ndarray:
     return diff.std(axis=0, ddof=0).T.copy()
 
 
-def _chain_candidates(
+def _stops(
     table: EstimateTable,
     q: int,
-    step_j: int,
+    t: int,
+    lam: float,
+    pick: Pick,
     sigma: np.ndarray,
-    mc: MonteCarloConfig,
-) -> list[SupermodelEstimate]:
-    """Stop candidate (if past step one) followed by the continue chains."""
+    z: np.ndarray,
+) -> bool:
+    """Whether the cascade stops with the first ``t >= 1`` chain models computed.
+
+    Routes between the stop candidate (the chain prefix of length ``t``) and
+    every longer chain prefix, scored against the query's draw matrix ``z``.
+    Chain costs are running sums in chain order, the order
+    ``StepEstimates.supermodel_cost`` sums them in.
+    """
     k = table.n_models
-    t = step_j - 1
-    est = StepEstimates.from_table(table, q, t, sigma, list(range(t)))
-    evaluator = EmaxEvaluator.for_query(
-        mc, int(table.query_ids[q]), est.quality_mean, est.quality_std
-    )
-    lengths = range(t, k + 1) if t >= 1 else range(1, k + 1)
-    return [
-        supermodel_estimate(Supermodel.chain(i), est, evaluator) for i in lengths
-    ]
+    est = StepEstimates.from_table(table, q, t, sigma, range(t))
+    evaluator = EmaxEvaluator(z, est.quality_mean, est.quality_std)
+    costs = est.member_costs()
+    cost = 0.0
+    candidates = []
+    for length in range(1, k + 1):
+        cost += costs[length - 1]
+        if length >= t:
+            mask = (1 << length) - 1
+            candidates.append((mask, evaluator.expected_max_mask(mask), cost))
+    return argmax_tradeoff(candidates, lam, pick) == (1 << t) - 1
 
 
 def cascade_step(
@@ -203,21 +219,17 @@ def cascade_step(
     k = table.n_models
     if not 1 <= step_j <= k:
         raise ValueError("step must lie in [1, n_models]")
-    mc = mc or MonteCarloConfig()
-    candidates = _chain_candidates(table, q, step_j, sigma, mc)
+    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas)
     if step_j == 1:
         return Decision.CONTINUE
+    mc = mc or MonteCarloConfig()
+    qid = int(table.query_ids[q])
     if u is None:
-        u = mixing_uniform(mc.seed, int(table.query_ids[q]))
+        u = mixing_uniform(mc.seed, qid)
     pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
-    lam = params.lambdas[step_j - 1]
-    chosen = argmax_tradeoff(
-        [(c.supermodel.mask(), c.quality_mean, c.cost_mean) for c in candidates],
-        lam,
-        pick,
-    )
-    stop_mask = Supermodel.chain(step_j - 1).mask()
-    return Decision.STOP if chosen == stop_mask else Decision.CONTINUE
+    z = query_normals(mc, qid, k)
+    stop = _stops(table, q, step_j - 1, params.lambdas[step_j - 1], pick, sigma, z)
+    return Decision.STOP if stop else Decision.CONTINUE
 
 
 def run_cascade(
@@ -228,16 +240,23 @@ def run_cascade(
     mc: Optional[MonteCarloConfig] = None,
     u: Optional[float] = None,
 ) -> DecisionTrace:
-    """Walk the chain for one query and record what happened."""
-    mc = mc or MonteCarloConfig()
-    if u is None:
-        u = mixing_uniform(mc.seed, int(table.query_ids[q]))
+    """Walk the chain for one query and record what happened.
+
+    The query's draw matrix is drawn once and shared by every step.
+    """
     k = table.n_models
-    executed: list[int] = []
-    for j in range(1, k + 1):
-        if cascade_step(table, q, j, params, sigma, mc, u) is Decision.STOP:
+    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas)
+    mc = mc or MonteCarloConfig()
+    qid = int(table.query_ids[q])
+    if u is None:
+        u = mixing_uniform(mc.seed, qid)
+    pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
+    z = query_normals(mc, qid, k)
+    executed = [0]
+    for t in range(1, k):
+        if _stops(table, q, t, params.lambdas[t], pick, sigma, z):
             break
-        executed.append(j - 1)
+        executed.append(t)
     return decision_trace(table, q, executed, executed[-1])
 
 

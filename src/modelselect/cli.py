@@ -71,8 +71,9 @@ def _build_parser() -> _Parser:
             cmd.add_argument(
                 "--budget", type=float, required=True,
                 help="validation cost budget; a budget equal to grid point i of the sweep "
-                     "uses that point's search seed and reproduces the sweep's fit, any "
-                     "other budget searches with the config seed",
+                     "is raised to the strategy's floor and uses that point's search seed, "
+                     "as in the sweep, so it reproduces the sweep's fit; any other budget "
+                     "searches with the config seed and must not lie below the floor",
             )
         if command == "evaluate":
             cmd.add_argument("--params", required=True, help="params JSON written by fit")
@@ -129,7 +130,8 @@ def _cmd_fit(args) -> int:
     runner = STRATEGIES[args.strategy](ctx)
     grid = np.flatnonzero(ctx.budgets == budget)
     if grid.size:
-        fitted = runner.fit(budget, int(grid[0]))
+        index = int(grid[0])
+        fitted = runner.fit(runner.grid_budget(index, runner.floor())[0], index)
     else:
         fitted = runner.fit_seeded(budget, config.seed)
     payload = {"strategy": args.strategy, "budget": budget, **runner.to_json(fitted)}

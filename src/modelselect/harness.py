@@ -320,6 +320,17 @@ class _StrategyRunner:
         """Fit at grid point ``budget_index`` with that point's search seed."""
         return self.fit_seeded(budget, _search_seed(self.ctx.config, self.name, budget_index))
 
+    def grid_budget(self, budget_index: int, floor: float) -> tuple[float, bool]:
+        """The budget a grid point is fitted and evaluated at, and whether it was clamped.
+
+        A grid budget below the strategy's ``floor`` is raised to it; the
+        sweep and ``modelselect fit`` both fit grid points at this budget.
+        """
+        budget = float(self.ctx.budgets[budget_index])
+        if budget < floor:
+            return float(floor), True
+        return budget, False
+
     def measure_decision_ms(self, fits: dict, sample_size: int = 32) -> float:
         """Mean per-query ``decide`` wall time, milliseconds.
 
@@ -762,10 +773,8 @@ def run_sweep(
             floor = runner.floor()
             timing_fits = {}
             for bi, budget in enumerate(ctx.budgets):
-                eff = float(budget)
-                if eff < floor:
-                    eff = float(floor)
-                    result.clamped_budgets += 1
+                eff, clamped = runner.grid_budget(bi, floor)
+                result.clamped_budgets += clamped
                 fitted = runner.fit(eff, bi)
                 cost, quality = runner.evaluate(fitted, eff)
                 result.points.append(

@@ -100,8 +100,14 @@ def expected_max(
 class EmaxEvaluator:
     """Expected-max scorer for one query at one decision step.
 
-    Holds the query's shared draw matrix already scaled by the current means
-    and stds; every candidate subset is scored against the same realizations.
+    Holds the query's shared draw matrix scaled by the current means and
+    stds, stored model-major as ``(k, S)`` rows, so every candidate subset
+    is scored against the same realizations. Subsets are keyed by bitmask.
+    A subset's sample maxima are one elementwise maximum of its highest
+    member's row and the memoized maxima of the subset without it, so a
+    chain of nested subsets costs one maximum per link. Each expected
+    maximum equals ``(means + stds * z)[:, cols].max(axis=1).mean()`` to
+    the last bit.
     """
 
     def __init__(self, z: np.ndarray, means: np.ndarray, stds: np.ndarray):
@@ -109,9 +115,12 @@ class EmaxEvaluator:
         stds = np.asarray(stds, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != means.size or means.shape != stds.shape:
             raise ValueError("draw matrix and estimate vectors disagree")
-        self._values = means + stds * z
-        self._means = means
-        self._cache: dict[frozenset, float] = {}
+        self._rows = np.multiply(z.T, stds[:, None], order="C")
+        self._rows += means[:, None]
+        self._n_samples = z.shape[0]
+        self._means = means.tolist()
+        self._sample_max: dict[int, np.ndarray] = {}
+        self._cache: dict[int, float] = {}
 
     @staticmethod
     def for_query(
@@ -123,19 +132,43 @@ class EmaxEvaluator:
         z = query_normals(config, query_id, np.asarray(means).size)
         return EmaxEvaluator(z, means, stds)
 
-    def expected_max(self, members: Sequence[int]) -> float:
-        key = frozenset(members)
-        if not key:
-            raise ValueError("expected max over an empty set is undefined")
-        hit = self._cache.get(key)
+    def _maxima(self, mask: int) -> np.ndarray:
+        """Per-sample maximum over the members of ``mask``, memoized."""
+        hit = self._sample_max.get(mask)
         if hit is None:
-            cols = sorted(key)
-            hit = float(self._values[:, cols].max(axis=1).mean())
-            self._cache[key] = hit
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            hit = self._rows[top] if rest == 0 else np.maximum(self._maxima(rest), self._rows[top])
+            self._sample_max[mask] = hit
         return hit
 
-    def max_mean(self, members: Sequence[int]) -> float:
-        cols = sorted(set(members))
-        if not cols:
+    def expected_max_mask(self, mask: int) -> float:
+        """Expected maximum over the models whose bits are set in ``mask``."""
+        hit = self._cache.get(mask)
+        if hit is None:
+            if mask <= 0:
+                raise ValueError("expected max over an empty set is undefined")
+            hit = float(np.add.reduce(self._maxima(mask))) / self._n_samples
+            self._cache[mask] = hit
+        return hit
+
+    def max_mean_mask(self, mask: int) -> float:
+        """Largest mean among the models whose bits are set in ``mask``."""
+        if mask <= 0:
             raise ValueError("max over an empty set is undefined")
-        return float(self._means[cols].max())
+        return max(self._means[m] for m in range(mask.bit_length()) if mask >> m & 1)
+
+    def expected_max(self, members: Sequence[int]) -> float:
+        """Expected maximum over ``members``, in any order."""
+        return self.expected_max_mask(_members_mask(members))
+
+    def max_mean(self, members: Sequence[int]) -> float:
+        """Largest mean among ``members``, in any order."""
+        return self.max_mean_mask(_members_mask(members))
+
+
+def _members_mask(members: Sequence[int]) -> int:
+    mask = 0
+    for m in members:
+        mask |= 1 << int(m)
+    return mask

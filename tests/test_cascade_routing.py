@@ -16,7 +16,7 @@ from modelselect.cascade_routing import (
     select_supermodel,
     select_with_pick,
 )
-from modelselect.cascading import StepEstimates, estimate_sigma, run_cascade
+from modelselect.cascading import StepEstimates, cascade_step, estimate_sigma, run_cascade
 from modelselect.core import EstimateTable, Pick, StrategyParams, Supermodel
 from modelselect.montecarlo import EmaxEvaluator, MonteCarloConfig, query_normals
 from modelselect.routing import choose_models
@@ -254,15 +254,15 @@ class TestRunCascadeRoute:
 
     def test_matches_reference_simulation(self, rng):
         mc = MonteCarloConfig(seed=17)
-        for trial in range(25):
-            k = 3
-            t = random_table(rng, n=1, k=k, step_varying=True)
-            sigma = rng.uniform(0, 0.3, (k, k + 1))
-            lambdas = tuple(rng.uniform(0, 1.2, k))
-            params = StrategyParams(lambdas=lambdas, gamma=1.0)
-            got = run_cascade_route(t, 0, params, sigma, Variant.DEFAULT, mc, pick=Pick.MIN_COST)
-            want = reference_simulation(t, 0, lambdas, sigma, mc)
-            assert got.executed == want
+        for k in (3, 5, 8):
+            for trial in range(25):
+                t = random_table(rng, n=1, k=k, step_varying=True)
+                sigma = rng.uniform(0, 0.3, (k, k + 1))
+                lambdas = tuple(rng.uniform(0, 1.2, k))
+                params = StrategyParams(lambdas=lambdas, gamma=1.0)
+                got = run_cascade_route(t, 0, params, sigma, Variant.DEFAULT, mc, pick=Pick.MIN_COST)
+                want = reference_simulation(t, 0, lambdas, sigma, mc)
+                assert got.executed == want, (k, trial)
 
     def test_terminates_each_model_once(self, rng):
         t = random_table(rng, n=12, k=5, step_varying=True)
@@ -277,6 +277,12 @@ class TestRunCascadeRoute:
         t = random_table(rng, n=10, k=k, step_varying=True)
         sigma = rng.uniform(0, 0.35, (k, k + 1))
         assert_engine_matches_per_query(t, sigma, MonteCarloConfig(seed=23))
+
+    def test_batch_engine_agrees_with_per_query_at_k8(self, rng):
+        k = 8
+        t = random_table(rng, n=4, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        assert_engine_matches_per_query(t, sigma, MonteCarloConfig(n_samples=128, seed=67))
 
     def test_fill_order_does_not_change_results(self, rng):
         k = 5
@@ -331,6 +337,91 @@ class TestRunCascadeRoute:
         t.quality_mean[2] = np.nan  # bypasses the table's own validation
         with pytest.raises(RuntimeError, match="without executing"):
             engine.run([0.1] * 3, Pick.MIN_COST)
+
+
+class TestScalarInputChecks:
+    """The per-query paths reject what the batch engine rejects, with its messages."""
+
+    K = 3
+
+    def decide(self, entry, table, params, sigma, **kwargs):
+        mc = MonteCarloConfig(seed=71)
+        if entry == "cascade_route":
+            return run_cascade_route(table, 0, params, sigma, mc=mc, **kwargs)
+        if entry == "cascade":
+            return run_cascade(table, 0, params, sigma, mc)
+        return cascade_step(table, 0, 2, params, sigma, mc)
+
+    @pytest.mark.parametrize("entry", ["cascade_route", "cascade", "cascade_step"])
+    @pytest.mark.parametrize("n_lambdas", [K - 1, K + 2])
+    def test_lambdas_of_wrong_length(self, rng, entry, n_lambdas):
+        t = random_table(rng, n=2, k=self.K)
+        params = StrategyParams.equal(0.1, n_lambdas)
+        with pytest.raises(ValueError, match="lambdas must have one entry per model"):
+            self.decide(entry, t, params, np.zeros((self.K, self.K + 1)))
+
+    @pytest.mark.parametrize("entry", ["cascade_route", "cascade", "cascade_step"])
+    def test_sigma_of_wrong_shape(self, rng, entry):
+        t = random_table(rng, n=2, k=self.K)
+        params = StrategyParams.equal(0.1, self.K)
+        bad = np.full((self.K + 1, self.K + 2), 0.1)
+        with pytest.raises(ValueError, match=r"sigma must be shaped \(n_models, n_models \+ 1\)"):
+            self.decide(entry, t, params, bad)
+        with pytest.raises(ValueError, match=r"sigma must be shaped"):
+            BatchCascadeEngine(t, bad)
+
+    @pytest.mark.parametrize("entry", ["cascade_route", "cascade", "cascade_step"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
+    def test_sigma_not_finite_or_negative(self, rng, entry, value):
+        t = random_table(rng, n=2, k=self.K)
+        params = StrategyParams.equal(0.1, self.K)
+        sigma = np.full((self.K, self.K + 1), 0.1)
+        sigma[1, 2] = value
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            self.decide(entry, t, params, sigma)
+
+    @pytest.mark.parametrize("mode", ["Best", "first", ""])
+    def test_unknown_answer_mode(self, rng, mode):
+        t = random_table(rng, n=2, k=self.K)
+        params = StrategyParams.equal(0.1, self.K)
+        with pytest.raises(ValueError, match="answer_mode must be 'last' or 'best'"):
+            self.decide("cascade_route", t, params, np.zeros((self.K, self.K + 1)), answer_mode=mode)
+        with pytest.raises(ValueError, match="answer_mode must be 'last' or 'best'"):
+            BatchCascadeEngine(t, np.zeros((self.K, self.K + 1)), answer_mode=mode)
+
+
+class TestPruningSavesWork:
+    """On the timed per-query path, pruning computes fewer subset qualities."""
+
+    def test_fewer_subset_qualities_than_slow(self, rng, monkeypatch):
+        import modelselect.cascade_routing as cr
+
+        evaluators = []
+
+        class CountingEvaluator(EmaxEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.masks = set()
+                evaluators.append(self)
+
+            def expected_max_mask(self, mask):
+                self.masks.add(mask)
+                return super().expected_max_mask(mask)
+
+        monkeypatch.setattr(cr, "EmaxEvaluator", CountingEvaluator)
+        k = 8
+        t = random_table(rng, n=40, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=64, seed=73)
+        computed = {}
+        for variant in (Variant.SLOW, Variant.DEFAULT, Variant.GREEDY):
+            evaluators.clear()
+            for lam in PRICE_LADDER:
+                params = StrategyParams.equal(lam, k)
+                for q in range(t.n_queries):
+                    run_cascade_route(t, q, params, sigma, variant, mc, pick=Pick.MIN_COST)
+            computed[variant] = sum(len(ev.masks) for ev in evaluators)
+        assert computed[Variant.SLOW] > computed[Variant.DEFAULT] > computed[Variant.GREEDY], computed
 
 
 def scalar_evaluator(table, q, t, sigma, executed, mc):

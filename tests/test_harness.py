@@ -397,17 +397,27 @@ class TestCli:
         return cfg_path, params_path, ctx, budget
 
     # for cascade-routing and threshold, grid points where the config seed
-    # and the sweep's search seed disagree
+    # and the sweep's search seed disagree; routing's grid point 0 lies below
+    # its floor, so the sweep fits it at the floor
     @pytest.mark.parametrize("strategy,index", [
         ("cascade-routing", 3), ("threshold", 2), ("routing", 1), ("cascade", 1),
-        ("linear-interp", 1),
+        ("linear-interp", 1), ("routing", 0),
     ])
     def test_fit_at_grid_budget_reproduces_sweep_point(self, tmp_path, strategy, index):
         _, params_path, ctx, budget = self.fit_at_grid_point(tmp_path, strategy, index)
         payload = json.loads(params_path.read_text())
         runner = STRATEGIES[strategy](ctx)
-        want = runner.fit(budget, index)
+        want = runner.fit(max(budget, runner.floor()), index)
         assert payload == {"strategy": strategy, "budget": budget, **runner.to_json(want)}
+
+    def test_fit_off_grid_below_floor_fails(self, tmp_path):
+        cfg_path = write(tmp_path, "c.json", json.dumps(self.GRID_CONFIG))
+        ctx = prepare_run(BenchmarkConfig.from_dict(self.GRID_CONFIG))
+        floor = STRATEGIES["routing"](ctx).floor()
+        budget = 0.5 * floor
+        assert budget not in ctx.budgets
+        assert cli_main(["fit", "--config", str(cfg_path), "--strategy", "routing",
+                         "--budget", repr(budget)]) == 2
 
     @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
     def test_evaluate_round_trip(self, tmp_path, strategy):

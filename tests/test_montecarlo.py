@@ -66,6 +66,24 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             ev.max_mean([])
 
+    def test_every_subset_equals_direct_maximum_bit_for_bit(self, rng):
+        # the engine-vs-scalar tests use the evaluator as their oracle, so it
+        # is pinned here to the plain formula, with no memoized maxima
+        k = 8
+        cfg = MonteCarloConfig(seed=61)
+        means = rng.uniform(-1, 1, k)
+        stds = rng.uniform(0, 0.5, k)
+        stds[3] = 0.0
+        z = query_normals(cfg, 19, k)
+        ev = EmaxEvaluator(z, means, stds)
+        values = means + stds * z
+        order = rng.permutation(1 << k)
+        for mask in order[order > 0]:
+            cols = [m for m in range(k) if mask >> m & 1]
+            want = float(values[:, cols].max(axis=1).mean())
+            assert ev.expected_max(list(rng.permutation(cols))) == want
+            assert ev.max_mean(cols[::-1]) == float(means[cols].max())
+
     def test_subset_cache_consistent(self):
         cfg = MonteCarloConfig(seed=4)
         ev = EmaxEvaluator.for_query(cfg, 2, np.array([0.1, 0.9]), np.array([0.2, 0.2]))
