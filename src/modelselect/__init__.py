@@ -19,15 +19,12 @@ from .cascade_routing import (
     fit_cascade_router,
     prune_candidates,
     run_cascade_route,
-    select_supermodel,
+    select_with_pick,
 )
 from .cascading import (
-    Decision,
     FittedCascade,
     MonteCarloConfig,
     StepEstimates,
-    SupermodelEstimate,
-    cascade_step,
     estimate_sigma,
     expected_max,
     fit_cascade,
@@ -37,8 +34,6 @@ from .cascading import (
 )
 from .core import (
     DecisionTrace,
-    EMPTY_SUPERMODEL,
-    Estimate,
     EstimateTable,
     Pick,
     StrategyParams,

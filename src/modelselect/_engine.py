@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EstimateTable, Pick, StrategyParams, argmax_tradeoff_rows
+from .core import EstimateTable, Pick, StrategyParams, argmax_tradeoff_rows, regime_steps
 from .montecarlo import MonteCarloConfig, query_normals
 
 
@@ -64,14 +64,12 @@ def check_decision_inputs(
     n_models: int,
     sigma: Optional[np.ndarray] = None,
     lambdas: Optional[Sequence[float]] = None,
-    answer_mode: Optional[str] = None,
 ) -> None:
     """Reject inputs that would otherwise become a silent wrong decision.
 
     Shared by the engine and the per-query paths: ``sigma`` must be a finite,
-    nonnegative ``(n_models, n_models + 1)`` matrix, ``lambdas`` must hold
-    one price per model and ``answer_mode`` must be ``'last'`` or ``'best'``.
-    Arguments left as None are not checked.
+    nonnegative ``(n_models, n_models + 1)`` matrix and ``lambdas`` must hold
+    one price per model. Arguments left as None are not checked.
     """
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=np.float64)
@@ -81,8 +79,6 @@ def check_decision_inputs(
             raise ValueError("sigma must be finite and >= 0")
     if lambdas is not None and np.shape(lambdas) != (n_models,):
         raise ValueError("lambdas must have one entry per model")
-    if answer_mode is not None and answer_mode not in ("last", "best"):
-        raise ValueError("answer_mode must be 'last' or 'best'")
 
 
 @dataclass(frozen=True)
@@ -164,9 +160,11 @@ class BatchCascadeEngine:
 
     ``chain_only`` restricts candidates to chain prefixes of the model order
     and always executes the next chain model, which is exactly the plain
-    cascading strategy. Expected-max columns depend only on the table, the
-    uncertainty matrix and the step, so one engine instance can be reused
-    across budgets and hyperparameter evaluations.
+    cascading strategy. Plain cascading answers with the last computed
+    model; cascade routing is not bound by that restriction and answers
+    with ``EstimateTable.best_computed``. Expected-max columns depend only
+    on the table, the uncertainty matrix and the step, so one engine
+    instance can be reused across budgets and hyperparameter evaluations.
     """
 
     def __init__(
@@ -176,29 +174,17 @@ class BatchCascadeEngine:
         mc: Optional[MonteCarloConfig] = None,
         variant: Variant = Variant.DEFAULT,
         chain_only: bool = False,
-        answer_mode: Optional[str] = None,
     ):
         self.table = table
-        k = table.n_models
-        # Plain cascading answers with the last computed model; cascade
-        # routing is not bound by that restriction and answers with the
-        # computed model whose current quality estimate is highest.
-        if answer_mode is None:
-            answer_mode = "last" if chain_only else "best"
-        check_decision_inputs(k, sigma=sigma, answer_mode=answer_mode)
+        check_decision_inputs(table.n_models, sigma=sigma)
         self.sigma = np.asarray(sigma, dtype=np.float64)
         self.mc = mc or MonteCarloConfig()
         self.variant = variant
         self.chain_only = chain_only
-        self.answer_mode = answer_mode
         self._z: Optional[np.ndarray] = None
         self._chain_quality_cache: dict[int, np.ndarray] = {}
         self._prefix_cache: dict[int, _PrefixTables] = {}
         self._cost_open_cache: dict[int, np.ndarray] = {}
-        if table.true_cost is not None:
-            self._known_cost = table.true_cost
-        else:
-            self._known_cost = table.cost_mean[:, k, :]
 
     # -- expected-max columns -------------------------------------------------
 
@@ -230,16 +216,9 @@ class BatchCascadeEngine:
         return out
 
     def _regime_state(self, prefix: int, t: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Effective (means (rows, k), stds (k,)) given the computed set.
-
-        Each model is read from the nearest step slice whose chain convention
-        has it in its true computed/uncomputed regime; for chain prefixes
-        this is exactly the step-``t`` slice.
-        """
-        k = self.table.n_models
-        idx = np.arange(k)
-        computed = (prefix >> idx) & 1 == 1
-        steps = np.where(computed, np.maximum(t, idx + 1), np.minimum(t, idx))
+        """Effective (means (rows, k), stds (k,)) given the computed set."""
+        idx = np.arange(self.table.n_models)
+        steps = regime_steps((prefix >> idx) & 1 == 1, t)
         means = self.table.quality_mean[rows[:, None], steps[None, :], idx[None, :]]
         stds = self.sigma[idx, steps]
         return means, stds
@@ -249,8 +228,7 @@ class BatchCascadeEngine:
         cached = self._cost_open_cache.get(t)
         if cached is None:
             k = self.table.n_models
-            idx = np.arange(k)
-            cached = self.table.cost_mean[:, np.minimum(t, idx), idx]
+            cached = self.table.cost_mean[:, regime_steps(np.zeros(k, dtype=bool), t), np.arange(k)]
             self._cost_open_cache[t] = cached
         return cached
 
@@ -428,14 +406,10 @@ class BatchCascadeEngine:
 
         def finish(rows: np.ndarray, t: int) -> None:
             stopped[rows] = True
-            if self.answer_mode == "last" or rows.size == 0:
+            if self.chain_only or rows.size == 0:
                 answer[rows] = last_model[rows]
-                return
-            idx = np.arange(k)
-            steps = np.maximum(t, idx + 1)
-            est = table.quality_mean[rows][:, steps, idx]
-            est = np.where(prefix_bits[rows], est, -np.inf)
-            answer[rows] = est.argmax(axis=1)
+            else:
+                answer[rows] = table.best_computed(rows, prefix_bits[rows], t)
 
         for t in range(k + 1):
             act = np.flatnonzero(~stopped)
@@ -464,7 +438,7 @@ class BatchCascadeEngine:
                 nxt = np.where(cand_bits, cm_open, np.inf).argmin(axis=1)
             prefix_mask[go] |= np.int64(1) << nxt
             prefix_bits[go, nxt] = True
-            sunk[go] += self._known_cost[go, nxt]
+            sunk[go] += table.computed_cost[go, nxt]
             exec_order[go, t] = nxt
             last_model[go] = nxt
             n_exec[go] += 1

@@ -42,7 +42,6 @@ def mixing_weight(cost_min: float, cost_max: float, budget: float) -> float:
 def fit_budget_mixture(
     cost_fn: Callable[[float, Pick], float],
     budget: float,
-    infeasible_msg: str = "budget below cheapest strategy",
 ) -> tuple[float, float, float, float, float]:
     """Find ``(lambda_star, gamma, cost_min, cost_max, lambda_lo)`` meeting the budget.
 
@@ -67,7 +66,7 @@ def fit_budget_mixture(
             lo = hi
             hi *= 2.0
             if hi > LAMBDA_CAP:
-                raise ValueError(infeasible_msg)
+                raise ValueError("budget below cheapest strategy")
         while hi - lo > _BISECT_REL_WIDTH * (1.0 + hi):
             mid = 0.5 * (lo + hi)
             if cost_fn(mid, Pick.MIN_COST) <= budget:

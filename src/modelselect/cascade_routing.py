@@ -5,12 +5,17 @@ models already computed for the query: stop (the bare prefix), or extend by
 any subset of the uncomputed models. Candidates whose score provably cannot
 win are pruned through negative marginal gains, the winning supermodel's
 cheapest uncomputed member is executed, estimates advance one step, and the
-loop repeats until stopping. The variants trade selection thoroughness
-against per-decision runtime.
+loop repeats until stopping. The answer is the computed model with the
+highest quality estimate. The variants trade selection thoroughness against
+per-decision runtime.
 
-Each step runs on candidate bitmasks: one private core enumerates, prunes
-and selects, and the public per-step functions over ``Supermodel`` values
-are adapters of that same core.
+``run_cascade_route`` makes one query's decisions on candidate bitmasks; a
+private core enumerates, prunes and selects them. ``enumerate_candidates``,
+``prune_candidates`` and ``select_with_pick`` expose one step of that core
+over ``Supermodel`` values. Whole tables run through ``BatchCascadeEngine``,
+which fitting uses and which makes the same decisions. Cascading is cascade
+routing restricted to chain prefixes; its per-query path is
+``cascading.run_cascade``.
 """
 from __future__ import annotations
 
@@ -20,8 +25,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._engine import BatchCascadeEngine, Variant, check_decision_inputs
-from ._fitting import check_budget_floor, fit_budget_mixture
-from .cascading import StepEstimates, decision_trace, estimate_sigma
+from ._fitting import check_budget_floor
+from .cascading import StepEstimates, _fit_prices, decision_trace, estimate_sigma
 from .core import (
     DecisionTrace,
     EstimateTable,
@@ -31,14 +36,14 @@ from .core import (
     argmax_tradeoff,
 )
 from .montecarlo import EmaxEvaluator, MonteCarloConfig, mixing_uniform, query_normals
-from .search import SearchConfig, optimize
+from .search import SearchConfig
 
 __all__ = [
     "Variant",
     "CandidateSet",
     "enumerate_candidates",
     "prune_candidates",
-    "select_supermodel",
+    "select_with_pick",
     "run_cascade_route",
     "fit_cascade_router",
     "route_floor_cost",
@@ -92,11 +97,10 @@ def _candidate_masks(prefix: int, free: Sequence[int], greedy: bool) -> list[int
 class _StepScores:
     """Quality and cost of candidate masks at one decision step, memoized.
 
-    A candidate is the computed prefix plus added models. Its cost is summed
-    in the order ``StepEstimates.supermodel_cost`` uses over a candidate's
-    members: the prefix in execution order, then the added models in
-    ascending order; each cost extends the memoized cost of the candidate
-    without its highest added model, so the floats are the same.
+    A candidate is the computed prefix plus added models. Its cost sums
+    ``StepEstimates.member_costs`` over the prefix in execution order, then
+    over the added models in ascending order; each cost extends the memoized
+    cost of the candidate without its highest added model.
     """
 
     def __init__(
@@ -232,20 +236,6 @@ def select_with_pick(
     return ordered[chosen]
 
 
-def select_supermodel(
-    candidates: CandidateSet,
-    est: StepEstimates,
-    lam: float,
-    gamma: float,
-    u: float,
-    variant: Variant,
-    evaluator: EmaxEvaluator,
-) -> Supermodel:
-    """Mixed selection: the cheap branch with probability ``gamma``."""
-    pick = Pick.MIN_COST if u < gamma else Pick.MAX_COST
-    return select_with_pick(candidates, est, lam, pick, variant, evaluator)
-
-
 def run_cascade_route(
     table: EstimateTable,
     q: int,
@@ -254,19 +244,16 @@ def run_cascade_route(
     variant: Variant = Variant.DEFAULT,
     mc: Optional[MonteCarloConfig] = None,
     pick: Optional[Pick] = None,
-    chain_only: bool = False,
-    answer_mode: str = "best",
 ) -> DecisionTrace:
     """Full cascade-routing loop for one query.
 
     The mixing coin is flipped once per query (deterministically from the
     Monte Carlo seed and the query id) unless ``pick`` forces a branch.
     The query's draw matrix is drawn once and shared by every step's
-    evaluator. Cascade routing answers with the best-estimated computed
-    model; ``answer_mode='last'`` restores the plain-cascading convention.
+    evaluator. The answer is ``EstimateTable.best_computed``.
     """
     k = table.n_models
-    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas, answer_mode=answer_mode)
+    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas)
     mc = mc or MonteCarloConfig()
     qid = int(table.query_ids[q])
     if pick is None:
@@ -274,7 +261,6 @@ def run_cascade_route(
         pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
     z = query_normals(mc, qid, k)
     no_expect = variant is Variant.NO_EXPECT
-    prune = not chain_only and variant is not Variant.SLOW
     executed: list[int] = []
     prefix = 0
     stop_step = k
@@ -284,33 +270,22 @@ def run_cascade_route(
             est, EmaxEvaluator(z, est.quality_mean, est.quality_std), executed, no_expect
         )
         lam = params.lambdas[t]
-        if chain_only:
-            candidates = [(1 << i) - 1 for i in range(max(t, 1), k + 1)]
-        else:
-            free = [m for m in range(k) if not prefix >> m & 1]
-            candidates = _candidate_masks(prefix, free, variant is Variant.GREEDY)
-        if prune:
+        free = [m for m in range(k) if not prefix >> m & 1]
+        candidates = _candidate_masks(prefix, free, variant is Variant.GREEDY)
+        if variant is not Variant.SLOW:
             candidates = _prune(candidates, scores, lam)
         chosen = _select(candidates, scores, lam, pick)
         if chosen == prefix:
             stop_step = t
             break
-        if chain_only:
-            nxt = t
-        else:
-            # the cheapest added model runs first; ties to the lowest id
-            added = Supermodel.from_mask(chosen & ~prefix).members
-            nxt = min(added, key=lambda m: est.cost_mean[m])
+        # the cheapest added model runs first; ties to the lowest id
+        added = Supermodel.from_mask(chosen & ~prefix).members
+        nxt = min(added, key=lambda m: est.cost_mean[m])
         executed.append(nxt)
         prefix |= 1 << nxt
-    if answer_mode == "best":
-        # answer with the computed model whose current estimate is highest;
-        # exact ties fall to the lowest model index
-        ordered = sorted(executed)
-        ests = [table.quality_mean[q, max(stop_step, m + 1), m] for m in ordered]
-        answer = ordered[int(np.argmax(ests))]
-    else:
-        answer = executed[-1]
+    computed = np.zeros((1, k), dtype=bool)
+    computed[0, executed] = True
+    answer = int(table.best_computed(np.array([q]), computed, stop_step)[0])
     return decision_trace(table, q, executed, answer)
 
 
@@ -318,12 +293,10 @@ def route_floor_cost(
     table: EstimateTable,
     sigma: np.ndarray,
     mc: Optional[MonteCarloConfig] = None,
-    variant: Variant = Variant.DEFAULT,
-    chain_only: bool = False,
     engine: Optional[BatchCascadeEngine] = None,
 ) -> float:
     """Realized cost of the cheapest strategy: pick cheap, stop immediately."""
-    engine = engine or BatchCascadeEngine(table, sigma, mc, variant, chain_only)
+    engine = engine or BatchCascadeEngine(table, sigma, mc)
     huge = 2.0**40
     return engine.run_metrics([huge] * table.n_models, Pick.MIN_COST)[1]
 
@@ -335,24 +308,15 @@ def fit_cascade_router(
     sigma: Optional[np.ndarray] = None,
     mc: Optional[MonteCarloConfig] = None,
     search_config: Optional[SearchConfig] = None,
-    chain_only: bool = False,
     engine: Optional[BatchCascadeEngine] = None,
 ) -> StrategyParams:
     """Same two-stage fit as cascading, with cascade routing as the kernel."""
-    k = table.n_models
-    mc = mc or MonteCarloConfig()
     if sigma is None:
         sigma = estimate_sigma(table)
     if engine is None:
-        engine = BatchCascadeEngine(table, sigma, mc, variant, chain_only)
-    elif engine.variant is not variant or engine.chain_only != chain_only:
+        engine = BatchCascadeEngine(table, sigma, mc, variant)
+    elif engine.variant is not variant or engine.chain_only:
         raise ValueError("engine was built for a different variant")
     floor = route_floor_cost(table, sigma, mc, engine=engine)
     budget = check_budget_floor(budget, floor, "infeasible budget: below the cheapest strategy cost")
-
-    def cost_fn(lam: float, pick: Pick) -> float:
-        return engine.run_metrics([lam] * k, pick)[1]
-
-    lam_star, gamma, _, _, _ = fit_budget_mixture(cost_fn, budget)
-    init = StrategyParams.equal(lam_star, k, gamma)
-    return optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init)
+    return _fit_prices(engine, budget, search_config)

@@ -15,7 +15,6 @@ implemented, with the analogous fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,8 +26,8 @@ from .core import (
     EstimateTable,
     Pick,
     StrategyParams,
-    Supermodel,
     argmax_tradeoff,
+    regime_steps,
 )
 from .montecarlo import (
     EmaxEvaluator,
@@ -41,35 +40,18 @@ from .montecarlo import (
 from .search import SearchConfig, optimize, optimize_thresholds
 
 __all__ = [
-    "Decision",
     "FittedCascade",
-    "SupermodelEstimate",
     "StepEstimates",
     "MonteCarloConfig",
     "expected_max",
     "expected_max_stderr",
     "estimate_sigma",
-    "cascade_step",
     "run_cascade",
     "fit_cascade",
     "threshold_cascade",
     "fit_threshold_cascade",
     "cascade_floor_cost",
 ]
-
-
-class Decision(Enum):
-    CONTINUE = "continue"
-    STOP = "stop"
-
-
-@dataclass(frozen=True)
-class SupermodelEstimate:
-    """Aggregate quality/cost estimate of a set of models run as a unit."""
-
-    supermodel: Supermodel
-    quality_mean: float
-    cost_mean: float
 
 
 @dataclass(frozen=True)
@@ -84,7 +66,7 @@ class StepEstimates:
 
     ``quality_std`` carries the fitted per-(model, step) uncertainty, not the
     table's informational stds. ``known_cost`` is what a computed model
-    actually cost (observed when ground truth exists).
+    is charged, ``EstimateTable.computed_cost``.
     """
 
     quality_mean: np.ndarray
@@ -101,60 +83,23 @@ class StepEstimates:
         sigma: np.ndarray,
         executed: Sequence[int],
     ) -> "StepEstimates":
-        """Regime-correct view: each model is read from the nearest step slice
-        whose convention has it in its true computed/uncomputed state.
-
-        Step ``t`` of the table means "the first t models computed", so when
-        execution followed that chain order every model is read from step
-        ``t`` exactly. When models were computed out of order, a computed
-        model is read from the first slice where it counts as computed and an
-        uncomputed one from the last slice where it counts as uncomputed.
-        """
+        """Query ``q`` after ``executed`` ran, read with ``regime_steps``."""
         k = table.n_models
         computed = np.zeros(k, dtype=bool)
         computed[list(executed)] = True
         idx = np.arange(k)
-        steps = np.where(computed, np.maximum(step_t, idx + 1), np.minimum(step_t, idx))
-        if table.true_cost is not None:
-            known = table.true_cost[q].copy()
-        else:
-            known = table.cost_mean[q, k, :].copy()
-        sigma = np.asarray(sigma, dtype=np.float64)
+        steps = regime_steps(computed, step_t)
         return StepEstimates(
-            quality_mean=table.quality_mean[q, steps, idx].copy(),
-            quality_std=sigma[idx, steps].copy(),
-            cost_mean=table.cost_mean[q, steps, idx].copy(),
-            known_cost=known,
+            quality_mean=table.quality_mean[q, steps, idx],
+            quality_std=np.asarray(sigma, dtype=np.float64)[idx, steps],
+            cost_mean=table.cost_mean[q, steps, idx],
+            known_cost=table.computed_cost[q].copy(),
             computed=computed,
         )
 
     def member_costs(self) -> list[float]:
         """Per model, the observed cost if computed, else the estimate."""
         return np.where(self.computed, self.known_cost, self.cost_mean).tolist()
-
-    def supermodel_cost(self, members: Sequence[int]) -> float:
-        """Observed cost of computed members plus estimates for the rest."""
-        costs = self.member_costs()
-        total = 0.0
-        for m in members:
-            total += costs[m]
-        return total
-
-
-def supermodel_estimate(
-    supermodel: Supermodel,
-    est: StepEstimates,
-    evaluator: EmaxEvaluator,
-    no_expect: bool = False,
-) -> SupermodelEstimate:
-    if supermodel.is_empty:
-        raise ValueError("the empty supermodel has no estimate")
-    members = list(supermodel.members)
-    if no_expect:
-        quality = evaluator.max_mean(members)
-    else:
-        quality = evaluator.expected_max(members)
-    return SupermodelEstimate(supermodel, quality, est.supermodel_cost(members))
 
 
 def estimate_sigma(table: EstimateTable, validation_indices=None) -> np.ndarray:
@@ -184,8 +129,8 @@ def _stops(
 
     Routes between the stop candidate (the chain prefix of length ``t``) and
     every longer chain prefix, scored against the query's draw matrix ``z``.
-    Chain costs are running sums in chain order, the order
-    ``StepEstimates.supermodel_cost`` sums them in.
+    Chain costs are running sums of ``StepEstimates.member_costs`` in chain
+    order.
     """
     k = table.n_models
     est = StepEstimates.from_table(table, q, t, sigma, range(t))
@@ -199,37 +144,6 @@ def _stops(
             mask = (1 << length) - 1
             candidates.append((mask, evaluator.expected_max_mask(mask), cost))
     return argmax_tradeoff(candidates, lam, pick) == (1 << t) - 1
-
-
-def cascade_step(
-    table: EstimateTable,
-    q: int,
-    step_j: int,
-    params: StrategyParams,
-    sigma: np.ndarray,
-    mc: Optional[MonteCarloConfig] = None,
-    u: Optional[float] = None,
-) -> Decision:
-    """Decide whether the cascade stops before computing model ``step_j``.
-
-    At step one there is no stop candidate. ``u`` is the query's mixing draw;
-    omitted, it is derived deterministically from the Monte Carlo seed and
-    the query id.
-    """
-    k = table.n_models
-    if not 1 <= step_j <= k:
-        raise ValueError("step must lie in [1, n_models]")
-    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas)
-    if step_j == 1:
-        return Decision.CONTINUE
-    mc = mc or MonteCarloConfig()
-    qid = int(table.query_ids[q])
-    if u is None:
-        u = mixing_uniform(mc.seed, qid)
-    pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
-    z = query_normals(mc, qid, k)
-    stop = _stops(table, q, step_j - 1, params.lambdas[step_j - 1], pick, sigma, z)
-    return Decision.STOP if stop else Decision.CONTINUE
 
 
 def run_cascade(
@@ -263,11 +177,14 @@ def run_cascade(
 def decision_trace(
     table: EstimateTable, q: int, executed: Sequence[int], answer: int
 ) -> DecisionTrace:
-    """What running ``executed`` on query ``q`` and answering with ``answer`` realized."""
-    if table.true_cost is not None:
-        cost = float(table.true_cost[q, list(executed)].sum())
-    else:
-        cost = float(table.cost_mean[q, table.n_models, list(executed)].sum())
+    """What running ``executed`` on query ``q`` and answering with ``answer`` realized.
+
+    The cost is a running sum in execution order, as the batch paths sum it.
+    """
+    charges = table.computed_cost[q]
+    cost = 0.0
+    for m in executed:
+        cost += float(charges[m])
     quality = float(table.true_quality[q, answer]) if table.true_quality is not None else float("nan")
     return DecisionTrace(
         query=int(table.query_ids[q]),
@@ -280,9 +197,7 @@ def decision_trace(
 
 def cascade_floor_cost(table: EstimateTable) -> float:
     """Cost of the cheapest cascade: run the first chain model and stop."""
-    if table.true_cost is not None:
-        return float(table.true_cost[:, 0].mean())
-    return float(table.cost_mean[:, table.n_models, 0].mean())
+    return float(table.computed_cost[:, 0].mean())
 
 
 def fit_cascade(
@@ -295,12 +210,9 @@ def fit_cascade(
 ) -> FittedCascade:
     """Fit per-step prices and the mixing weight against the budget.
 
-    Stage one bisects a shared price with the simulated cascade's realized
-    cost as the functional; stage two runs the constrained local search from
-    that point, maximizing realized quality on the fitting data.
+    The two-stage fit of ``_fit_prices``, on a chain-only engine, for a
+    budget no lower than the cheapest cascade's cost.
     """
-    k = table.n_models
-    mc = mc or MonteCarloConfig()
     if sigma is None:
         sigma = estimate_sigma(table)
     if engine is None:
@@ -309,17 +221,41 @@ def fit_cascade(
         raise ValueError("fit_cascade needs a chain-only engine")
     floor = cascade_floor_cost(table)
     budget = check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
+    best = _fit_prices(engine, budget, search_config)
+    return FittedCascade(params=best, sigma=np.asarray(sigma, dtype=np.float64))
+
+
+def _fit_prices(
+    engine: BatchCascadeEngine, budget: float, search_config: Optional[SearchConfig]
+) -> StrategyParams:
+    """The two-stage price fit shared by cascading and cascade routing.
+
+    An equal-price bisection on the engine's realized cost meets the budget,
+    then the constrained local search refines the per-step prices and the
+    mixing weight from that point. ``budget`` must already be checked
+    against the strategy's floor.
+    """
+    k = engine.table.n_models
 
     def cost_fn(lam: float, pick: Pick) -> float:
         return engine.run_metrics([lam] * k, pick)[1]
 
     lam_star, gamma, _, _, _ = fit_budget_mixture(cost_fn, budget)
     init = StrategyParams.equal(lam_star, k, gamma)
-    best = optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init)
-    return FittedCascade(params=best, sigma=np.asarray(sigma, dtype=np.float64))
+    return optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init)
 
 
 # -- threshold baseline ------------------------------------------------------
+
+
+def _check_thresholds(table: EstimateTable, thresholds) -> np.ndarray:
+    """The thresholds as a ``(k,)`` float array; NaN is rejected, ``±inf`` kept."""
+    thr = np.asarray(thresholds, dtype=np.float64)
+    if thr.shape != (table.n_models,):
+        raise ValueError("thresholds must have one entry per model")
+    if np.isnan(thr).any():
+        raise ValueError("thresholds must not be NaN")
+    return thr
 
 
 def threshold_cascade(table: EstimateTable, q: int, thresholds: Sequence[float]) -> DecisionTrace:
@@ -329,12 +265,9 @@ def threshold_cascade(table: EstimateTable, q: int, thresholds: Sequence[float])
     the first entry is never consulted (the first model always runs) and the
     cascade is forced to stop after the last model.
     """
-    k = table.n_models
-    thr = np.asarray(thresholds, dtype=np.float64)
-    if thr.shape != (k,):
-        raise ValueError("thresholds must have one entry per model")
+    thr = _check_thresholds(table, thresholds)
     executed = [0]
-    for t in range(1, k):
+    for t in range(1, table.n_models):
         last = executed[-1]
         if table.quality_mean[q, t, last] >= thr[t]:
             break
@@ -344,7 +277,7 @@ def threshold_cascade(table: EstimateTable, q: int, thresholds: Sequence[float])
 
 def _threshold_batch(table: EstimateTable, thresholds: np.ndarray) -> RunResult:
     n, k = table.n_queries, table.n_models
-    known = table.true_cost if table.true_cost is not None else table.cost_mean[:, k, :]
+    known = table.computed_cost
     last = np.zeros(n, dtype=np.int64)
     sunk = known[:, 0].copy()
     n_exec = np.ones(n, dtype=np.int64)
@@ -369,7 +302,7 @@ def threshold_metrics(table: EstimateTable, thresholds) -> tuple[float, float]:
     """Realized (quality, cost) of a threshold cascade on the whole table."""
     if table.true_quality is None:
         raise ValueError("realized quality needs ground truth in the table")
-    result = _threshold_batch(table, np.asarray(thresholds, dtype=np.float64))
+    result = _threshold_batch(table, _check_thresholds(table, thresholds))
     quality = table.true_quality[np.arange(table.n_queries), result.answer]
     return float(quality.mean()), float(result.realized_cost.mean())
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -99,27 +99,11 @@ def argmax_tradeoff_rows(
 
 
 @dataclass(frozen=True)
-class Estimate:
-    """A noisy scalar estimate: mean plus an uncertainty std."""
-
-    mean: float
-    std: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError("estimate mean must be finite")
-        if not (self.std >= 0.0):
-            raise ValueError("estimate std must be >= 0")
-
-
-@dataclass(frozen=True)
 class Supermodel:
     """An unordered set of models run as one unit.
 
     Estimates of a supermodel are order-independent; execution order is
-    decided at run time (cheapest first). ``EMPTY`` is a distinguished
-    sentinel meaning "run nothing"; it never enters score arithmetic and by
-    convention would carry quality minus infinity and cost zero.
+    decided at run time (cheapest first).
     """
 
     members: tuple[ModelId, ...]
@@ -129,16 +113,8 @@ class Supermodel:
             raise ValueError("supermodel members must be distinct")
 
     @property
-    def is_empty(self) -> bool:
-        return len(self.members) == 0
-
-    @property
     def member_set(self) -> frozenset[ModelId]:
         return frozenset(self.members)
-
-    def extend(self, added: Iterable[ModelId]) -> "Supermodel":
-        extra = tuple(sorted(set(added) - set(self.members)))
-        return Supermodel(self.members + extra)
 
     def mask(self) -> int:
         m = 0
@@ -149,13 +125,6 @@ class Supermodel:
     @staticmethod
     def from_mask(mask: int) -> "Supermodel":
         return Supermodel(tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
-
-    @staticmethod
-    def chain(length: int) -> "Supermodel":
-        return Supermodel(tuple(range(length)))
-
-
-EMPTY_SUPERMODEL = Supermodel(())
 
 
 @dataclass(frozen=True)
@@ -193,6 +162,21 @@ class DecisionTrace:
     def __post_init__(self) -> None:
         if self.answer_model not in self.executed:
             raise ValueError("answer model must be one of the executed models")
+
+
+def regime_steps(computed: np.ndarray, t: int) -> np.ndarray:
+    """Step slice to read each model's estimates from at decision step ``t``.
+
+    Step ``t`` of an estimate table means "the first t chain models
+    computed". Each model is read from the nearest slice whose convention
+    has it in its true state: a computed model from the first slice where it
+    counts as computed, an uncomputed one from the last slice where it
+    counts as uncomputed. When execution followed the chain order this is
+    slice ``t`` for every model. ``computed`` is a bool mask over models on
+    its last axis; the result has its shape.
+    """
+    idx = np.arange(computed.shape[-1])
+    return np.where(computed, np.maximum(t, idx + 1), np.minimum(t, idx))
 
 
 def _require_finite(table, names: Sequence[str]) -> None:
@@ -340,8 +324,26 @@ class EstimateTable:
         return self.quality_mean.shape[2]
 
     @property
-    def n_steps(self) -> int:
-        return self.quality_mean.shape[1]
+    def computed_cost(self) -> np.ndarray:
+        """(n, k) cost charged for a computed model.
+
+        The observed cost when the table carries ground truth, else the
+        all-computed estimate. A view: copy before writing to it.
+        """
+        if self.true_cost is not None:
+            return self.true_cost
+        return self.cost_mean[:, self.n_models, :]
+
+    def best_computed(self, rows: np.ndarray, computed: np.ndarray, t: int) -> np.ndarray:
+        """Per row, the computed model whose quality estimate at step ``t`` is highest.
+
+        ``computed`` is a ``(len(rows), k)`` bool mask with at least one model
+        set per row; estimates are read with ``regime_steps``. Exact ties fall
+        to the lowest model index.
+        """
+        idx = np.arange(self.n_models)
+        est = self.quality_mean[rows[:, None], regime_steps(computed, t), idx]
+        return np.where(computed, est, -np.inf).argmax(axis=1)
 
     def subset(self, indices) -> "EstimateTable":
         idx = np.asarray(indices, dtype=np.int64)
@@ -369,9 +371,3 @@ class EstimateTable:
             true_quality=None if self.true_quality is None else self.true_quality[:, p],
             true_cost=None if self.true_cost is None else self.true_cost[:, p],
         )
-
-    def known_cost(self, q: int, model: int, step: int) -> float:
-        """Cost charged for an already-computed model: observed if available."""
-        if self.true_cost is not None:
-            return float(self.true_cost[q, model])
-        return float(self.cost_mean[q, step, model])

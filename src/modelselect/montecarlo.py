@@ -122,16 +122,6 @@ class EmaxEvaluator:
         self._sample_max: dict[int, np.ndarray] = {}
         self._cache: dict[int, float] = {}
 
-    @staticmethod
-    def for_query(
-        config: MonteCarloConfig,
-        query_id: int,
-        means: np.ndarray,
-        stds: np.ndarray,
-    ) -> "EmaxEvaluator":
-        z = query_normals(config, query_id, np.asarray(means).size)
-        return EmaxEvaluator(z, means, stds)
-
     def _maxima(self, mask: int) -> np.ndarray:
         """Per-sample maximum over the members of ``mask``, memoized."""
         hit = self._sample_max.get(mask)
@@ -160,15 +150,7 @@ class EmaxEvaluator:
 
     def expected_max(self, members: Sequence[int]) -> float:
         """Expected maximum over ``members``, in any order."""
-        return self.expected_max_mask(_members_mask(members))
-
-    def max_mean(self, members: Sequence[int]) -> float:
-        """Largest mean among ``members``, in any order."""
-        return self.max_mean_mask(_members_mask(members))
-
-
-def _members_mask(members: Sequence[int]) -> int:
-    mask = 0
-    for m in members:
-        mask |= 1 << int(m)
-    return mask
+        mask = 0
+        for m in members:
+            mask |= 1 << int(m)
+        return self.expected_max_mask(mask)

@@ -10,6 +10,7 @@ exactly. The mixing coin is flipped once per query.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,9 @@ class FittedRouter:
     def __post_init__(self) -> None:
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must lie in [0, 1]")
-        if self.lambda_star < 0 or self.lambda_max < 0:
-            raise ValueError("lambda must be >= 0")
+        for lam in (self.lambda_star, self.lambda_max):
+            if not (math.isfinite(lam) and lam >= 0):
+                raise ValueError("lambda must be finite and >= 0")
 
 
 def _step_one(table: EstimateTable) -> tuple[np.ndarray, np.ndarray]:

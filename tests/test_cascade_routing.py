@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modelselect import cascade_routing, cascading
 from modelselect._engine import BatchCascadeEngine, Variant, _block_threshold
 from modelselect.cascade_routing import (
     CandidateSet,
@@ -13,10 +14,9 @@ from modelselect.cascade_routing import (
     prune_candidates,
     route_floor_cost,
     run_cascade_route,
-    select_supermodel,
     select_with_pick,
 )
-from modelselect.cascading import StepEstimates, cascade_step, estimate_sigma, run_cascade
+from modelselect.cascading import StepEstimates, estimate_sigma, run_cascade
 from modelselect.core import EstimateTable, Pick, StrategyParams, Supermodel
 from modelselect.montecarlo import EmaxEvaluator, MonteCarloConfig, query_normals
 from modelselect.routing import choose_models
@@ -124,15 +124,17 @@ class TestPruneCandidates:
 
 class TestSelectSupermodel:
     def test_single_candidate(self):
+        # a coin u = 0.2 below gamma = 0.5 takes the cheap branch
         est = make_step_estimates([0.5], [1.0])
         cs = CandidateSet(Supermodel(()), (Supermodel((0,)),))
-        sel = select_supermodel(cs, est, 1.0, 0.5, 0.2, Variant.DEFAULT, evaluator_for(est))
+        sel = select_with_pick(cs, est, 1.0, Pick.MIN_COST, Variant.DEFAULT, evaluator_for(est))
         assert sel.member_set == {0}
 
     def test_tau_tie_prefers_cheaper_under_min(self):
+        # a coin u = 0.0 below gamma = 1.0 takes the cheap branch
         est = make_step_estimates([0.5, 1.0], [1.0, 2.0])
         cs = enumerate_candidates(Supermodel(()), [0, 1], Variant.GREEDY)
-        sel = select_supermodel(cs, est, 0.5, 1.0, 0.0, Variant.DEFAULT, evaluator_for(est))
+        sel = select_with_pick(cs, est, 0.5, Pick.MIN_COST, Variant.DEFAULT, evaluator_for(est))
         assert sel.member_set == {0}
 
     def test_matches_brute_force_on_random_instances(self, rng):
@@ -161,6 +163,14 @@ PRICE_LADDER = (0.0, 0.05, 0.2, 0.6, 2.0)
 RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
 
 
+def assert_same_decision(trace, batch, q):
+    """A per-query trace and row ``q`` of an engine run agree on what ran,
+    which model answered and what it cost."""
+    assert trace.executed == batch.executed_list(q)
+    assert trace.answer_model == batch.answer[q]
+    assert trace.realized_cost == batch.realized_cost[q]
+
+
 def assert_engine_matches_per_query(table, sigma, mc):
     """One engine per variant serves the whole price ladder, so later prices
     read prefix rows filled by earlier ones and fill new ones."""
@@ -173,7 +183,7 @@ def assert_engine_matches_per_query(table, sigma, mc):
                 batch = engine.run(params.lambdas, pick)
                 for q in range(table.n_queries):
                     tr = run_cascade_route(table, q, params, sigma, variant, mc, pick=pick)
-                    assert tr.executed == batch.executed_list(q)
+                    assert_same_decision(tr, batch, q)
 
 
 def reference_simulation(table, q, lambdas, sigma, mc):
@@ -344,15 +354,13 @@ class TestScalarInputChecks:
 
     K = 3
 
-    def decide(self, entry, table, params, sigma, **kwargs):
+    def decide(self, entry, table, params, sigma):
         mc = MonteCarloConfig(seed=71)
         if entry == "cascade_route":
-            return run_cascade_route(table, 0, params, sigma, mc=mc, **kwargs)
-        if entry == "cascade":
-            return run_cascade(table, 0, params, sigma, mc)
-        return cascade_step(table, 0, 2, params, sigma, mc)
+            return run_cascade_route(table, 0, params, sigma, mc=mc)
+        return run_cascade(table, 0, params, sigma, mc)
 
-    @pytest.mark.parametrize("entry", ["cascade_route", "cascade", "cascade_step"])
+    @pytest.mark.parametrize("entry", ["cascade_route", "cascade"])
     @pytest.mark.parametrize("n_lambdas", [K - 1, K + 2])
     def test_lambdas_of_wrong_length(self, rng, entry, n_lambdas):
         t = random_table(rng, n=2, k=self.K)
@@ -360,7 +368,7 @@ class TestScalarInputChecks:
         with pytest.raises(ValueError, match="lambdas must have one entry per model"):
             self.decide(entry, t, params, np.zeros((self.K, self.K + 1)))
 
-    @pytest.mark.parametrize("entry", ["cascade_route", "cascade", "cascade_step"])
+    @pytest.mark.parametrize("entry", ["cascade_route", "cascade"])
     def test_sigma_of_wrong_shape(self, rng, entry):
         t = random_table(rng, n=2, k=self.K)
         params = StrategyParams.equal(0.1, self.K)
@@ -370,7 +378,7 @@ class TestScalarInputChecks:
         with pytest.raises(ValueError, match=r"sigma must be shaped"):
             BatchCascadeEngine(t, bad)
 
-    @pytest.mark.parametrize("entry", ["cascade_route", "cascade", "cascade_step"])
+    @pytest.mark.parametrize("entry", ["cascade_route", "cascade"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
     def test_sigma_not_finite_or_negative(self, rng, entry, value):
         t = random_table(rng, n=2, k=self.K)
@@ -379,15 +387,6 @@ class TestScalarInputChecks:
         sigma[1, 2] = value
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             self.decide(entry, t, params, sigma)
-
-    @pytest.mark.parametrize("mode", ["Best", "first", ""])
-    def test_unknown_answer_mode(self, rng, mode):
-        t = random_table(rng, n=2, k=self.K)
-        params = StrategyParams.equal(0.1, self.K)
-        with pytest.raises(ValueError, match="answer_mode must be 'last' or 'best'"):
-            self.decide("cascade_route", t, params, np.zeros((self.K, self.K + 1)), answer_mode=mode)
-        with pytest.raises(ValueError, match="answer_mode must be 'last' or 'best'"):
-            BatchCascadeEngine(t, np.zeros((self.K, self.K + 1)), answer_mode=mode)
 
 
 class TestPruningSavesWork:
@@ -426,7 +425,8 @@ class TestPruningSavesWork:
 
 def scalar_evaluator(table, q, t, sigma, executed, mc):
     est = StepEstimates.from_table(table, q, t, sigma, executed)
-    return EmaxEvaluator.for_query(mc, int(table.query_ids[q]), est.quality_mean, est.quality_std)
+    z = query_normals(mc, int(table.query_ids[q]), table.n_models)
+    return EmaxEvaluator(z, est.quality_mean, est.quality_std)
 
 
 class TestEngineMatchesScalarExactly:
@@ -487,32 +487,21 @@ class TestRowPermutation:
             assert np.array_equal(getattr(moved, field), getattr(base, field)[perm])
 
 
-class TestOrderInvariance:
-    def test_supermodel_estimate_ignores_member_order(self, rng):
-        est = make_step_estimates(
-            quality=rng.uniform(0, 1, 4), cost=rng.uniform(0.1, 1, 4),
-            stds=rng.uniform(0, 0.4, 4),
-        )
-        ev = evaluator_for(est, seed=5)
-        from modelselect.cascading import supermodel_estimate
-
-        a = supermodel_estimate(Supermodel((0, 2, 3)), est, ev)
-        b = supermodel_estimate(Supermodel((3, 0, 2)), est, ev)
-        assert a.quality_mean == b.quality_mean
-        assert a.cost_mean == b.cost_mean
-
-
 class TestGeneralization:
     def test_chain_restriction_reproduces_cascading(self, rng):
-        t = random_table(rng, n=20, k=4, step_varying=True)
-        sigma = estimate_sigma(t)
-        mc = MonteCarloConfig(seed=29)
-        params = StrategyParams.equal(0.25, 4, gamma=1.0)
-        for q in range(20):
-            a = run_cascade_route(t, q, params, sigma, Variant.DEFAULT, mc,
-                                  pick=Pick.MIN_COST, chain_only=True)
-            b = run_cascade(t, q, params, sigma, mc, u=0.0)
-            assert a.executed == b.executed
+        # the chain-only engine is cascade routing restricted to chain
+        # prefixes; per query it must make run_cascade's decisions
+        mc = MonteCarloConfig(n_samples=128, seed=29)
+        for k in (3, 5, 8):
+            t = random_table(rng, n=6, k=k, step_varying=True)
+            sigma = rng.uniform(0, 0.35, (k, k + 1))
+            engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+            for lam in PRICE_LADDER:
+                params = StrategyParams.equal(lam, k, gamma=0.5)
+                for pick, u in ((Pick.MIN_COST, 0.0), (Pick.MAX_COST, 0.9)):
+                    batch = engine.run(params.lambdas, pick)
+                    for q in range(t.n_queries):
+                        assert_same_decision(run_cascade(t, q, params, sigma, mc, u=u), batch, q)
 
     def test_forced_single_step_reproduces_routing(self, rng):
         t = random_table(rng, n=20, k=4)
@@ -582,3 +571,10 @@ class TestFitCascadeRouter:
         engine = BatchCascadeEngine(t, sigma, mc)
         _, cost = engine.params_metrics(params)
         assert cost <= budget + 1e-6
+
+
+@pytest.mark.parametrize("module", [cascading, cascade_routing])
+def test_public_names_resolve(module):
+    # a stale entry would break ``from module import *``
+    for name in module.__all__:
+        assert hasattr(module, name), name

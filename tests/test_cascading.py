@@ -5,9 +5,7 @@ import pytest
 
 from modelselect._engine import BatchCascadeEngine
 from modelselect.cascading import (
-    Decision,
     cascade_floor_cost,
-    cascade_step,
     estimate_sigma,
     expected_max,
     expected_max_stderr,
@@ -109,17 +107,18 @@ class TestCascadeStep:
         t = step_example_table()
         params = StrategyParams.equal(0.1, 2, gamma=1.0)
         sigma = np.zeros((2, 3))
-        assert cascade_step(t, 0, 2, params, sigma, u=0.0) is Decision.STOP
+        assert run_cascade(t, 0, params, sigma, u=0.0).executed == (0,)
 
     def test_step_one_never_stops(self):
+        # even a price that makes every model a loss runs the first one
         t = step_example_table()
         params = StrategyParams.equal(100.0, 2, gamma=1.0)
-        assert cascade_step(t, 0, 1, params, np.zeros((2, 3)), u=0.0) is Decision.CONTINUE
+        assert run_cascade(t, 0, params, np.zeros((2, 3)), u=0.0).executed == (0,)
 
     def test_zero_lambda_continues_on_positive_gain(self):
         t = step_example_table()
         params = StrategyParams.equal(0.0, 2, gamma=0.0)
-        assert cascade_step(t, 0, 2, params, np.zeros((2, 3)), u=0.9) is Decision.CONTINUE
+        assert run_cascade(t, 0, params, np.zeros((2, 3)), u=0.9).executed == (0, 1)
 
 
 class TestFitCascade:
@@ -189,6 +188,18 @@ class TestThresholdCascade:
         t = EstimateTable.build(qm, np.ones((1, k + 1, k)), true_cost=np.ones((1, k)))
         tr = threshold_cascade(t, 0, [0.0, 0.6])
         assert tr.executed == (0,)
+
+    @pytest.mark.parametrize("thresholds", [
+        [0.0, np.nan, 0.5],
+        [0.0, 0.5, 0.5, 0.5],
+        [0.0, 0.5],
+    ], ids=["nan", "too-long", "too-short"])
+    def test_bad_thresholds_rejected(self, rng, thresholds):
+        t = random_table(rng, n=5, k=3)
+        with pytest.raises(ValueError, match="thresholds must"):
+            threshold_cascade(t, 0, thresholds)
+        with pytest.raises(ValueError, match="thresholds must"):
+            threshold_metrics(t, thresholds)
 
     def test_answer_is_last_executed(self, rng):
         t = random_table(rng, n=8, k=4)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from modelselect.core import (
     DecisionTrace,
     EstimateTable,
-    Estimate,
     Pick,
     StrategyParams,
     Supermodel,
@@ -92,12 +91,6 @@ class TestArgmaxProperties:
 
 
 class TestTypes:
-    def test_estimate_validation(self):
-        with pytest.raises(ValueError):
-            Estimate(mean=0.5, std=-1.0)
-        with pytest.raises(ValueError):
-            Estimate(mean=float("inf"))
-
     def test_supermodel_distinct_members(self):
         with pytest.raises(ValueError):
             Supermodel((1, 1))

@@ -445,6 +445,21 @@ class TestCli:
         metrics = json.loads(metrics_path.read_text())
         assert (metrics["test_cost"], metrics["test_quality"]) == want
 
+    @pytest.mark.parametrize("strategy,key,value", [
+        ("threshold", "thresholds", lambda v: [v[0], float("nan")] + v[2:]),
+        ("threshold", "thresholds", lambda v: v + [0.5]),
+        ("threshold", "thresholds", lambda v: v[:-1]),
+        ("routing", "lambda_star", lambda v: float("nan")),
+        ("routing", "lambda_max", lambda v: float("inf")),
+    ], ids=["thresholds-nan", "thresholds-too-long", "thresholds-too-short",
+            "lambda_star-nan", "lambda_max-inf"])
+    def test_evaluate_rejects_bad_params(self, tmp_path, capsys, strategy, key, value):
+        cfg_path, params_path, _, _ = self.fit_at_grid_point(tmp_path, strategy, 2)
+        payload = json.loads(params_path.read_text())
+        params_path.write_text(json.dumps({**payload, key: value(payload[key])}))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_choices_follow_the_tables(self):
         commands = _build_parser()._subparsers._group_actions[0].choices
 

@@ -55,7 +55,7 @@ class TestEvaluator:
         cfg = MonteCarloConfig(seed=3)
         means = np.array([0.2, 0.8, 0.5])
         stds = np.array([0.1, 0.3, 0.0])
-        ev = EmaxEvaluator.for_query(cfg, 11, means, stds)
+        ev = EmaxEvaluator(query_normals(cfg, 11, 3), means, stds)
         direct = expected_max(means, stds, cfg, key=(11,))
         assert ev.expected_max([0, 1, 2]) == pytest.approx(direct, abs=1e-12)
 
@@ -64,7 +64,7 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             ev.expected_max([])
         with pytest.raises(ValueError):
-            ev.max_mean([])
+            ev.max_mean_mask(0)
 
     def test_every_subset_equals_direct_maximum_bit_for_bit(self, rng):
         # the engine-vs-scalar tests use the evaluator as their oracle, so it
@@ -82,11 +82,11 @@ class TestEvaluator:
             cols = [m for m in range(k) if mask >> m & 1]
             want = float(values[:, cols].max(axis=1).mean())
             assert ev.expected_max(list(rng.permutation(cols))) == want
-            assert ev.max_mean(cols[::-1]) == float(means[cols].max())
+            assert ev.max_mean_mask(int(mask)) == float(means[cols].max())
 
     def test_subset_cache_consistent(self):
         cfg = MonteCarloConfig(seed=4)
-        ev = EmaxEvaluator.for_query(cfg, 2, np.array([0.1, 0.9]), np.array([0.2, 0.2]))
+        ev = EmaxEvaluator(query_normals(cfg, 2, 2), np.array([0.1, 0.9]), np.array([0.2, 0.2]))
         first = ev.expected_max([1, 0])
         second = ev.expected_max([0, 1])
         assert first == second
