@@ -1,12 +1,15 @@
 """Vectorized cascade simulation over an estimate table.
 
 Candidate supermodels are bitmasks over model indices. At decision step t
-every still-active query has computed exactly t models, so queries can be
-grouped by their computed prefix and each group scored on the shared lattice
-of free-model submasks at once.
+every still-active query has computed exactly t models, so every query
+scores the same number of candidates: its computed prefix plus each submask
+of its f = k - t free models. One step is therefore one selection over an
+``(active rows, 2^f)`` score matrix, whatever mix of prefixes the rows hold.
 
-Everything about a prefix that does not depend on the price is cached with
-the prefix, as two ``(n, 2^f)`` tables over the f free models:
+Everything about a prefix that does not depend on the price is cached per
+step, as two ``(C(k, t), n, 2^f)`` tables indexed by prefix rank (the
+prefix's position among the C(k, t) masks with t bits), table row and
+free-model submask:
 
 - the expected-max quality of every candidate, from the query's shared
   Monte Carlo draws;
@@ -16,11 +19,13 @@ the prefix, as two ``(n, 2^f)`` tables over the f free models:
   price ``lam`` is the single test ``lam > beta``; it removes each candidate
   with a negative marginal gain together with all its supersets.
 
-A table row is filled the first time its query reaches the prefix, so only
-reached (prefix, query) pairs are ever computed, and every later run at any
-price, pick or budget reads them back. That reuse is what makes fitting
-affordable. Chain-only engines cache the expected maxima of chain prefixes
-per step instead, built with a running elementwise maximum in one buffer.
+A step's tables are allocated when the step is first reached, and a
+(prefix, row) pair is filled the first time its query reaches the prefix, so
+only reached pairs are ever computed, and every later run at any price,
+pick or budget reads them back with one gather. That reuse is what makes
+fitting affordable. Chain-only engines cache the expected maxima of chain
+prefixes per step instead, built with a running elementwise maximum in one
+buffer.
 
 The Monte Carlo draws are held as one ``(n, k, S)`` tensor: row r holds the
 transposed ``query_normals`` matrix of query ``query_ids[r]``, so the S
@@ -88,6 +93,7 @@ class _LatticeTables:
     bit_set: np.ndarray  # (k, 2^k) bool
     parent: np.ndarray  # (k, 2^k) int, mask with bit m cleared
     popcount: np.ndarray  # (2^k,)
+    rank: np.ndarray  # (2^k,) position of a mask among the masks of its popcount
 
 
 @lru_cache(maxsize=None)
@@ -97,20 +103,42 @@ def _lattice_tables(k: int) -> _LatticeTables:
     bits = bit_set.T.astype(np.float64)
     parent = masks[None, :] & ~(np.int64(1) << np.arange(k, dtype=np.int64))[:, None]
     popcount = bit_set.sum(axis=0)
-    return _LatticeTables(masks, bits, bit_set, parent, popcount)
+    rank = np.empty_like(masks)
+    for t in range(k + 1):
+        rank[popcount == t] = np.arange(np.count_nonzero(popcount == t))
+    return _LatticeTables(masks, bits, bit_set, parent, popcount, rank)
 
 
 @dataclass(frozen=True)
-class _PrefixTables:
-    """Price-independent tables of one computed prefix, filled row by row.
+class _StepLayout:
+    """The prefixes of step t (t models computed) in rank order, and their lattices."""
 
-    Rows index the engine's table and columns the free-model submasks; only
-    rows whose ``filled`` flag is set hold computed values.
+    prefixes: np.ndarray  # (C(k,t),) ascending
+    free: np.ndarray  # (C(k,t), f) free models of each prefix, ascending
+    full_masks: np.ndarray  # (C(k,t), 2^f) candidate mask of each free-model submask
+
+
+@lru_cache(maxsize=None)
+def _step_layout(k: int, t: int) -> _StepLayout:
+    tabs = _lattice_tables(k)
+    prefixes = tabs.masks[tabs.popcount == t]
+    free = np.nonzero(~tabs.bit_set[:, prefixes].T)[1].reshape(prefixes.size, k - t)
+    submasks = _lattice_tables(k - t).bit_set.T.astype(np.int64)
+    full_masks = prefixes[:, None] + (np.int64(1) << free) @ submasks.T
+    return _StepLayout(prefixes, free, full_masks)
+
+
+@dataclass(frozen=True)
+class _StepTables:
+    """Price-independent tables of every prefix of one step, filled by (prefix, row).
+
+    Axes are prefix rank, the engine's table row and the free-model submask;
+    only pairs whose ``filled`` flag is set hold computed values.
     """
 
-    quality: np.ndarray  # (n, 2^f) expected-max quality of prefix | submask
-    beta: Optional[np.ndarray]  # (n, 2^f) block threshold; None when not pruning
-    filled: np.ndarray  # (n,) bool
+    quality: np.ndarray  # (C(k,t), n, 2^f) expected-max quality of prefix | submask
+    beta: Optional[np.ndarray]  # (C(k,t), n, 2^f) block threshold; None when not pruning
+    filled: np.ndarray  # (C(k,t), n) bool
 
 
 def _block_threshold(quality: np.ndarray, cost: np.ndarray, empty_prefix: bool) -> np.ndarray:
@@ -183,7 +211,7 @@ class BatchCascadeEngine:
         self.chain_only = chain_only
         self._z: Optional[np.ndarray] = None
         self._chain_quality_cache: dict[int, np.ndarray] = {}
-        self._prefix_cache: dict[int, _PrefixTables] = {}
+        self._step_cache: dict[int, _StepTables] = {}
         self._cost_open_cache: dict[int, np.ndarray] = {}
 
     # -- expected-max columns -------------------------------------------------
@@ -232,43 +260,49 @@ class BatchCascadeEngine:
             self._cost_open_cache[t] = cached
         return cached
 
-    def _prefix_tables(
-        self, prefix: int, t: int, rows: np.ndarray
+    def _step_tables(
+        self, t: int, ranks: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(quality, beta) of ``rows`` given a prefix, each (rows, 2^f).
+        """(quality, beta) of each row given its prefix rank at step t, each (rows, 2^f).
 
-        Both tables are price-independent and cached per prefix; a row is
-        computed the first time it reaches the prefix and read afterwards.
-        ``beta`` is None for the SLOW variant, which never prunes.
+        Both tables are price-independent and cached per step; a (prefix, row)
+        pair is computed the first time the row reaches the prefix and read
+        afterwards. ``beta`` is None for the SLOW variant, which never prunes.
         """
-        tables = self._prefix_cache.get(prefix)
+        k = self.table.n_models
+        layout = _step_layout(k, t)
+        tables = self._step_cache.get(t)
         if tables is None:
-            n = self.table.n_queries
-            width = 1 << (self.table.n_models - bin(prefix).count("1"))
-            tables = _PrefixTables(
-                quality=np.empty((n, width)),
-                beta=None if self.variant is Variant.SLOW else np.empty((n, width)),
-                filled=np.zeros(n, dtype=bool),
+            shape = (layout.prefixes.size, self.table.n_queries, 1 << (k - t))
+            tables = _StepTables(
+                quality=np.empty(shape),
+                beta=None if self.variant is Variant.SLOW else np.empty(shape),
+                filled=np.zeros(shape[:2], dtype=bool),
             )
-            self._prefix_cache[prefix] = tables
-        todo = rows[~tables.filled[rows]]
-        if todo.size:
-            quality = self._lattice_quality(prefix, t, todo)
-            tables.quality[todo] = quality
+            self._step_cache[t] = tables
+        todo = ~tables.filled[ranks, rows]
+        for r in np.unique(ranks[todo]):
+            fill = rows[todo & (ranks == r)]
+            prefix = int(layout.prefixes[r])
+            quality = self._lattice_quality(prefix, t, fill)
+            tables.quality[r, fill] = quality
             if tables.beta is not None:
-                free = [i for i in range(self.table.n_models) if not prefix >> i & 1]
-                cost = self._cost_open(t)[todo][:, free]
-                tables.beta[todo] = _block_threshold(quality, cost, prefix == 0)
-            tables.filled[todo] = True
-        beta = None if tables.beta is None else tables.beta[rows]
-        return tables.quality[rows], beta
+                cost = self._cost_open(t)[fill][:, layout.free[r]]
+                tables.beta[r, fill] = _block_threshold(quality, cost, prefix == 0)
+            tables.filled[r, fill] = True
+        beta = None if tables.beta is None else tables.beta[ranks, rows]
+        return tables.quality[ranks, rows], beta
 
     def _lattice_quality(self, prefix: int, t: int, rows: np.ndarray) -> np.ndarray:
         """(rows, 2^f) candidate quality per free-model submask given a prefix.
 
         Column ``s`` scores the supermodel ``prefix | spread(s)``; column 0
         (the bare prefix) is NaN when the prefix is empty. Sample maxima are
-        accumulated up the sublattice, one elementwise maximum per submask.
+        accumulated depth first down the tree that links each submask to the
+        one without its lowest bit, one elementwise maximum per submask, so
+        only the ``(chunk, S)`` blocks on one root-to-leaf path, at most
+        f + 1, are kept. Without sampling (NO_EXPECT, or no uncertainty) S
+        is 1 and holds the means.
         """
         k = self.table.n_models
         means, stds = self._regime_state(prefix, t, rows)
@@ -277,38 +311,25 @@ class BatchCascadeEngine:
         f = len(free)
         n = rows.size
         out = np.full((n, 1 << f), np.nan)
-        low_idx = [0] * (1 << f)
-        for sub in range(1, 1 << f):
-            low_idx[sub] = (sub & -sub).bit_length() - 1
+        sampled = not (self.variant is Variant.NO_EXPECT or np.all(stds == 0))
+        n_samples = 2 * self.mc.half if sampled else 1
+        chunk = max(8, int(4_000_000 // (n_samples * (1 << f))) or 8)
 
-        if self.variant is Variant.NO_EXPECT or np.all(stds == 0):
+        def descend(part, vals, sub, low, block):
+            for j in range(low):  # children of sub: one more bit below its lowest
+                sm = vals[:, free[j]] if block is None else np.maximum(block, vals[:, free[j]])
+                out[part, sub | 1 << j] = sm.mean(axis=1)
+                descend(part, vals, sub | 1 << j, j, sm)
+
+        for start in range(0, n, chunk):
+            part = slice(start, min(start + chunk, n))
+            vals = means[part, :, None]
+            if sampled:
+                vals = vals + stds[None, :, None] * self._draws()[rows[part]]
+            root = vals[:, pcols].max(axis=1) if pcols else None
             if pcols:
-                out[:, 0] = means[:, pcols].max(axis=1)
-            for sub in range(1, 1 << f):
-                j = low_idx[sub]
-                rest = sub ^ (1 << j)
-                if rest == 0 and not pcols:
-                    out[:, sub] = means[:, free[j]]
-                else:
-                    np.maximum(out[:, rest], means[:, free[j]], out=out[:, sub])
-        else:
-            n_samples = 2 * self.mc.half
-            chunk = max(8, int(4_000_000 // (n_samples * (1 << f))) or 8)
-            draws = self._draws()
-            for start in range(0, n, chunk):
-                part = slice(start, min(start + chunk, n))
-                vals = means[part, :, None] + stds[None, :, None] * draws[rows[part]]
-                store: list = [None] * (1 << f)
-                if pcols:
-                    store[0] = vals[:, pcols].max(axis=1)
-                    out[part, 0] = store[0].mean(axis=1)
-                for sub in range(1, 1 << f):
-                    j = low_idx[sub]
-                    rest = sub ^ (1 << j)
-                    prev = store[rest]
-                    sm = vals[:, free[j]] if prev is None else np.maximum(prev, vals[:, free[j]])
-                    store[sub] = sm
-                    out[part, sub] = sm.mean(axis=1)
+                out[part, 0] = root.mean(axis=1)
+            descend(part, vals, 0, f, root)
         return out
 
     # -- one decision step ----------------------------------------------------
@@ -347,45 +368,34 @@ class BatchCascadeEngine:
     def _select_lattice(self, t, lam, pick, act, prefix_mask, sunk):
         """Pick one candidate supermodel per active query.
 
-        Queries are grouped by their computed prefix; within a group every
-        candidate is the prefix plus a submask of the free models, scored on
-        the shared free-model sublattice. The group's rows of the prefix's
-        quality and block-threshold tables are filled on first use and read
-        afterwards; a candidate is pruned when ``lam > beta``, which is the
-        negative-marginal-gain rule closed over supersets. Submask order is
-        ascending in the full candidate mask, which implements the lowest-id
-        residual tie-break.
+        Every active query has computed exactly t models, so each scores the
+        same 2^(k-t) columns: its prefix plus each submask of its free models,
+        in ascending free-submask order, which is ascending in the full
+        candidate mask and so implements the lowest-id residual tie-break.
+        Quality and block thresholds are gathered from the step's tables by
+        (prefix rank, row); a candidate is pruned when ``lam > beta``, which
+        is the negative-marginal-gain rule closed over supersets. One
+        selection covers all prefixes of the step.
         """
         k = self.table.n_models
-        pmask = prefix_mask[act]
-        cost_open = self._cost_open(t)
-        chosen = np.empty(act.size, dtype=np.int64)
+        layout = _step_layout(k, t)
+        ranks = _lattice_tables(k).rank[prefix_mask[act]]
+        quality, beta = self._step_tables(t, ranks, act)
+        tabs = _lattice_tables(k - t)
+        added = np.take_along_axis(self._cost_open(t)[act], layout.free[ranks], axis=1) @ tabs.bits.T
+        cost = sunk[act][:, None] + added
+        tau = quality - lam * cost
 
-        for prefix in np.unique(pmask):
-            in_group = pmask == prefix
-            rows = act[in_group]
-            free = [i for i in range(k) if not prefix >> i & 1]
-            f = len(free)
-            tabs = _lattice_tables(f)
-            spread = np.array([1 << i for i in free], dtype=np.int64)
-            full_masks = prefix + (tabs.bit_set.T.astype(np.int64) @ spread)
+        selectable = np.ones(tau.shape, dtype=bool)
+        if t == 0:
+            selectable[:, 0] = False  # running nothing is never a candidate
+        if self.variant is Variant.GREEDY:
+            selectable &= tabs.popcount[None, :] <= 1
+        if beta is not None:
+            selectable &= ~(lam > beta)
 
-            quality, beta = self._prefix_tables(int(prefix), t, rows)
-            added = cost_open[rows][:, free] @ tabs.bits.T if f else np.zeros((rows.size, 1))
-            cost = sunk[rows][:, None] + added
-            tau = quality - lam * cost
-
-            selectable = np.ones((rows.size, 1 << f), dtype=bool)
-            if prefix == 0:
-                selectable[:, 0] = False  # running nothing is never a candidate
-            if self.variant is Variant.GREEDY:
-                selectable &= tabs.popcount[None, :] <= 1
-            if beta is not None:
-                selectable &= ~(lam > beta)
-
-            choice = argmax_tradeoff_rows(tau, cost, selectable, pick)
-            chosen[in_group] = full_masks[choice]
-        return chosen
+        choice = argmax_tradeoff_rows(tau, cost, selectable, pick)
+        return layout.full_masks[ranks, choice]
 
     # -- full run ---------------------------------------------------------------
 

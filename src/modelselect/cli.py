@@ -22,6 +22,7 @@ from .harness import (
     STRATEGY_NAMES,
     BenchmarkConfig,
     DataFormatError,
+    params_field,
     prepare_run,
     run_sweep,
     write_csv,
@@ -148,9 +149,11 @@ def _cmd_evaluate(args) -> int:
     config = _load_config(args)
     ctx = prepare_run(config)
     payload = json.loads(Path(args.params).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{args.params}: params must be a JSON object")
     strategy = payload.get("strategy", args.strategy)
-    budget = float(payload["budget"])
-    if strategy not in STRATEGIES:
+    budget = params_field(payload, "budget")
+    if strategy not in STRATEGY_NAMES:
         raise DataFormatError(f"{args.params}: unknown strategy {strategy!r}")
     runner = STRATEGIES[strategy](ctx)
     fitted = runner.from_json(payload)

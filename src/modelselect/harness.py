@@ -61,6 +61,21 @@ class DataFormatError(ValueError):
     """Raised for malformed input data files."""
 
 
+def params_field(payload: dict, key: str, vector: bool = False):
+    """A number, or with ``vector`` a list of numbers, read from a params file.
+
+    A missing or mistyped field is a ``DataFormatError`` naming the field.
+    """
+    value = payload.get(key)
+    items = value if vector and isinstance(value, list) else [value]
+    if (vector and not isinstance(value, list)) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in items
+    ):
+        kind = "a list of numbers" if vector else "a number"
+        raise DataFormatError(f"params field {key!r} must be {kind}, got {value!r}")
+    return [float(v) for v in value] if vector else float(value)
+
+
 # -- IO ------------------------------------------------------------------------
 
 
@@ -407,7 +422,7 @@ class _Routing(_StrategyRunner):
         return asdict(fitted)
 
     def from_json(self, payload: dict) -> FittedRouter:
-        return FittedRouter(**{f.name: payload[f.name] for f in fields(FittedRouter)})
+        return FittedRouter(**{f.name: params_field(payload, f.name) for f in fields(FittedRouter)})
 
 
 class _Threshold(_StrategyRunner):
@@ -431,7 +446,7 @@ class _Threshold(_StrategyRunner):
         return {"thresholds": [float(v) for v in fitted]}
 
     def from_json(self, payload: dict) -> np.ndarray:
-        return np.asarray(payload["thresholds"], dtype=np.float64)
+        return np.asarray(params_field(payload, "thresholds", vector=True), dtype=np.float64)
 
 
 class _EngineStrategy(_StrategyRunner):
@@ -459,7 +474,8 @@ class _EngineStrategy(_StrategyRunner):
         return {"lambdas": list(fitted.lambdas), "gamma": fitted.gamma}
 
     def from_json(self, payload: dict) -> StrategyParams:
-        return StrategyParams(lambdas=tuple(payload["lambdas"]), gamma=payload["gamma"])
+        lambdas = tuple(params_field(payload, "lambdas", vector=True))
+        return StrategyParams(lambdas=lambdas, gamma=params_field(payload, "gamma"))
 
 
 class _Cascade(_EngineStrategy):

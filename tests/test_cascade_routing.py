@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelselect import cascade_routing, cascading
+from modelselect import _engine, cascade_routing, cascading
 from modelselect._engine import BatchCascadeEngine, Variant, _block_threshold
 from modelselect.cascade_routing import (
     CandidateSet,
@@ -341,6 +342,26 @@ class TestRunCascadeRoute:
                             want = min(want, dq / c if c > 0 else (-np.inf if dq < 0 else np.inf))
                     assert beta[row, cand] == want
 
+    def test_warm_lattice_run_selects_once_per_step(self, rng, monkeypatch):
+        k = 6
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        lambdas = [0.05] * k
+        for variant in Variant:
+            engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=64, seed=29), variant)
+            engine.run(lambdas, Pick.MAX_COST)
+            calls = []
+            select = _engine.argmax_tradeoff_rows
+            monkeypatch.setattr(
+                _engine, "argmax_tradeoff_rows", lambda *a: calls.append(1) or select(*a)
+            )
+            result = engine.run(lambdas, Pick.MAX_COST)
+            monkeypatch.undo()
+            # a query that ran m models chose at steps 0..m, except at step k
+            steps = int(np.minimum(result.n_executed, k - 1).max()) + 1
+            prefixes = {tuple(sorted(result.executed_list(q)[:2])) for q in range(t.n_queries)}
+            assert len(calls) == steps <= k and len(prefixes) > 1, variant
+
     def test_query_without_executed_model_raises(self, rng):
         t = random_table(rng, n=6, k=3)
         engine = BatchCascadeEngine(t, np.zeros((3, 4)), MonteCarloConfig(seed=59))
@@ -445,9 +466,11 @@ class TestEngineMatchesScalarExactly:
                 for i in range(k):
                     assert got[q, i] == ev.expected_max(range(i + 1))
 
-    @pytest.mark.parametrize("prefix_members, step", [((1,), 1), ((0, 2), 2), ((3,), 1)])
-    def test_lattice_quality_out_of_order_prefix(self, rng, prefix_members, step):
-        k = 4
+    # the empty prefix at k=6 walks the deepest submask tree
+    @pytest.mark.parametrize(
+        "prefix_members, step, k", [((1,), 1, 4), ((0, 2), 2, 4), ((3,), 1, 4), ((), 0, 6)]
+    )
+    def test_lattice_quality_out_of_order_prefix(self, rng, prefix_members, step, k):
         t = random_table(rng, n=12, k=k, step_varying=True)
         sigma = rng.uniform(0.05, 0.35, (k, k + 1))
         mc = MonteCarloConfig(seed=43)
@@ -455,9 +478,10 @@ class TestEngineMatchesScalarExactly:
         prefix = sum(1 << m for m in prefix_members)
         free = [m for m in range(k) if m not in prefix_members]
         got = engine._lattice_quality(prefix, step, np.arange(t.n_queries))
+        assert np.isnan(got[:, 0]).all() == (prefix == 0)  # the bare empty prefix is no candidate
         for q in range(t.n_queries):
             ev = scalar_evaluator(t, q, step, sigma, list(prefix_members), mc)
-            for sub in range(1 << len(free)):
+            for sub in range(1 if prefix == 0 else 0, 1 << len(free)):
                 added = [m for j, m in enumerate(free) if sub >> j & 1]
                 assert got[q, sub] == ev.expected_max(list(prefix_members) + added)
 
@@ -485,6 +509,66 @@ class TestRowPermutation:
         moved = BatchCascadeEngine(t.subset(perm), sigma, mc, chain_only=chain_only).run([lam] * k, pick)
         for field in RUN_FIELDS:
             assert np.array_equal(getattr(moved, field), getattr(base, field)[perm])
+
+
+class TestRowIndependence:
+    """Each row's run depends on that query alone, and on costs only through
+    prices times costs."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 12),
+        k=st.integers(1, 6),
+        pick=st.sampled_from(list(Pick)),
+        variant=st.sampled_from(list(Variant)),
+        chain_only=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_shards_equal_whole_table(self, seed, n, k, pick, variant, chain_only, data):
+        rng = np.random.default_rng(seed)
+        t = random_table(rng, n=n, k=k, step_varying=True)
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=64, seed=seed)
+        lambdas = data.draw(st.lists(st.sampled_from(PRICE_LADDER), min_size=k, max_size=k))
+        shard = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        whole = BatchCascadeEngine(t, sigma, mc, variant, chain_only).run(lambdas, pick)
+        for label in np.unique(shard):
+            rows = np.flatnonzero(shard == label)
+            part = BatchCascadeEngine(t.subset(rows), sigma, mc, variant, chain_only).run(lambdas, pick)
+            for field in RUN_FIELDS:
+                assert np.array_equal(getattr(part, field), getattr(whole, field)[rows])
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 10),
+        k=st.integers(1, 6),
+        s=st.integers(-4, 4),
+        pick=st.sampled_from(list(Pick)),
+        variant=st.sampled_from(list(Variant)),
+        chain_only=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_cost_scaling(self, seed, n, k, s, pick, variant, chain_only, data):
+        # Scaling by a power of two is exact, so every score q - lam * c,
+        # block threshold and cost comparison is unchanged to the last bit.
+        rng = np.random.default_rng(seed)
+        t = random_table(rng, n=n, k=k, step_varying=True)
+        scaled = dataclasses.replace(
+            t, cost_mean=t.cost_mean * 2.0**s, cost_std=t.cost_std * 2.0**s,
+            true_cost=t.true_cost * 2.0**s,
+        )
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=64, seed=seed)
+        lambdas = data.draw(st.lists(st.sampled_from(PRICE_LADDER), min_size=k, max_size=k))
+        base = BatchCascadeEngine(t, sigma, mc, variant, chain_only).run(lambdas, pick)
+        got = BatchCascadeEngine(scaled, sigma, mc, variant, chain_only).run(
+            [lam * 2.0**-s for lam in lambdas], pick
+        )
+        for field in ("answer", "exec_order", "n_executed"):
+            assert np.array_equal(getattr(got, field), getattr(base, field))
+        assert np.array_equal(got.realized_cost, base.realized_cost * 2.0**s)
 
 
 class TestGeneralization:

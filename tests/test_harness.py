@@ -460,6 +460,39 @@ class TestCli:
         assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy,key,value", [
+        ("routing", "gamma", None),
+        ("routing", "lambda_star", "abc"),
+        ("threshold", "thresholds", ["abc"]),
+        ("threshold", "thresholds", None),
+        ("cascade", "lambdas", "abc"),
+        ("cascade", "gamma", True),
+        ("cascade-routing", "lambdas", None),
+        ("cascade-routing", "gamma", [0.5]),
+        ("cascade-routing", "budget", None),
+        ("linear-interp", "budget", "abc"),
+    ], ids=["routing-gamma-missing", "routing-lambda_star-str", "threshold-thresholds-str",
+            "threshold-thresholds-missing", "cascade-lambdas-str", "cascade-gamma-bool",
+            "cascade-routing-lambdas-missing", "cascade-routing-gamma-list",
+            "cascade-routing-budget-missing", "linear-interp-budget-str"])
+    def test_evaluate_rejects_missing_or_mistyped_field(self, tmp_path, capsys, strategy, key, value):
+        # None stands for a missing field
+        cfg_path, params_path, _, _ = self.fit_at_grid_point(tmp_path, strategy, 2)
+        payload = json.loads(params_path.read_text())
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+        params_path.write_text(json.dumps(payload))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path)]) == 2
+        assert f"data error: params field {key!r}" in capsys.readouterr().err
+
+    def test_evaluate_rejects_params_that_are_not_an_object(self, tmp_path, capsys):
+        cfg_path, params_path, _, _ = self.fit_at_grid_point(tmp_path, "routing", 2)
+        params_path.write_text(json.dumps([1, 2]))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path)]) == 2
+        assert "data error:" in capsys.readouterr().err
+
     def test_choices_follow_the_tables(self):
         commands = _build_parser()._subparsers._group_actions[0].choices
 
