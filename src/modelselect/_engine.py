@@ -23,9 +23,16 @@ A step's tables are allocated when the step is first reached, and a
 (prefix, row) pair is filled the first time its query reaches the prefix, so
 only reached pairs are ever computed, and every later run at any price,
 pick or budget reads them back with one gather. That reuse is what makes
-fitting affordable. Chain-only engines cache the expected maxima of chain
-prefixes per step instead, built with a running elementwise maximum in one
-buffer.
+fitting affordable. The pairs a run reaches for the first time at a step
+are filled together, whatever prefixes they hold: every row has f free
+models, so one depth-first walk over f free-model slots serves them all.
+Chain-only engines cache the expected maxima of chain prefixes per step
+instead, built with a running elementwise maximum. Both cold fills work
+through the rows in chunks, so their working copy of the scaled draws is
+one cache-sized ``(chunk, k, S)`` block.
+
+``run_metrics`` keeps the realized (quality, cost) means of every
+(prices, pick) it has run, since fitting asks for the same run again.
 
 The Monte Carlo draws are held as one ``(n, k, S)`` tensor: row r holds the
 transposed ``query_normals`` matrix of query ``query_ids[r]``, so the S
@@ -170,6 +177,33 @@ def _block_threshold(quality: np.ndarray, cost: np.ndarray, empty_prefix: bool) 
     return beta
 
 
+# Rows per chunk of a cold fill: one (chunk, k, S) block of scaled draws
+# stays cache-sized, 64 rows at S = 512.
+_CHUNK_CELLS = 1 << 15
+
+
+def _row_chunks(n: int, n_samples: int):
+    """Contiguous slices covering ``range(n)``, ``_CHUNK_CELLS // n_samples`` rows each."""
+    chunk = max(1, _CHUNK_CELLS // n_samples)
+    return [slice(start, min(start + chunk, n)) for start in range(0, n, chunk)]
+
+
+def _descend(out: np.ndarray, vals: np.ndarray, sub: int, low: int, block: Optional[np.ndarray]) -> None:
+    """Fill ``out`` for each submask that extends ``sub`` by free models below ``low``.
+
+    ``vals[:, j]`` holds the (rows, S) samples of free model j and ``block``
+    the running sample maximum of ``sub`` (None for the empty submask). Each
+    child ``sub | 1 << j`` takes one more bit below ``sub``'s lowest, so the
+    submask tree is walked depth first and only the blocks on one
+    root-to-leaf path, at most f + 1, are alive.
+    """
+    for j in range(low):
+        child = sub | 1 << j
+        sm = vals[:, j] if block is None else np.maximum(block, vals[:, j])
+        out[:, child] = sm.mean(axis=1)
+        _descend(out, vals, child, j, sm)
+
+
 @dataclass
 class RunResult:
     """Per-query outcome of one deterministic cascade run."""
@@ -213,6 +247,7 @@ class BatchCascadeEngine:
         self._chain_quality_cache: dict[int, np.ndarray] = {}
         self._step_cache: dict[int, _StepTables] = {}
         self._cost_open_cache: dict[int, np.ndarray] = {}
+        self._metrics_cache: dict[tuple[tuple[float, ...], Pick], tuple[float, float]] = {}
 
     # -- expected-max columns -------------------------------------------------
 
@@ -226,7 +261,11 @@ class BatchCascadeEngine:
         return self._z
 
     def _chain_quality(self, t: int) -> np.ndarray:
-        """(n, k) column i: quality of the chain prefix of length i + 1."""
+        """(n, k) column i: quality of the chain prefix of length i + 1.
+
+        Built row chunk by row chunk, so the working copy of the scaled draws
+        is one cache-sized ``(chunk, k, S)`` block, not a copy of the tensor.
+        """
         cached = self._chain_quality_cache.get(t)
         if cached is not None:
             return cached
@@ -235,21 +274,16 @@ class BatchCascadeEngine:
         if self.variant is Variant.NO_EXPECT or np.all(stds == 0):
             out = np.maximum.accumulate(means, axis=1)
         else:
-            vals = self._draws() * stds[None, :, None]
-            vals += means[:, :, None]
-            for i in range(1, vals.shape[1]):
-                np.maximum(vals[:, i - 1], vals[:, i], out=vals[:, i])
-            out = vals.mean(axis=2)
+            z = self._draws()
+            out = np.empty(means.shape)
+            for part in _row_chunks(z.shape[0], z.shape[2]):
+                vals = z[part] * stds[None, :, None]
+                vals += means[part, :, None]
+                for i in range(1, vals.shape[1]):
+                    np.maximum(vals[:, i - 1], vals[:, i], out=vals[:, i])
+                out[part] = vals.mean(axis=2)
         self._chain_quality_cache[t] = out
         return out
-
-    def _regime_state(self, prefix: int, t: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Effective (means (rows, k), stds (k,)) given the computed set."""
-        idx = np.arange(self.table.n_models)
-        steps = regime_steps((prefix >> idx) & 1 == 1, t)
-        means = self.table.quality_mean[rows[:, None], steps[None, :], idx[None, :]]
-        stds = self.sigma[idx, steps]
-        return means, stds
 
     def _cost_open(self, t: int) -> np.ndarray:
         """(n, k) estimated cost of model i while still uncomputed at step t."""
@@ -267,7 +301,9 @@ class BatchCascadeEngine:
 
         Both tables are price-independent and cached per step; a (prefix, row)
         pair is computed the first time the row reaches the prefix and read
-        afterwards. ``beta`` is None for the SLOW variant, which never prunes.
+        afterwards. All pairs a step reaches for the first time are filled by
+        one ``_lattice_quality`` call, whatever prefixes they hold. ``beta``
+        is None for the SLOW variant, which never prunes.
         """
         k = self.table.n_models
         layout = _step_layout(k, t)
@@ -281,55 +317,56 @@ class BatchCascadeEngine:
             )
             self._step_cache[t] = tables
         todo = ~tables.filled[ranks, rows]
-        for r in np.unique(ranks[todo]):
-            fill = rows[todo & (ranks == r)]
-            prefix = int(layout.prefixes[r])
-            quality = self._lattice_quality(prefix, t, fill)
-            tables.quality[r, fill] = quality
+        if todo.any():
+            new_ranks, fill = ranks[todo], rows[todo]
+            quality = self._lattice_quality(t, layout.prefixes[new_ranks], fill)
+            tables.quality[new_ranks, fill] = quality
             if tables.beta is not None:
-                cost = self._cost_open(t)[fill][:, layout.free[r]]
-                tables.beta[r, fill] = _block_threshold(quality, cost, prefix == 0)
-            tables.filled[r, fill] = True
+                cost = self._cost_open(t)[fill[:, None], layout.free[new_ranks]]
+                tables.beta[new_ranks, fill] = _block_threshold(quality, cost, t == 0)
+            tables.filled[new_ranks, fill] = True
         beta = None if tables.beta is None else tables.beta[ranks, rows]
         return tables.quality[ranks, rows], beta
 
-    def _lattice_quality(self, prefix: int, t: int, rows: np.ndarray) -> np.ndarray:
-        """(rows, 2^f) candidate quality per free-model submask given a prefix.
+    def _lattice_quality(self, t: int, prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(rows, 2^f) candidate quality per free-model submask of each row's prefix.
 
-        Column ``s`` scores the supermodel ``prefix | spread(s)``; column 0
-        (the bare prefix) is NaN when the prefix is empty. Sample maxima are
-        accumulated depth first down the tree that links each submask to the
-        one without its lowest bit, one elementwise maximum per submask, so
-        only the ``(chunk, S)`` blocks on one root-to-leaf path, at most
-        f + 1, are kept. Without sampling (NO_EXPECT, or no uncertainty) S
-        is 1 and holds the means.
+        Row i has computed the t models set in ``prefixes[i]``; its column
+        ``s`` scores the supermodel ``prefixes[i] | spread(s)`` over that
+        row's f = k - t free models in ascending order, and column 0 (the
+        bare prefix) is NaN at t = 0. Each row is read in its own regime
+        (``core.regime_steps``) and its draws are gathered as (row, model)
+        blocks, members first, so one depth-first walk over f free models
+        (``_descend``) serves every prefix. Row chunks keep one
+        ``(chunk, k, S)`` block cache-sized. Rows without sampling (NO_EXPECT,
+        or no uncertainty in their regime) take the same walk with S = 1 on
+        the means.
         """
         k = self.table.n_models
-        means, stds = self._regime_state(prefix, t, rows)
-        free = [i for i in range(k) if not prefix >> i & 1]
-        pcols = [i for i in range(k) if prefix >> i & 1]
-        f = len(free)
-        n = rows.size
-        out = np.full((n, 1 << f), np.nan)
-        sampled = not (self.variant is Variant.NO_EXPECT or np.all(stds == 0))
-        n_samples = 2 * self.mc.half if sampled else 1
-        chunk = max(8, int(4_000_000 // (n_samples * (1 << f))) or 8)
-
-        def descend(part, vals, sub, low, block):
-            for j in range(low):  # children of sub: one more bit below its lowest
-                sm = vals[:, free[j]] if block is None else np.maximum(block, vals[:, free[j]])
-                out[part, sub | 1 << j] = sm.mean(axis=1)
-                descend(part, vals, sub | 1 << j, j, sm)
-
-        for start in range(0, n, chunk):
-            part = slice(start, min(start + chunk, n))
-            vals = means[part, :, None]
-            if sampled:
-                vals = vals + stds[None, :, None] * self._draws()[rows[part]]
-            root = vals[:, pcols].max(axis=1) if pcols else None
-            if pcols:
-                out[part, 0] = root.mean(axis=1)
-            descend(part, vals, 0, f, root)
+        idx = np.arange(k)
+        computed = (prefixes[:, None] >> idx) & 1 == 1
+        # per row, its t members then its f free models, each ascending
+        cols = np.argsort(~computed, axis=1, kind="stable")
+        steps = np.take_along_axis(regime_steps(computed, t), cols, axis=1)
+        means = self.table.quality_mean[rows[:, None], steps, cols]
+        stds = self.sigma[cols, steps]
+        sampled = (stds != 0).any(axis=1) & (self.variant is not Variant.NO_EXPECT)
+        f = k - t
+        out = np.empty((rows.size, 1 << f))
+        for group, n_samples in ((np.flatnonzero(~sampled), 1), (np.flatnonzero(sampled), 2 * self.mc.half)):
+            for part in _row_chunks(group.size, n_samples):
+                sel = group[part]
+                if n_samples == 1:
+                    vals = means[sel, :, None]
+                else:
+                    vals = self._draws()[rows[sel, None], cols[sel]]
+                    vals *= stds[sel, :, None]
+                    vals += means[sel, :, None]
+                block = np.empty((sel.size, 1 << f))
+                root = vals[:, :t].max(axis=1) if t else None
+                block[:, 0] = np.nan if root is None else root.mean(axis=1)
+                _descend(block, vals[:, t:], 0, f, root)
+                out[sel] = block
         return out
 
     # -- one decision step ----------------------------------------------------
@@ -468,11 +505,22 @@ class BatchCascadeEngine:
         return self.table.true_quality[np.arange(self.table.n_queries), result.answer]
 
     def run_metrics(self, lambdas: Sequence[float], pick: Pick) -> tuple[float, float]:
-        result = self.run(lambdas, pick)
-        return (
-            float(self.realized_quality(result).mean()),
-            float(result.realized_cost.mean()),
-        )
+        """Realized mean (quality, cost) of one run, memoized per (prices, pick).
+
+        A run is deterministic, so a repeated call returns the stored pair of
+        floats without running again; no ``RunResult`` is kept.
+        """
+        check_decision_inputs(self.table.n_models, lambdas=lambdas)
+        key = (tuple(float(lam) for lam in lambdas), pick)
+        metrics = self._metrics_cache.get(key)
+        if metrics is None:
+            result = self.run(lambdas, pick)
+            metrics = (
+                float(self.realized_quality(result).mean()),
+                float(result.realized_cost.mean()),
+            )
+            self._metrics_cache[key] = metrics
+        return metrics
 
     def params_metrics(self, params: StrategyParams) -> tuple[float, float]:
         """Realized (quality, cost) of the mixed strategy, exact in gamma.

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 
 import numpy as np
@@ -362,6 +363,68 @@ class TestRunCascadeRoute:
             prefixes = {tuple(sorted(result.executed_list(q)[:2])) for q in range(t.n_queries)}
             assert len(calls) == steps <= k and len(prefixes) > 1, variant
 
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 5),
+        k=st.integers(1, 8),
+        variant=st.sampled_from(list(Variant)),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batch_engine_agrees_with_per_query_property(self, seed, n, k, variant, data):
+        rng = np.random.default_rng(seed)
+        t = random_table(rng, n=n, k=k, step_varying=True)
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=64, seed=seed)
+        lambdas = data.draw(st.lists(st.sampled_from(PRICE_LADDER), min_size=k, max_size=k))
+        params = StrategyParams(lambdas=tuple(lambdas), gamma=1.0)
+        engine = BatchCascadeEngine(t, sigma, mc, variant)
+        for pick in Pick:
+            batch = engine.run(params.lambdas, pick)
+            for q in range(n):
+                assert_same_decision(run_cascade_route(t, q, params, sigma, variant, mc, pick=pick), batch, q)
+
+    def test_cold_run_fills_once_per_step(self, rng, monkeypatch):
+        k = 6
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        for variant in Variant:
+            engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=64, seed=31), variant)
+            prefixes_per_fill = []
+            fill = engine._lattice_quality
+            monkeypatch.setattr(
+                engine, "_lattice_quality",
+                lambda step, masks, rows: prefixes_per_fill.append(np.unique(masks).size)
+                or fill(step, masks, rows),
+            )
+            result = engine.run([0.05] * k, Pick.MAX_COST)
+            monkeypatch.undo()
+            steps = int(np.minimum(result.n_executed, k - 1).max()) + 1
+            assert len(prefixes_per_fill) == steps and max(prefixes_per_fill) > 1, variant
+
+    def test_cold_lattice_run_leaves_no_cyclic_garbage(self, rng):
+        k = 6
+        t = random_table(rng, n=40, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        gc.collect()
+        gc.disable()
+        try:
+            BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=64, seed=37)).run([0.05] * k, Pick.MAX_COST)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_run_metrics_runs_each_price_once(self, rng, monkeypatch):
+        k = 4
+        t = random_table(rng, n=20, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=64, seed=61))
+        runs = []
+        run = engine.run
+        monkeypatch.setattr(engine, "run", lambda lams, pick: runs.append(1) or run(lams, pick))
+        first = [engine.run_metrics([lam] * k, pick) for lam in PRICE_LADDER for pick in Pick]
+        again = [engine.run_metrics(np.full(k, lam), pick) for lam in PRICE_LADDER for pick in Pick]
+        assert again == first and len(runs) == len(first)
+
     def test_query_without_executed_model_raises(self, rng):
         t = random_table(rng, n=6, k=3)
         engine = BatchCascadeEngine(t, np.zeros((3, 4)), MonteCarloConfig(seed=59))
@@ -471,19 +534,46 @@ class TestEngineMatchesScalarExactly:
         "prefix_members, step, k", [((1,), 1, 4), ((0, 2), 2, 4), ((3,), 1, 4), ((), 0, 6)]
     )
     def test_lattice_quality_out_of_order_prefix(self, rng, prefix_members, step, k):
+        # one fill call covers rows holding different prefixes of the step:
+        # even rows hold the named prefix, odd rows cycle through all of them
         t = random_table(rng, n=12, k=k, step_varying=True)
         sigma = rng.uniform(0.05, 0.35, (k, k + 1))
         mc = MonteCarloConfig(seed=43)
         engine = BatchCascadeEngine(t, sigma, mc)
-        prefix = sum(1 << m for m in prefix_members)
-        free = [m for m in range(k) if m not in prefix_members]
-        got = engine._lattice_quality(prefix, step, np.arange(t.n_queries))
-        assert np.isnan(got[:, 0]).all() == (prefix == 0)  # the bare empty prefix is no candidate
-        for q in range(t.n_queries):
-            ev = scalar_evaluator(t, q, step, sigma, list(prefix_members), mc)
-            for sub in range(1 if prefix == 0 else 0, 1 << len(free)):
+        step_prefixes = list(itertools.combinations(range(k), step))
+        held = [prefix_members if q % 2 == 0 else step_prefixes[q // 2 % len(step_prefixes)]
+                for q in range(t.n_queries)]
+        assert len(set(held)) == len(step_prefixes)
+        masks = np.array([sum(1 << m for m in p) for p in held], dtype=np.int64)
+        got = engine._lattice_quality(step, masks, np.arange(t.n_queries))
+        assert np.isnan(got[:, 0]).all() == (step == 0)  # the bare empty prefix is no candidate
+        for q, members_q in enumerate(held):
+            ev = scalar_evaluator(t, q, step, sigma, list(members_q), mc)
+            free = [m for m in range(k) if m not in members_q]
+            for sub in range(1 if step == 0 else 0, 1 << len(free)):
                 added = [m for j, m in enumerate(free) if sub >> j & 1]
-                assert got[q, sub] == ev.expected_max(list(prefix_members) + added)
+                assert got[q, sub] == ev.expected_max(list(members_q) + added)
+
+    def test_lattice_quality_mixes_exact_and_sampled_rows(self, rng):
+        # at step 1 prefix {0} reads every model from slice 1, which has no
+        # uncertainty, so its rows take the exact max of means; prefix {1}
+        # reads slices 0 and 2 and is sampled, in the same fill call
+        k = 3
+        t = random_table(rng, n=8, k=k, step_varying=True)
+        sigma = rng.uniform(0.05, 0.35, (k, k + 1))
+        sigma[:, 1] = 0.0
+        mc = MonteCarloConfig(seed=47)
+        held = [(0,), (1,)] * 4
+        masks = np.array([1 << p[0] for p in held], dtype=np.int64)
+        got = BatchCascadeEngine(t, sigma, mc)._lattice_quality(1, masks, np.arange(t.n_queries))
+        for q, members_q in enumerate(held):
+            est = StepEstimates.from_table(t, q, 1, sigma, list(members_q))
+            ev = scalar_evaluator(t, q, 1, sigma, list(members_q), mc)
+            free = [m for m in range(k) if m not in members_q]
+            for sub in range(1 << len(free)):
+                cand = list(members_q) + [m for j, m in enumerate(free) if sub >> j & 1]
+                want = est.quality_mean[cand].max() if members_q == (0,) else ev.expected_max(cand)
+                assert got[q, sub] == want
 
 
 class TestRowPermutation:
