@@ -54,7 +54,6 @@ from .harness import (
     SweepReport,
     auc,
     budget_grid,
-    linear_interp_baseline,
     load_csv,
     run_sweep,
     split_dataset,

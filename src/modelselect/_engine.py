@@ -2,22 +2,27 @@
 
 Candidate supermodels are bitmasks over model indices. At decision step t
 every still-active query has computed exactly t models, so every query
-scores the same number of candidates: its computed prefix plus each submask
-of its f = k - t free models. One step is therefore one selection over an
-``(active rows, 2^f)`` score matrix, whatever mix of prefixes the rows hold.
+scores the same number of candidates: its computed prefix extended by each
+column of the step's layout (``_StepLayout``). Cascade routing scores every
+submask of its f = k - t free models, 2^f columns; cascading is cascade
+routing restricted to chain prefixes, so a chain-only step has the one
+prefix of the first t models and f + 1 columns, the bare prefix and each
+longer chain prefix. One step is therefore one selection over an
+``(active rows, columns)`` score matrix, whatever mix of prefixes the rows
+hold, and both strategies share it.
 
 Everything about a prefix that does not depend on the price is cached per
-step, as two ``(C(k, t), n, 2^f)`` tables indexed by prefix rank (the
-prefix's position among the C(k, t) masks with t bits), table row and
-free-model submask:
+step, in ``(prefixes, n, columns)`` tables indexed by prefix rank (the
+prefix's position in the layout), table row and column:
 
 - the expected-max quality of every candidate, from the query's shared
   Monte Carlo draws;
-- the block threshold ``beta``: the smallest marginal gain per unit cost,
-  ``(q(T) - q(T - {j})) / c_j``, over every subset T of the candidate and
-  member j of T. The sunk cost cancels from a marginal gain, so pruning at
-  price ``lam`` is the single test ``lam > beta``; it removes each candidate
-  with a negative marginal gain together with all its supersets.
+- for pruning cascade routing, the block threshold ``beta``: the smallest
+  marginal gain per unit cost, ``(q(T) - q(T - {j})) / c_j``, over every
+  subset T of the candidate and member j of T. The sunk cost cancels from a
+  marginal gain, so pruning at price ``lam`` is the single test
+  ``lam > beta``; it removes each candidate with a negative marginal gain
+  together with all its supersets. Chains never prune.
 
 A step's tables are allocated when the step is first reached, and a
 (prefix, row) pair is filled the first time its query reaches the prefix, so
@@ -25,11 +30,10 @@ only reached pairs are ever computed, and every later run at any price,
 pick or budget reads them back with one gather. That reuse is what makes
 fitting affordable. The pairs a run reaches for the first time at a step
 are filled together, whatever prefixes they hold: every row has f free
-models, so one depth-first walk over f free-model slots serves them all.
-Chain-only engines cache the expected maxima of chain prefixes per step
-instead, built with a running elementwise maximum. Both cold fills work
-through the rows in chunks, so their working copy of the scaled draws is
-one cache-sized ``(chunk, k, S)`` block.
+models, so one walk over f free-model slots serves them all, depth first
+over the submask tree for the lattice and a running maximum for a chain.
+The cold fill works through the rows in chunks, so its working copy of the
+scaled draws is one cache-sized ``(chunk, k, S)`` block.
 
 ``run_metrics`` keeps the realized (quality, cost) means of every
 (prices, pick) it has run, since fitting asks for the same run again.
@@ -100,7 +104,6 @@ class _LatticeTables:
     bit_set: np.ndarray  # (k, 2^k) bool
     parent: np.ndarray  # (k, 2^k) int, mask with bit m cleared
     popcount: np.ndarray  # (2^k,)
-    rank: np.ndarray  # (2^k,) position of a mask among the masks of its popcount
 
 
 @lru_cache(maxsize=None)
@@ -109,43 +112,55 @@ def _lattice_tables(k: int) -> _LatticeTables:
     bit_set = ((masks[None, :] >> np.arange(k)[:, None]) & 1).astype(bool)
     bits = bit_set.T.astype(np.float64)
     parent = masks[None, :] & ~(np.int64(1) << np.arange(k, dtype=np.int64))[:, None]
-    popcount = bit_set.sum(axis=0)
-    rank = np.empty_like(masks)
-    for t in range(k + 1):
-        rank[popcount == t] = np.arange(np.count_nonzero(popcount == t))
-    return _LatticeTables(masks, bits, bit_set, parent, popcount, rank)
+    return _LatticeTables(masks, bits, bit_set, parent, bit_set.sum(axis=0))
 
 
 @dataclass(frozen=True)
 class _StepLayout:
-    """The prefixes of step t (t models computed) in rank order, and their lattices."""
+    """The prefixes of step t (t models computed) in rank order, and their candidates.
 
-    prefixes: np.ndarray  # (C(k,t),) ascending
-    free: np.ndarray  # (C(k,t), f) free models of each prefix, ascending
-    full_masks: np.ndarray  # (C(k,t), 2^f) candidate mask of each free-model submask
+    Column s of a prefix is the candidate that adds the free models set in
+    ``bits[s]``. The lattice has every prefix with t bits and every submask
+    of its f = k - t free models, in ascending submask order, which is
+    ascending in the full candidate mask. A chain has the one prefix
+    ``(1 << t) - 1`` and f + 1 columns, the bare prefix and each longer chain
+    prefix, so its ``bits`` are lower-triangular. Column 0 is always the bare
+    prefix.
+    """
+
+    prefixes: np.ndarray  # (P,) ascending: C(k, t) for the lattice, 1 for a chain
+    free: np.ndarray  # (P, f) free models of each prefix, ascending
+    bits: np.ndarray  # (columns, f) float, free models each column adds
+    full_masks: np.ndarray  # (P, columns) candidate mask of each column
 
 
 @lru_cache(maxsize=None)
-def _step_layout(k: int, t: int) -> _StepLayout:
-    tabs = _lattice_tables(k)
-    prefixes = tabs.masks[tabs.popcount == t]
-    free = np.nonzero(~tabs.bit_set[:, prefixes].T)[1].reshape(prefixes.size, k - t)
-    submasks = _lattice_tables(k - t).bit_set.T.astype(np.int64)
-    full_masks = prefixes[:, None] + (np.int64(1) << free) @ submasks.T
-    return _StepLayout(prefixes, free, full_masks)
+def _step_layout(k: int, t: int, chain: bool) -> _StepLayout:
+    f = k - t
+    if chain:
+        prefixes = np.array([(1 << t) - 1], dtype=np.int64)
+        free = np.arange(t, k, dtype=np.int64)[None, :]
+        bits = np.tri(f + 1, f, -1)
+    else:
+        tabs = _lattice_tables(k)
+        prefixes = tabs.masks[tabs.popcount == t]
+        free = np.nonzero(~tabs.bit_set[:, prefixes].T)[1].reshape(prefixes.size, f)
+        bits = _lattice_tables(f).bits
+    full_masks = prefixes[:, None] + (np.int64(1) << free) @ bits.T.astype(np.int64)
+    return _StepLayout(prefixes, free, bits, full_masks)
 
 
 @dataclass(frozen=True)
 class _StepTables:
     """Price-independent tables of every prefix of one step, filled by (prefix, row).
 
-    Axes are prefix rank, the engine's table row and the free-model submask;
+    Axes are prefix rank, the engine's table row and the layout column;
     only pairs whose ``filled`` flag is set hold computed values.
     """
 
-    quality: np.ndarray  # (C(k,t), n, 2^f) expected-max quality of prefix | submask
-    beta: Optional[np.ndarray]  # (C(k,t), n, 2^f) block threshold; None when not pruning
-    filled: np.ndarray  # (C(k,t), n) bool
+    quality: np.ndarray  # (P, n, columns) expected-max quality of each candidate
+    beta: Optional[np.ndarray]  # (P, n, columns) block threshold; None when not pruning
+    filled: np.ndarray  # (P, n) bool
 
 
 def _block_threshold(quality: np.ndarray, cost: np.ndarray, empty_prefix: bool) -> np.ndarray:
@@ -204,6 +219,17 @@ def _descend(out: np.ndarray, vals: np.ndarray, sub: int, low: int, block: Optio
         _descend(out, vals, child, j, sm)
 
 
+def _ascend(out: np.ndarray, vals: np.ndarray, block: Optional[np.ndarray]) -> None:
+    """Fill ``out[:, j + 1]`` for the chain that adds free models 0..j.
+
+    ``vals`` and ``block`` are as in ``_descend``; the chain's blocks are
+    one running sample maximum over the free models in order.
+    """
+    for j in range(vals.shape[1]):
+        block = vals[:, j] if block is None else np.maximum(block, vals[:, j])
+        out[:, j + 1] = block.mean(axis=1)
+
+
 @dataclass
 class RunResult:
     """Per-query outcome of one deterministic cascade run."""
@@ -221,12 +247,14 @@ class BatchCascadeEngine:
     """Runs a whole table through a cascade (routing) strategy at once.
 
     ``chain_only`` restricts candidates to chain prefixes of the model order
-    and always executes the next chain model, which is exactly the plain
-    cascading strategy. Plain cascading answers with the last computed
-    model; cascade routing is not bound by that restriction and answers
-    with ``EstimateTable.best_computed``. Expected-max columns depend only
-    on the table, the uncertainty matrix and the step, so one engine
-    instance can be reused across budgets and hyperparameter evaluations.
+    (the chain ``_StepLayout``) and always executes the next chain model,
+    which is exactly the plain cascading strategy. Plain cascading answers
+    with the last computed model; cascade routing is not bound by that
+    restriction and answers with ``EstimateTable.best_computed``. Both
+    score, cache and select through the same step tables. Expected-max
+    columns depend only on the table, the uncertainty matrix and the step,
+    so one engine instance can be reused across budgets and hyperparameter
+    evaluations.
     """
 
     def __init__(
@@ -244,7 +272,6 @@ class BatchCascadeEngine:
         self.variant = variant
         self.chain_only = chain_only
         self._z: Optional[np.ndarray] = None
-        self._chain_quality_cache: dict[int, np.ndarray] = {}
         self._step_cache: dict[int, _StepTables] = {}
         self._cost_open_cache: dict[int, np.ndarray] = {}
         self._metrics_cache: dict[tuple[tuple[float, ...], Pick], tuple[float, float]] = {}
@@ -260,30 +287,8 @@ class BatchCascadeEngine:
             self._z = z
         return self._z
 
-    def _chain_quality(self, t: int) -> np.ndarray:
-        """(n, k) column i: quality of the chain prefix of length i + 1.
-
-        Built row chunk by row chunk, so the working copy of the scaled draws
-        is one cache-sized ``(chunk, k, S)`` block, not a copy of the tensor.
-        """
-        cached = self._chain_quality_cache.get(t)
-        if cached is not None:
-            return cached
-        means = self.table.quality_mean[:, t, :]
-        stds = self.sigma[:, t]
-        if self.variant is Variant.NO_EXPECT or np.all(stds == 0):
-            out = np.maximum.accumulate(means, axis=1)
-        else:
-            z = self._draws()
-            out = np.empty(means.shape)
-            for part in _row_chunks(z.shape[0], z.shape[2]):
-                vals = z[part] * stds[None, :, None]
-                vals += means[part, :, None]
-                for i in range(1, vals.shape[1]):
-                    np.maximum(vals[:, i - 1], vals[:, i], out=vals[:, i])
-                out[part] = vals.mean(axis=2)
-        self._chain_quality_cache[t] = out
-        return out
+    def _layout(self, t: int) -> _StepLayout:
+        return _step_layout(self.table.n_models, t, self.chain_only)
 
     def _cost_open(self, t: int) -> np.ndarray:
         """(n, k) estimated cost of model i while still uncomputed at step t."""
@@ -297,22 +302,22 @@ class BatchCascadeEngine:
     def _step_tables(
         self, t: int, ranks: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(quality, beta) of each row given its prefix rank at step t, each (rows, 2^f).
+        """(quality, beta) of each row given its prefix rank at step t, each (rows, columns).
 
         Both tables are price-independent and cached per step; a (prefix, row)
         pair is computed the first time the row reaches the prefix and read
         afterwards. All pairs a step reaches for the first time are filled by
         one ``_lattice_quality`` call, whatever prefixes they hold. ``beta``
-        is None for the SLOW variant, which never prunes.
+        is None for chains and the SLOW variant, which never prune.
         """
-        k = self.table.n_models
-        layout = _step_layout(k, t)
+        layout = self._layout(t)
         tables = self._step_cache.get(t)
         if tables is None:
-            shape = (layout.prefixes.size, self.table.n_queries, 1 << (k - t))
+            shape = (layout.prefixes.size, self.table.n_queries, layout.bits.shape[0])
+            prunes = not (self.chain_only or self.variant is Variant.SLOW)
             tables = _StepTables(
                 quality=np.empty(shape),
-                beta=None if self.variant is Variant.SLOW else np.empty(shape),
+                beta=np.empty(shape) if prunes else None,
                 filled=np.zeros(shape[:2], dtype=bool),
             )
             self._step_cache[t] = tables
@@ -329,15 +334,16 @@ class BatchCascadeEngine:
         return tables.quality[ranks, rows], beta
 
     def _lattice_quality(self, t: int, prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """(rows, 2^f) candidate quality per free-model submask of each row's prefix.
+        """(rows, columns) quality of each layout column of each row's prefix.
 
         Row i has computed the t models set in ``prefixes[i]``; its column
-        ``s`` scores the supermodel ``prefixes[i] | spread(s)`` over that
-        row's f = k - t free models in ascending order, and column 0 (the
-        bare prefix) is NaN at t = 0. Each row is read in its own regime
-        (``core.regime_steps``) and its draws are gathered as (row, model)
-        blocks, members first, so one depth-first walk over f free models
-        (``_descend``) serves every prefix. Row chunks keep one
+        ``s`` scores that prefix plus the free models set in the layout's
+        ``bits[s]``, over the row's f = k - t free models in ascending order,
+        and column 0 (the bare prefix) is NaN at t = 0. Each row is read in
+        its own regime (``core.regime_steps``) and its draws are gathered as
+        (row, model) blocks, members first, so one walk over f free models
+        serves every prefix: depth first over the submask tree
+        (``_descend``) or along the chain (``_ascend``). Row chunks keep one
         ``(chunk, k, S)`` block cache-sized. Rows without sampling (NO_EXPECT,
         or no uncertainty in their regime) take the same walk with S = 1 on
         the means.
@@ -352,7 +358,8 @@ class BatchCascadeEngine:
         stds = self.sigma[cols, steps]
         sampled = (stds != 0).any(axis=1) & (self.variant is not Variant.NO_EXPECT)
         f = k - t
-        out = np.empty((rows.size, 1 << f))
+        width = self._layout(t).bits.shape[0]
+        out = np.empty((rows.size, width))
         for group, n_samples in ((np.flatnonzero(~sampled), 1), (np.flatnonzero(sampled), 2 * self.mc.half)):
             for part in _row_chunks(group.size, n_samples):
                 sel = group[part]
@@ -362,72 +369,45 @@ class BatchCascadeEngine:
                     vals = self._draws()[rows[sel, None], cols[sel]]
                     vals *= stds[sel, :, None]
                     vals += means[sel, :, None]
-                block = np.empty((sel.size, 1 << f))
+                block = np.empty((sel.size, width))
                 root = vals[:, :t].max(axis=1) if t else None
                 block[:, 0] = np.nan if root is None else root.mean(axis=1)
-                _descend(block, vals[:, t:], 0, f, root)
+                if self.chain_only:
+                    _ascend(block, vals[:, t:], root)
+                else:
+                    _descend(block, vals[:, t:], 0, f, root)
                 out[sel] = block
         return out
 
     # -- one decision step ----------------------------------------------------
 
-    def _select_chain(self, t, lam, pick, act, sunk):
-        k = self.table.n_models
-        qc = self._chain_quality(t)[act]
-        cm_t = self.table.cost_mean[act, t, :]
-        cum = np.cumsum(cm_t, axis=1)
-        n_act = act.size
-        n_cont = k - t
-        has_stop = t >= 1
-        width = n_cont + (1 if has_stop else 0)
-        tau = np.empty((n_act, width))
-        cost = np.empty((n_act, width))
-        col = 0
-        if has_stop:
-            cost[:, 0] = sunk[act]
-            tau[:, 0] = qc[:, t - 1] - lam * cost[:, 0]
-            col = 1
-        prior = cum[:, t - 1] if t >= 1 else 0.0
-        for i0 in range(t, k):
-            added = cum[:, i0] - prior
-            cost[:, col] = sunk[act] + added
-            tau[:, col] = qc[:, i0] - lam * cost[:, col]
-            col += 1
-        valid = np.ones_like(tau, dtype=bool)
-        choice = argmax_tradeoff_rows(tau, cost, valid, pick)
-        if has_stop:
-            length = np.where(choice == 0, t, t + choice)
-        else:
-            length = t + choice + 1
-        chain_masks = (np.int64(1) << length.astype(np.int64)) - 1
-        return chain_masks
-
     def _select_lattice(self, t, lam, pick, act, prefix_mask, sunk):
         """Pick one candidate supermodel per active query.
 
         Every active query has computed exactly t models, so each scores the
-        same 2^(k-t) columns: its prefix plus each submask of its free models,
-        in ascending free-submask order, which is ascending in the full
-        candidate mask and so implements the lowest-id residual tie-break.
-        Quality and block thresholds are gathered from the step's tables by
-        (prefix rank, row); a candidate is pruned when ``lam > beta``, which
-        is the negative-marginal-gain rule closed over supersets. One
-        selection covers all prefixes of the step.
+        same columns of the step's layout: for cascade routing its prefix
+        plus each submask of its free models, for a chain its prefix and
+        each longer chain prefix. Columns are ascending in the full candidate
+        mask, which implements the lowest-id residual tie-break. Quality and
+        block thresholds are gathered from the step's tables by (prefix
+        rank, row) and a column's added cost is a product with the layout's
+        ``bits``; a candidate is pruned when ``lam > beta``, which is the
+        negative-marginal-gain rule closed over supersets, and the GREEDY
+        variant keeps only the lattice columns adding at most one model.
+        One selection covers all prefixes of the step.
         """
-        k = self.table.n_models
-        layout = _step_layout(k, t)
-        ranks = _lattice_tables(k).rank[prefix_mask[act]]
+        layout = self._layout(t)
+        ranks = np.searchsorted(layout.prefixes, prefix_mask[act])
         quality, beta = self._step_tables(t, ranks, act)
-        tabs = _lattice_tables(k - t)
-        added = np.take_along_axis(self._cost_open(t)[act], layout.free[ranks], axis=1) @ tabs.bits.T
+        added = np.take_along_axis(self._cost_open(t)[act], layout.free[ranks], axis=1) @ layout.bits.T
         cost = sunk[act][:, None] + added
         tau = quality - lam * cost
 
         selectable = np.ones(tau.shape, dtype=bool)
         if t == 0:
             selectable[:, 0] = False  # running nothing is never a candidate
-        if self.variant is Variant.GREEDY:
-            selectable &= tabs.popcount[None, :] <= 1
+        if self.variant is Variant.GREEDY and not self.chain_only:
+            selectable &= _lattice_tables(layout.free.shape[1]).popcount <= 1
         if beta is not None:
             selectable &= ~(lam > beta)
 
@@ -466,10 +446,7 @@ class BatchCascadeEngine:
                 finish(act, t)
                 break
             lam = float(lams[t])
-            if self.chain_only:
-                chosen = self._select_chain(t, lam, pick, act, sunk)
-            else:
-                chosen = self._select_lattice(t, lam, pick, act, prefix_mask, sunk)
+            chosen = self._select_lattice(t, lam, pick, act, prefix_mask, sunk)
             stay = chosen == prefix_mask[act]
             finish(act[stay], t)
             go = act[~stay]

@@ -26,8 +26,9 @@ def check_budget_floor(budget: float, floor: float, infeasible_msg: str) -> floa
     Raises ``ValueError(infeasible_msg)`` when the budget is below the floor
     by more than a relative 1e-9; a budget within that tolerance is raised
     to the floor, so rounding in the floor cannot reject a budget set to it.
+    The tolerance scales with the floor, so it holds at any cost unit.
     """
-    if budget < floor - 1e-9 * (1.0 + abs(floor)):
+    if budget < floor - 1e-9 * floor:
         raise ValueError(infeasible_msg)
     return max(budget, floor)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ._engine import BatchCascadeEngine, Variant, check_decision_inputs
-from ._fitting import check_budget_floor
+from ._fitting import LAMBDA_CAP, check_budget_floor
 from .cascading import StepEstimates, _fit_prices, decision_trace, estimate_sigma
 from .core import (
     DecisionTrace,
@@ -295,10 +295,13 @@ def route_floor_cost(
     mc: Optional[MonteCarloConfig] = None,
     engine: Optional[BatchCascadeEngine] = None,
 ) -> float:
-    """Realized cost of the cheapest strategy: pick cheap, stop immediately."""
+    """Realized cost of the cheapest strategy: pick cheap, stop immediately.
+
+    Priced at ``LAMBDA_CAP``, the highest price the budget bisection tries,
+    so the floor is what fitting can reach whatever the unit of cost.
+    """
     engine = engine or BatchCascadeEngine(table, sigma, mc)
-    huge = 2.0**40
-    return engine.run_metrics([huge] * table.n_models, Pick.MIN_COST)[1]
+    return engine.run_metrics([LAMBDA_CAP] * table.n_models, Pick.MIN_COST)[1]
 
 
 def fit_cascade_router(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._engine import BatchCascadeEngine, RunResult, Variant, check_decision_inputs
+from ._engine import BatchCascadeEngine, Variant, check_decision_inputs
 from ._fitting import check_budget_floor, fit_budget_mixture
 from .core import (
     DecisionTrace,
@@ -275,36 +275,31 @@ def threshold_cascade(table: EstimateTable, q: int, thresholds: Sequence[float])
     return decision_trace(table, q, executed, executed[-1])
 
 
-def _threshold_batch(table: EstimateTable, thresholds: np.ndarray) -> RunResult:
-    n, k = table.n_queries, table.n_models
+def _threshold_batch(table: EstimateTable, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(answer, realized cost) per query of the threshold cascade on the whole table."""
+    n = table.n_queries
     known = table.computed_cost
     last = np.zeros(n, dtype=np.int64)
     sunk = known[:, 0].copy()
-    n_exec = np.ones(n, dtype=np.int64)
-    exec_order = np.full((n, k), -1, dtype=np.int64)
-    exec_order[:, 0] = 0
     active = np.ones(n, dtype=bool)
-    for t in range(1, k):
+    for t in range(1, table.n_models):
         est = table.quality_mean[np.arange(n), t, last]
-        stop_now = active & (est >= thresholds[t])
-        active &= ~stop_now
+        active &= ~(est >= thresholds[t])
         go = np.flatnonzero(active)
         if go.size == 0:
             break
         last[go] = t
         sunk[go] += known[go, t]
-        exec_order[go, t] = t
-        n_exec[go] += 1
-    return RunResult(answer=last, exec_order=exec_order, n_executed=n_exec, realized_cost=sunk)
+    return last, sunk
 
 
 def threshold_metrics(table: EstimateTable, thresholds) -> tuple[float, float]:
     """Realized (quality, cost) of a threshold cascade on the whole table."""
     if table.true_quality is None:
         raise ValueError("realized quality needs ground truth in the table")
-    result = _threshold_batch(table, _check_thresholds(table, thresholds))
-    quality = table.true_quality[np.arange(table.n_queries), result.answer]
-    return float(quality.mean()), float(result.realized_cost.mean())
+    answer, cost = _threshold_batch(table, _check_thresholds(table, thresholds))
+    quality = table.true_quality[np.arange(table.n_queries), answer]
+    return float(quality.mean()), float(cost.mean())
 
 
 def fit_threshold_cascade(

@@ -233,15 +233,8 @@ def _model_mean_costs(table, indices=None) -> np.ndarray:
     return costs.mean(axis=0)
 
 
-def _model_mean_qualities(table, indices=None) -> np.ndarray:
-    if isinstance(table, TrueTable):
-        quality = table.quality
-    elif table.true_quality is not None:
-        quality = table.true_quality
-    else:
-        quality = table.quality_mean[:, 0, :]
-    if indices is not None:
-        quality = quality[np.asarray(indices)]
+def _model_mean_qualities(table: EstimateTable) -> np.ndarray:
+    quality = table.true_quality if table.true_quality is not None else table.quality_mean[:, 0, :]
     return quality.mean(axis=0)
 
 
@@ -281,21 +274,6 @@ def pareto_indices(costs: np.ndarray, qualities: np.ndarray) -> list[int]:
             kept.append(int(i))
             best = float(qualities[i])
     return kept
-
-
-def pareto_frontier(costs: np.ndarray, qualities: np.ndarray) -> list[tuple[float, float]]:
-    """Upper frontier points: models not dominated in both cost and quality."""
-    return [(float(costs[i]), float(qualities[i])) for i in pareto_indices(costs, qualities)]
-
-
-def linear_interp_baseline(table, budget: float, indices=None) -> float:
-    """Piecewise-linear quality at ``budget`` along the model Pareto frontier."""
-    mean_cost = _model_mean_costs(table, indices)
-    mean_quality = _model_mean_qualities(table, indices)
-    frontier = pareto_frontier(mean_cost, mean_quality)
-    xs = np.array([c for c, _ in frontier])
-    ys = np.array([q for _, q in frontier])
-    return float(np.interp(budget, xs, ys))
 
 
 def _interp_mixture(frontier: list[tuple[float, float]], budget: float):
@@ -584,47 +562,20 @@ class BenchmarkConfig:
         return Variant(self.variant.replace("-", "_"))
 
     def to_dict(self) -> dict:
-        noise = self.noise
-        if isinstance(noise, NoiseSpec):
-            noise = asdict(noise)
-        return {
-            "data": self.data,
-            "noise": noise,
-            "splits": list(self.splits),
-            "budget_points": self.budget_points,
-            "strategies": list(self.strategies),
-            "variant": self.variant,
-            "seed": self.seed,
-            "search": dict(self.search),
-            "mc_samples": self.mc_samples,
-            "output": self.output,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if isinstance(self.noise, NoiseSpec):
+            d["noise"] = asdict(self.noise)
+        d.update(splits=list(self.splits), strategies=list(self.strategies), search=dict(self.search))
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "BenchmarkConfig":
-        known = {
-            "data",
-            "noise",
-            "splits",
-            "budget_points",
-            "strategies",
-            "variant",
-            "seed",
-            "search",
-            "mc_samples",
-            "output",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(BenchmarkConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "data" not in d:
             raise ValueError("config requires a data entry")
-        kwargs = {k: v for k, v in d.items() if k in known}
-        if "splits" in kwargs:
-            kwargs["splits"] = tuple(kwargs["splits"])
-        if "strategies" in kwargs:
-            kwargs["strategies"] = tuple(kwargs["strategies"])
-        return BenchmarkConfig(**kwargs)
+        return BenchmarkConfig(**d)
 
 
 # -- report ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from .core import StrategyParams
 
 _STREAM_SEARCH = 0x53
 
+# A point is feasible when its cost is at most budget * (1 + FEASIBILITY_SLACK).
 FEASIBILITY_SLACK = 1e-9
 
 # Floor for log-space proposals so a zero price can still move.
@@ -51,13 +52,14 @@ def _local_search(
     rng: np.random.Generator,
 ) -> np.ndarray:
     quality, cost = evaluate(x0)
-    if cost > budget + FEASIBILITY_SLACK:
+    limit = budget * (1.0 + FEASIBILITY_SLACK)
+    if cost > limit:
         raise ValueError("initial point violates budget")
     best_x, best_q = x0, quality
     for _ in range(max_evals):
         cand = propose(best_x, rng)
         q, c = evaluate(cand)
-        if c <= budget + FEASIBILITY_SLACK and q > best_q:
+        if c <= limit and q > best_q:
             best_x, best_q = cand, q
     return best_x
 

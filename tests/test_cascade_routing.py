@@ -388,8 +388,8 @@ class TestRunCascadeRoute:
         k = 6
         t = random_table(rng, n=60, k=k, step_varying=True)
         sigma = rng.uniform(0, 0.35, (k, k + 1))
-        for variant in Variant:
-            engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=64, seed=31), variant)
+        for variant, chain_only in itertools.product(Variant, (False, True)):
+            engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=64, seed=31), variant, chain_only)
             prefixes_per_fill = []
             fill = engine._lattice_quality
             monkeypatch.setattr(
@@ -398,9 +398,11 @@ class TestRunCascadeRoute:
                 or fill(step, masks, rows),
             )
             result = engine.run([0.05] * k, Pick.MAX_COST)
+            engine.run([0.05] * k, Pick.MAX_COST)  # warm: reads what the cold run filled
             monkeypatch.undo()
             steps = int(np.minimum(result.n_executed, k - 1).max()) + 1
-            assert len(prefixes_per_fill) == steps and max(prefixes_per_fill) > 1, variant
+            assert len(prefixes_per_fill) == steps, (variant, chain_only)
+            assert chain_only or max(prefixes_per_fill) > 1, variant
 
     def test_cold_lattice_run_leaves_no_cyclic_garbage(self, rng):
         k = 6
@@ -517,17 +519,20 @@ class TestEngineMatchesScalarExactly:
     """The engine's expected maxima are the scalar evaluator's, bit for bit."""
 
     def test_chain_quality(self, rng):
+        # a chain-only step has one prefix; its column j is the chain of length step + j
         k = 5
         t = random_table(rng, n=16, k=k, step_varying=True)
         sigma = rng.uniform(0.05, 0.35, (k, k + 1))
         mc = MonteCarloConfig(seed=41)
         engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+        rows = np.arange(t.n_queries)
         for step in range(k):
-            got = engine._chain_quality(step)
-            for q in range(t.n_queries):
+            got, beta = engine._step_tables(step, np.zeros_like(rows), rows)
+            assert beta is None and got.shape == (t.n_queries, k - step + 1)
+            for q in rows:
                 ev = scalar_evaluator(t, q, step, sigma, list(range(step)), mc)
-                for i in range(k):
-                    assert got[q, i] == ev.expected_max(range(i + 1))
+                for length in range(max(step, 1), k + 1):
+                    assert got[q, length - step] == ev.expected_max(range(length))
 
     # the empty prefix at k=6 walks the deepest submask tree
     @pytest.mark.parametrize(

@@ -14,9 +14,9 @@ from modelselect.harness import (
     SweepReport,
     auc,
     budget_grid,
-    linear_interp_baseline,
+    _interp_mixture,
     load_csv,
-    pareto_frontier,
+    pareto_indices,
     prepare_run,
     run_sweep,
     split_dataset,
@@ -166,32 +166,30 @@ class TestAuc:
 
 
 class TestLinearInterpBaseline:
-    def table(self):
-        quality = np.tile([0.5, 0.9], (10, 1))
-        cost = np.tile([1.0, 3.0], (10, 1))
-        return TrueTable(np.arange(10), quality, cost)
+    """The frontier and mixture the sweep's linear-interp strategy realizes."""
+
+    frontier = [(1.0, 0.5), (3.0, 0.9)]
 
     def test_midpoint(self):
-        assert linear_interp_baseline(self.table(), 2.0) == pytest.approx(0.7)
+        assert _interp_mixture(self.frontier, 2.0) == ([0, 1], [0.5, 0.5])
 
     def test_dominated_model_ignored(self):
-        quality = np.tile([0.5, 0.4, 0.9], (10, 1))
-        cost = np.tile([1.0, 2.0, 3.0], (10, 1))
-        t = TrueTable(np.arange(10), quality, cost)
-        assert linear_interp_baseline(t, 2.0) == pytest.approx(0.7)
+        costs = np.array([1.0, 2.0, 3.0])
+        quals = np.array([0.5, 0.4, 0.9])
+        assert pareto_indices(costs, quals) == [0, 2]
 
     def test_clamped_beyond_range(self):
-        assert linear_interp_baseline(self.table(), 10.0) == pytest.approx(0.9)
-        assert linear_interp_baseline(self.table(), 0.1) == pytest.approx(0.5)
+        assert _interp_mixture(self.frontier, 10.0) == ([1], [1.0])
+        assert _interp_mixture(self.frontier, 0.1) == ([0], [1.0])
 
     def test_frontier_sorted_and_dominant(self, rng):
         costs = rng.uniform(0.1, 3, 6)
         quals = rng.uniform(0, 1, 6)
-        frontier = pareto_frontier(costs, quals)
-        fc = [c for c, _ in frontier]
-        fq = [q for _, q in frontier]
-        assert fc == sorted(fc)
-        assert fq == sorted(fq)
+        kept = pareto_indices(costs, quals)
+        assert list(costs[kept]) == sorted(costs[kept])
+        assert list(quals[kept]) == sorted(quals[kept])
+        for i in set(range(6)) - set(kept):
+            assert any(costs[j] <= costs[i] and quals[j] >= quals[i] for j in kept)
 
 
 def small_config(**overrides):

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from modelselect._engine import BatchCascadeEngine
 from modelselect._fitting import fit_budget_mixture
 from modelselect.cascade_routing import fit_cascade_router, route_floor_cost
 from modelselect.cascading import (
@@ -8,6 +11,7 @@ from modelselect.cascading import (
     estimate_sigma,
     fit_cascade,
     fit_threshold_cascade,
+    threshold_metrics,
 )
 from modelselect.core import Pick
 from modelselect.montecarlo import (
@@ -18,7 +22,7 @@ from modelselect.montecarlo import (
     mixing_uniform,
     query_normals,
 )
-from modelselect.routing import cheapest_strategy_cost, fit_router
+from modelselect.routing import cheapest_strategy_cost, expected_metrics, fit_router
 from modelselect.search import SearchConfig
 
 from conftest import random_table
@@ -144,8 +148,39 @@ def test_budget_within_tolerance_below_floor_fits_at_floor(rng, fitter):
         "fit_threshold_cascade": (lambda b: fit_threshold_cascade(table, b, search),
                                   cascade_floor_cost(table)),
     }[fitter]
-    # above 1, the gap below exceeds the search's absolute 1e-9 slack
+    # above 1, a gap of 0.5e-9 * (1 + floor) is within the relative 1e-9
+    # floor tolerance and one of 2e-9 * (1 + floor) is not
     assert floor > 1.0
     fit(floor - 0.5e-9 * (1.0 + floor))
     with pytest.raises(ValueError):
         fit(floor - 2e-9 * (1.0 + floor))
+
+
+@pytest.mark.parametrize("s", [20, 40])
+@pytest.mark.parametrize("fitter", ["fit_router", "fit_cascade", "fit_cascade_router",
+                                    "fit_threshold_cascade"])
+def test_fits_meet_budget_at_small_cost_units(rng, fitter, s):
+    # every tolerance is relative, so costs in units of 2^-s fit as in units of 1
+    base = random_table(rng, 300, 5, step_varying=True)
+    table = dataclasses.replace(
+        base, cost_mean=base.cost_mean * 2.0**-s, cost_std=base.cost_std * 2.0**-s,
+        true_cost=base.true_cost * 2.0**-s,
+    )
+    sigma = estimate_sigma(table)
+    mc = MonteCarloConfig(n_samples=64, seed=0)
+    search = SearchConfig(max_evals=50)
+    route_floor = route_floor_cost(table, sigma, mc)
+    assert route_floor == route_floor_cost(base, sigma, mc) * 2.0**-s
+    floor = max(route_floor, cascade_floor_cost(table), cheapest_strategy_cost(table))
+    budget = 1.05 * floor
+    if fitter == "fit_router":
+        cost = expected_metrics(fit_router(table, budget), table)[1]
+    elif fitter == "fit_cascade":
+        params = fit_cascade(table, budget, sigma, mc, search).params
+        cost = BatchCascadeEngine(table, sigma, mc, chain_only=True).params_metrics(params)[1]
+    elif fitter == "fit_cascade_router":
+        params = fit_cascade_router(table, budget, sigma=sigma, mc=mc, search_config=search)
+        cost = BatchCascadeEngine(table, sigma, mc).params_metrics(params)[1]
+    else:
+        cost = threshold_metrics(table, fit_threshold_cascade(table, budget, search))[1]
+    assert cost <= budget * (1 + 1e-9)
