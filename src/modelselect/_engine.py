@@ -22,7 +22,20 @@ prefix's position in the layout), table row and column:
   subset T of the candidate and member j of T. The sunk cost cancels from a
   marginal gain, so pruning at price ``lam`` is the single test
   ``lam > beta``; it removes each candidate with a negative marginal gain
-  together with all its supersets. Chains never prune.
+  together with all its supersets. Chains never prune;
+- the model each column runs next: the cheapest added model by open cost,
+  lowest id on ties, and model t for a chain;
+- per (prefix, row), the answer of a query that stops there:
+  ``EstimateTable.best_computed`` at step t, and model t - 1 for a chain.
+
+Both model tables are int8: candidate and prefix masks are int64, so k is
+at most 64 and every id, and the -1 of "no model", fits.
+
+Each layout also holds the next step's rank of every prefix plus each of
+its free models. A run therefore tracks a query by its prefix rank: a step
+gathers quality and ``beta``, prices the columns, makes one selection, and
+then either stops the query (column 0) with the cached answer or runs the
+cached next model and moves to that model's child rank.
 
 A step's tables are allocated when the step is first reached, and a
 (prefix, row) pair is filled the first time its query reaches the prefix, so
@@ -38,12 +51,17 @@ scaled draws is one cache-sized ``(chunk, k, S)`` block.
 ``run_metrics`` keeps the realized (quality, cost) means of every
 (prices, pick) it has run, since fitting asks for the same run again.
 
-The Monte Carlo draws are held as one ``(n, k, S)`` tensor: row r holds the
-transposed ``query_normals`` matrix of query ``query_ids[r]``, so the S
-samples of each model are contiguous. Reading a model's samples is then a
-contiguous slice, and every expected maximum is a mean over a contiguous
-run of S samples, which sums in the same order as
-``EmaxEvaluator.expected_max`` and so gives the same value to the last bit.
+The Monte Carlo draws are antithetic: the last S/2 samples of a query are
+the negated first S/2. The engine holds only the first half, as one
+``(n, k, S/2)`` tensor: row r holds the transposed first half of the
+``query_normals`` matrix of query ``query_ids[r]``. A fill chunk's block
+is ``(chunk, k, S)``, built in one buffer as ``means + stds * z`` and then
+``means - stds * z``. That equals scaling the full draws to the last bit,
+because IEEE negation is exact: ``(-z) * s == -(z * s)`` and
+``m + -(x) == m - x``. The S samples of each model stay contiguous, so every
+expected maximum is a mean over a contiguous run of S samples, which sums
+in the same order as ``EmaxEvaluator.expected_max`` and so gives the same
+value to the last bit.
 
 This module is internal; the public per-query operations live in
 ``cascading`` and ``cascade_routing`` and are cross-checked against it.
@@ -125,13 +143,14 @@ class _StepLayout:
     ascending in the full candidate mask. A chain has the one prefix
     ``(1 << t) - 1`` and f + 1 columns, the bare prefix and each longer chain
     prefix, so its ``bits`` are lower-triangular. Column 0 is always the bare
-    prefix.
+    prefix. ``child[p, m]`` is the step-(t + 1) rank of prefix p plus its
+    free model m, where a query goes once it runs m.
     """
 
     prefixes: np.ndarray  # (P,) ascending: C(k, t) for the lattice, 1 for a chain
     free: np.ndarray  # (P, f) free models of each prefix, ascending
     bits: np.ndarray  # (columns, f) float, free models each column adds
-    full_masks: np.ndarray  # (P, columns) candidate mask of each column
+    child: np.ndarray  # (P, k) next-step rank of prefix | 1 << m; unused for members m
 
 
 @lru_cache(maxsize=None)
@@ -141,13 +160,15 @@ def _step_layout(k: int, t: int, chain: bool) -> _StepLayout:
         prefixes = np.array([(1 << t) - 1], dtype=np.int64)
         free = np.arange(t, k, dtype=np.int64)[None, :]
         bits = np.tri(f + 1, f, -1)
+        child = np.zeros((1, k), dtype=np.int64)
     else:
         tabs = _lattice_tables(k)
         prefixes = tabs.masks[tabs.popcount == t]
         free = np.nonzero(~tabs.bit_set[:, prefixes].T)[1].reshape(prefixes.size, f)
         bits = _lattice_tables(f).bits
-    full_masks = prefixes[:, None] + (np.int64(1) << free) @ bits.T.astype(np.int64)
-    return _StepLayout(prefixes, free, bits, full_masks)
+        next_rank = np.cumsum(tabs.popcount == t + 1) - 1
+        child = next_rank[prefixes[:, None] | np.int64(1) << np.arange(k)]
+    return _StepLayout(prefixes, free, bits, child)
 
 
 @dataclass(frozen=True)
@@ -160,7 +181,10 @@ class _StepTables:
 
     quality: np.ndarray  # (P, n, columns) expected-max quality of each candidate
     beta: Optional[np.ndarray]  # (P, n, columns) block threshold; None when not pruning
+    next_model: np.ndarray  # (P, n, columns) int8 model each column runs next; -1 in column 0
+    answer: np.ndarray  # (P, n) int8 answer of a query that stops here; -1 at t = 0
     filled: np.ndarray  # (P, n) bool
+    allowed: np.ndarray  # (columns,) bool: not the empty prefix, and one added model for GREEDY
 
 
 def _block_threshold(quality: np.ndarray, cost: np.ndarray, empty_prefix: bool) -> np.ndarray:
@@ -204,10 +228,11 @@ def _row_chunks(n: int, n_samples: int):
 
 
 def _descend(out: np.ndarray, vals: np.ndarray, sub: int, low: int, block: Optional[np.ndarray]) -> None:
-    """Fill ``out`` for each submask that extends ``sub`` by free models below ``low``.
+    """Sum the sample maxima of each submask that extends ``sub`` by free models below ``low``.
 
     ``vals[:, j]`` holds the (rows, S) samples of free model j and ``block``
-    the running sample maximum of ``sub`` (None for the empty submask). Each
+    the running sample maximum of ``sub`` (None for the empty submask); each
+    submask's sum over its S samples goes to its column of ``out``. Each
     child ``sub | 1 << j`` takes one more bit below ``sub``'s lowest, so the
     submask tree is walked depth first and only the blocks on one
     root-to-leaf path, at most f + 1, are alive.
@@ -215,19 +240,40 @@ def _descend(out: np.ndarray, vals: np.ndarray, sub: int, low: int, block: Optio
     for j in range(low):
         child = sub | 1 << j
         sm = vals[:, j] if block is None else np.maximum(block, vals[:, j])
-        out[:, child] = sm.mean(axis=1)
+        np.add.reduce(sm, axis=1, out=out[:, child])
         _descend(out, vals, child, j, sm)
 
 
 def _ascend(out: np.ndarray, vals: np.ndarray, block: Optional[np.ndarray]) -> None:
-    """Fill ``out[:, j + 1]`` for the chain that adds free models 0..j.
+    """Sum the sample maxima of the chain that adds free models 0..j into ``out[:, j + 1]``.
 
     ``vals`` and ``block`` are as in ``_descend``; the chain's blocks are
     one running sample maximum over the free models in order.
     """
     for j in range(vals.shape[1]):
         block = vals[:, j] if block is None else np.maximum(block, vals[:, j])
-        out[:, j + 1] = block.mean(axis=1)
+        np.add.reduce(block, axis=1, out=out[:, j + 1])
+
+
+def _cheapest_added(cost: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """(rows, 2^f) int8 model each lattice column runs next: its cheapest added model.
+
+    ``cost[:, j]`` is the open cost of free model ``free[:, j]`` (ascending
+    ids). Ties go to the lowest id: the lowest free model j of column s runs
+    next unless the column without it holds a cheaper one, so columns are
+    filled from highest j down, one pass per free model. Column 0 adds
+    nothing and holds -1.
+    """
+    f = cost.shape[1]
+    out = np.full((cost.shape[0], 1 << f), -1, dtype=np.int8)
+    best = np.full(out.shape, np.inf)
+    for j in reversed(range(f)):
+        cols = np.arange(1 << j, 1 << f, 2 << j)
+        rest = cols - (1 << j)
+        take = cost[:, j : j + 1] <= best[:, rest]
+        best[:, cols] = np.where(take, cost[:, j : j + 1], best[:, rest])
+        out[:, cols] = np.where(take, free[:, j : j + 1], out[:, rest])
+    return out
 
 
 @dataclass
@@ -274,16 +320,18 @@ class BatchCascadeEngine:
         self._z: Optional[np.ndarray] = None
         self._step_cache: dict[int, _StepTables] = {}
         self._cost_open_cache: dict[int, np.ndarray] = {}
+        self._full_answer: Optional[np.ndarray] = None
         self._metrics_cache: dict[tuple[tuple[float, ...], Pick], tuple[float, float]] = {}
 
     # -- expected-max columns -------------------------------------------------
 
     def _draws(self) -> np.ndarray:
+        """(n, k, half): the first, un-negated half of each query's antithetic draws."""
         if self._z is None:
-            n, k = self.table.n_queries, self.table.n_models
-            z = np.empty((n, k, 2 * self.mc.half))
+            n, k, half = self.table.n_queries, self.table.n_models, self.mc.half
+            z = np.empty((n, k, half))
             for row, qid in enumerate(self.table.query_ids):
-                z[row] = query_normals(self.mc, int(qid), k).T
+                z[row] = query_normals(self.mc, int(qid), k)[:half].T
             self._z = z
         return self._z
 
@@ -299,36 +347,64 @@ class BatchCascadeEngine:
             self._cost_open_cache[t] = cached
         return cached
 
+    def _stop_answer(self, t: int, computed: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Answer of each row that stops at step t with ``computed`` models; -1 at t = 0.
+
+        A chain answers with its last model, cascade routing with
+        ``EstimateTable.best_computed`` at step t.
+        """
+        if self.chain_only or t == 0:
+            return np.full(rows.size, t - 1)
+        return self.table.best_computed(rows, computed, t)
+
     def _step_tables(
         self, t: int, ranks: np.ndarray, rows: np.ndarray
     ) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """(quality, beta) of each row given its prefix rank at step t, each (rows, columns).
 
-        Both tables are price-independent and cached per step; a (prefix, row)
-        pair is computed the first time the row reaches the prefix and read
-        afterwards. All pairs a step reaches for the first time are filled by
-        one ``_lattice_quality`` call, whatever prefixes they hold. ``beta``
-        is None for chains and the SLOW variant, which never prune.
+        Everything a step needs but the price is cached per step in
+        ``self._step_cache[t]``; a (prefix, row) pair is computed the first
+        time the row reaches the prefix and read afterwards. All pairs a step
+        reaches for the first time are filled together: their qualities by
+        one ``_lattice_quality`` call, whatever prefixes they hold, then
+        their block thresholds, next models and stop answers. ``beta`` is
+        None for chains and the SLOW variant, which never prune.
         """
         layout = self._layout(t)
         tables = self._step_cache.get(t)
         if tables is None:
             shape = (layout.prefixes.size, self.table.n_queries, layout.bits.shape[0])
             prunes = not (self.chain_only or self.variant is Variant.SLOW)
+            allowed = np.ones(shape[2], dtype=bool)
+            allowed[0] = t > 0  # running nothing is never a candidate
+            if self.variant is Variant.GREEDY and not self.chain_only:
+                allowed &= _lattice_tables(layout.free.shape[1]).popcount <= 1
             tables = _StepTables(
                 quality=np.empty(shape),
                 beta=np.empty(shape) if prunes else None,
+                next_model=np.empty(shape, dtype=np.int8),
+                answer=np.empty(shape[:2], dtype=np.int8),
                 filled=np.zeros(shape[:2], dtype=bool),
+                allowed=allowed,
             )
             self._step_cache[t] = tables
-        todo = ~tables.filled[ranks, rows]
-        if todo.any():
+        filled = tables.filled[ranks, rows]
+        if not filled.all():
+            todo = ~filled
             new_ranks, fill = ranks[todo], rows[todo]
-            quality = self._lattice_quality(t, layout.prefixes[new_ranks], fill)
+            prefixes, free = layout.prefixes[new_ranks], layout.free[new_ranks]
+            quality = self._lattice_quality(t, prefixes, fill)
             tables.quality[new_ranks, fill] = quality
+            cost = self._cost_open(t)[fill[:, None], free]
             if tables.beta is not None:
-                cost = self._cost_open(t)[fill[:, None], layout.free[new_ranks]]
                 tables.beta[new_ranks, fill] = _block_threshold(quality, cost, t == 0)
+            if self.chain_only:
+                tables.next_model[new_ranks, fill] = -1
+                tables.next_model[new_ranks, fill, 1:] = t
+            else:
+                tables.next_model[new_ranks, fill] = _cheapest_added(cost, free)
+            computed = (prefixes[:, None] >> np.arange(self.table.n_models)) & 1 == 1
+            tables.answer[new_ranks, fill] = self._stop_answer(t, computed, fill)
             tables.filled[new_ranks, fill] = True
         beta = None if tables.beta is None else tables.beta[ranks, rows]
         return tables.quality[ranks, rows], beta
@@ -344,9 +420,11 @@ class BatchCascadeEngine:
         (row, model) blocks, members first, so one walk over f free models
         serves every prefix: depth first over the submask tree
         (``_descend``) or along the chain (``_ascend``). Row chunks keep one
-        ``(chunk, k, S)`` block cache-sized. Rows without sampling (NO_EXPECT,
-        or no uncertainty in their regime) take the same walk with S = 1 on
-        the means.
+        ``(chunk, k, S)`` block cache-sized; it is built in one buffer as
+        ``means + stds * z`` over the stored half of the draws, then
+        ``means - stds * z`` for the antithetic half. Rows without sampling
+        (NO_EXPECT, or no uncertainty in their regime) take the same walk
+        with S = 1 on the means.
         """
         k = self.table.n_models
         idx = np.arange(k)
@@ -358,115 +436,99 @@ class BatchCascadeEngine:
         stds = self.sigma[cols, steps]
         sampled = (stds != 0).any(axis=1) & (self.variant is not Variant.NO_EXPECT)
         f = k - t
+        half = self.mc.half
         width = self._layout(t).bits.shape[0]
         out = np.empty((rows.size, width))
-        for group, n_samples in ((np.flatnonzero(~sampled), 1), (np.flatnonzero(sampled), 2 * self.mc.half)):
+        for group, n_samples in ((np.flatnonzero(~sampled), 1), (np.flatnonzero(sampled), 2 * half)):
             for part in _row_chunks(group.size, n_samples):
                 sel = group[part]
+                mu = means[sel, :, None]
                 if n_samples == 1:
-                    vals = means[sel, :, None]
+                    vals = mu
                 else:
-                    vals = self._draws()[rows[sel, None], cols[sel]]
-                    vals *= stds[sel, :, None]
-                    vals += means[sel, :, None]
+                    z = self._draws()[rows[sel, None], cols[sel]]
+                    z *= stds[sel, :, None]
+                    vals = np.empty((sel.size, k, n_samples))
+                    np.add(mu, z, out=vals[:, :, :half])
+                    np.subtract(mu, z, out=vals[:, :, half:])
                 block = np.empty((sel.size, width))
                 root = vals[:, :t].max(axis=1) if t else None
-                block[:, 0] = np.nan if root is None else root.mean(axis=1)
+                block[:, 0] = np.nan if root is None else np.add.reduce(root, axis=1)
                 if self.chain_only:
                     _ascend(block, vals[:, t:], root)
                 else:
                     _descend(block, vals[:, t:], 0, f, root)
-                out[sel] = block
+                # np.mean divides the sum by S, so one division per block gives the same bits
+                out[sel] = np.divide(block, n_samples, out=block)
         return out
 
     # -- one decision step ----------------------------------------------------
 
-    def _select_lattice(self, t, lam, pick, act, prefix_mask, sunk):
-        """Pick one candidate supermodel per active query.
+    def _select(self, t, lam, pick, ranks, rows, sunk):
+        """The layout column each row picks at step t; column 0 stops.
 
-        Every active query has computed exactly t models, so each scores the
-        same columns of the step's layout: for cascade routing its prefix
-        plus each submask of its free models, for a chain its prefix and
-        each longer chain prefix. Columns are ascending in the full candidate
+        Every row has computed exactly t models, so each scores the same
+        columns of the step's layout: for cascade routing its prefix plus
+        each submask of its free models, for a chain its prefix and each
+        longer chain prefix. Columns are ascending in the full candidate
         mask, which implements the lowest-id residual tie-break. Quality and
         block thresholds are gathered from the step's tables by (prefix
         rank, row) and a column's added cost is a product with the layout's
         ``bits``; a candidate is pruned when ``lam > beta``, which is the
-        negative-marginal-gain rule closed over supersets, and the GREEDY
-        variant keeps only the lattice columns adding at most one model.
-        One selection covers all prefixes of the step.
+        negative-marginal-gain rule closed over supersets. The step's
+        ``allowed`` columns leave out running nothing at step 0 and, for
+        GREEDY, every lattice column adding more than one model. One
+        selection covers all prefixes of the step.
         """
         layout = self._layout(t)
-        ranks = np.searchsorted(layout.prefixes, prefix_mask[act])
-        quality, beta = self._step_tables(t, ranks, act)
-        added = np.take_along_axis(self._cost_open(t)[act], layout.free[ranks], axis=1) @ layout.bits.T
-        cost = sunk[act][:, None] + added
+        quality, beta = self._step_tables(t, ranks, rows)
+        allowed = self._step_cache[t].allowed
+        added = self._cost_open(t)[rows[:, None], layout.free[ranks]] @ layout.bits.T
+        cost = sunk[rows][:, None] + added
         tau = quality - lam * cost
-
-        selectable = np.ones(tau.shape, dtype=bool)
-        if t == 0:
-            selectable[:, 0] = False  # running nothing is never a candidate
-        if self.variant is Variant.GREEDY and not self.chain_only:
-            selectable &= _lattice_tables(layout.free.shape[1]).popcount <= 1
-        if beta is not None:
-            selectable &= ~(lam > beta)
-
-        choice = argmax_tradeoff_rows(tau, cost, selectable, pick)
-        return layout.full_masks[ranks, choice]
+        valid = np.broadcast_to(allowed, tau.shape) if beta is None else ~(lam > beta) & allowed
+        return argmax_tradeoff_rows(tau, cost, valid, pick)
 
     # -- full run ---------------------------------------------------------------
 
     def run(self, lambdas: Sequence[float], pick: Pick) -> RunResult:
+        """Run every query through the strategy at per-step prices ``lambdas``.
+
+        Rows that still decide are tracked by their prefix rank; a row stops
+        when it picks column 0, with the answer cached for its prefix, and
+        otherwise runs the column's cached next model and moves to that
+        model's child rank.
+        """
         table = self.table
         n, k = table.n_queries, table.n_models
         check_decision_inputs(k, lambdas=lambdas)
         lams = np.asarray(lambdas, dtype=np.float64)
-        prefix_mask = np.zeros(n, dtype=np.int64)
-        prefix_bits = np.zeros((n, k), dtype=bool)
-        sunk = np.zeros(n)
-        last_model = np.full(n, -1, dtype=np.int64)
-        exec_order = np.full((n, k), -1, dtype=np.int64)
-        n_exec = np.zeros(n, dtype=np.int64)
-        stopped = np.zeros(n, dtype=bool)
-
         answer = np.full(n, -1, dtype=np.int64)
+        exec_order = np.full((n, k), -1, dtype=np.int64)
+        sunk = np.zeros(n)
+        act = np.arange(n)
+        ranks = np.zeros(n, dtype=np.int64)
 
-        def finish(rows: np.ndarray, t: int) -> None:
-            stopped[rows] = True
-            if self.chain_only or rows.size == 0:
-                answer[rows] = last_model[rows]
-            else:
-                answer[rows] = table.best_computed(rows, prefix_bits[rows], t)
-
-        for t in range(k + 1):
-            act = np.flatnonzero(~stopped)
+        for t in range(k):
             if act.size == 0:
                 break
-            if t == k:
-                finish(act, t)
-                break
-            lam = float(lams[t])
-            chosen = self._select_lattice(t, lam, pick, act, prefix_mask, sunk)
-            stay = chosen == prefix_mask[act]
-            finish(act[stay], t)
-            go = act[~stay]
-            if go.size == 0:
-                continue
-            if self.chain_only:
-                nxt = np.full(go.size, t, dtype=np.int64)
-            else:
-                chosen_go = chosen[~stay]
-                cand_bits = ((chosen_go[:, None] >> np.arange(k)[None, :]) & 1).astype(bool)
-                cand_bits &= ~prefix_bits[go]
-                cm_open = self._cost_open(t)[go]
-                nxt = np.where(cand_bits, cm_open, np.inf).argmin(axis=1)
-            prefix_mask[go] |= np.int64(1) << nxt
-            prefix_bits[go, nxt] = True
-            sunk[go] += table.computed_cost[go, nxt]
-            exec_order[go, t] = nxt
-            last_model[go] = nxt
-            n_exec[go] += 1
+            choice = self._select(t, float(lams[t]), pick, ranks, act, sunk)
+            tables = self._step_cache[t]
+            if not choice.all():
+                stop = np.flatnonzero(choice == 0)
+                answer[act[stop]] = tables.answer[ranks[stop], act[stop]]
+                go = np.flatnonzero(choice)
+                act, ranks, choice = act[go], ranks[go], choice[go]
+            nxt = tables.next_model[ranks, act, choice]
+            exec_order[act, t] = nxt
+            sunk[act] += table.computed_cost[act, nxt]
+            ranks = self._layout(t).child[ranks, nxt]
+        if act.size:
+            if self._full_answer is None:
+                self._full_answer = self._stop_answer(k, np.ones((n, k), dtype=bool), np.arange(n))
+            answer[act] = self._full_answer[act]
 
+        n_exec = np.count_nonzero(exec_order >= 0, axis=1)
         if np.any(n_exec == 0):
             raise RuntimeError("a query finished without executing any model")
         return RunResult(

@@ -20,6 +20,7 @@ routing restricted to chain prefixes; its per-query path is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -75,11 +76,13 @@ def _size_then_mask(mask: int) -> tuple[int, int]:
     return mask.bit_count(), mask
 
 
-def _candidate_masks(prefix: int, free: Sequence[int], greedy: bool) -> list[int]:
+@lru_cache(maxsize=None)
+def _candidate_masks(prefix: int, free: tuple[int, ...], greedy: bool) -> tuple[int, ...]:
     """The bare prefix (unless empty) and its extensions, in (size, mask) order.
 
     GREEDY extends by single models; the other variants by every nonempty
-    subset of ``free``.
+    subset of ``free``. The lattice is static, so each (prefix, free, greedy)
+    is built and sorted once; callers only read the returned tuple.
     """
     if greedy:
         masks = [prefix | 1 << m for m in free]
@@ -91,7 +94,7 @@ def _candidate_masks(prefix: int, free: Sequence[int], greedy: bool) -> list[int
     if prefix:
         masks.append(prefix)
     masks.sort(key=_size_then_mask)
-    return masks
+    return tuple(masks)
 
 
 class _StepScores:
@@ -128,7 +131,7 @@ class _StepScores:
         return hit
 
 
-def _prune(candidates: list[int], scores: _StepScores, lam: float) -> list[int]:
+def _prune(candidates: Sequence[int], scores: _StepScores, lam: float) -> list[int]:
     """Survivors of the negative-marginal-gain sweep, in candidate order.
 
     Sweeping in (size, mask) order, a candidate whose score drops when one
@@ -164,7 +167,7 @@ def _prune(candidates: list[int], scores: _StepScores, lam: float) -> list[int]:
     return survivors
 
 
-def _select(candidates: list[int], scores: _StepScores, lam: float, pick: Pick) -> int:
+def _select(candidates: Sequence[int], scores: _StepScores, lam: float, pick: Pick) -> int:
     """Best score with the ``pick`` cost tie-break; residual ties to the lowest mask."""
     return argmax_tradeoff([(m, scores.quality(m), scores.cost(m)) for m in candidates], lam, pick)
 
@@ -192,7 +195,7 @@ def enumerate_candidates(
     if prefix.member_set & set(free):
         raise ValueError("prefix and uncomputed models must be disjoint")
     pmask = prefix.mask()
-    masks = _candidate_masks(pmask, free, variant is Variant.GREEDY)
+    masks = _candidate_masks(pmask, tuple(free), variant is Variant.GREEDY)
     return CandidateSet(
         prefix,
         tuple(Supermodel(prefix.members + Supermodel.from_mask(m & ~pmask).members) for m in masks),
@@ -270,7 +273,7 @@ def run_cascade_route(
             est, EmaxEvaluator(z, est.quality_mean, est.quality_std), executed, no_expect
         )
         lam = params.lambdas[t]
-        free = [m for m in range(k) if not prefix >> m & 1]
+        free = tuple(m for m in range(k) if not prefix >> m & 1)
         candidates = _candidate_masks(prefix, free, variant is Variant.GREEDY)
         if variant is not Variant.SLOW:
             candidates = _prune(candidates, scores, lam)

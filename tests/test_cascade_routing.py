@@ -581,6 +581,96 @@ class TestEngineMatchesScalarExactly:
                 assert got[q, sub] == want
 
 
+class TestEngineStepCache:
+    """What the engine stores once per query and (prefix, query) pair."""
+
+    def test_draws_hold_the_first_antithetic_half(self, rng):
+        # an odd sample count rounds up to 2 * half; only half is stored
+        k = 3
+        t = random_table(rng, n=5, k=k)
+        mc = MonteCarloConfig(n_samples=63, seed=83)
+        z = BatchCascadeEngine(t, np.zeros((k, k + 1)), mc)._draws()
+        assert mc.half == 32 and z.shape == (t.n_queries, k, mc.half)
+        assert z.nbytes == t.n_queries * k * mc.half * 8
+        for row, qid in enumerate(t.query_ids):
+            full = query_normals(mc, int(qid), k)
+            assert np.array_equal(z[row], full[: mc.half].T)
+            assert np.array_equal(-z[row], full[mc.half :].T)
+
+    @pytest.mark.parametrize("chain_only", [False, True])
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_cached_entries_match_recomputation(self, rng, k, chain_only):
+        # coarse costs and qualities make ties, and model k // 2 costs nothing
+        t = random_table(rng, n=10, k=k, step_varying=True)
+        t.cost_mean[:] = np.round(t.cost_mean * 2) / 2
+        t.cost_mean[:, :, k // 2] = 0.0
+        t.quality_mean[:] = np.round(t.quality_mean * 4) / 4
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=16, seed=89), chain_only=chain_only)
+        for lam in PRICE_LADDER:
+            for pick in Pick:
+                engine.run([lam] * k, pick)
+                engine.run(rng.choice(PRICE_LADDER, k), pick)
+        checked = 0
+        for step, tables in engine._step_cache.items():
+            layout = engine._layout(step)
+            if chain_only:
+                next_prefixes = [(1 << (step + 1)) - 1]
+            else:
+                next_prefixes = [sum(1 << m for m in c) for c in itertools.combinations(range(k), step + 1)]
+                next_prefixes.sort()
+            for rank, q in zip(*np.nonzero(tables.filled)):
+                prefix = int(layout.prefixes[rank])
+                held = [m for m in range(k) if prefix >> m & 1]
+                if step == 0:
+                    want_answer = -1
+                elif chain_only:
+                    want_answer = step - 1
+                else:
+                    want_answer = min(held, key=lambda m: (-t.quality_mean[q, max(step, m + 1), m], m))
+                assert tables.answer[rank, q] == want_answer
+                assert tables.next_model[rank, q, 0] == -1
+                for col in range(1, layout.bits.shape[0]):
+                    added = [int(m) for m, on in zip(layout.free[rank], layout.bits[col]) if on]
+                    if chain_only:
+                        want_next = step
+                    else:
+                        want_next = min(added, key=lambda m: (t.cost_mean[q, min(step, m), m], m))
+                    assert tables.next_model[rank, q, col] == want_next
+                    child = next_prefixes.index(prefix | 1 << want_next)
+                    assert layout.child[rank, want_next] == child
+                checked += 1
+        assert checked > 2 * t.n_queries
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        k=st.integers(1, 8),
+        variant=st.sampled_from(list(Variant)),
+        chain_only=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_warm_engine_matches_fresh_property(self, seed, n, k, variant, chain_only, data):
+        # the cached tables hold nothing that depends on the prices or picks
+        # that filled them
+        rng = np.random.default_rng(seed)
+        t = random_table(rng, n=n, k=k, step_varying=True)
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=32, seed=seed)
+        prices = st.lists(st.sampled_from(PRICE_LADDER), min_size=k, max_size=k)
+        warm = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+        for lambdas, pick in data.draw(st.lists(st.tuples(prices, st.sampled_from(list(Pick))), min_size=1, max_size=4)):
+            warm.run(lambdas, pick)
+        lambdas = data.draw(prices)
+        for pick in Pick:
+            got = warm.run(lambdas, pick)
+            want = BatchCascadeEngine(t, sigma, mc, variant, chain_only).run(lambdas, pick)
+            for field in RUN_FIELDS:
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
 class TestRowPermutation:
     @given(
         seed=st.integers(0, 2**16),
