@@ -22,20 +22,77 @@ prefix's position in the layout), table row and column:
   subset T of the candidate and member j of T. The sunk cost cancels from a
   marginal gain, so pruning at price ``lam`` is the single test
   ``lam > beta``; it removes each candidate with a negative marginal gain
-  together with all its supersets. Chains never prune;
+  together with all its supersets. Chains never prune. Only pairs without
+  price cells (below) keep it, packed one ``(columns,)`` row per pair in
+  fill order and found through a ``(prefixes, n)`` row index;
 - the model each column runs next: the cheapest added model by open cost,
   lowest id on ties, and model t for a chain;
 - per (prefix, row), the answer of a query that stops there:
-  ``EstimateTable.best_computed`` at step t, and model t - 1 for a chain.
+  ``EstimateTable.best_computed`` at step t, and model t - 1 for a chain;
+- per compiled (prefix, row), its price cells: float32 ``lo`` and ``hi``
+  and the unsigned column ``win``, 9 bytes per slot, as many slots as the
+  step's widest envelope plus a sentinel.
 
 Both model tables are int8: candidate and prefix masks are int64, so k is
 at most 64 and every id, and the -1 of "no model", fits.
 
 Each layout also holds the next step's rank of every prefix plus each of
 its free models. A run therefore tracks a query by its prefix rank: a step
-gathers quality and ``beta``, prices the columns, makes one selection, and
-then either stops the query (column 0) with the cached answer or runs the
-cached next model and moves to that model's child rank.
+picks a column per row, then either stops the query (column 0) with the
+cached answer or runs the cached next model and moves to that model's child
+rank.
+
+Price cells. Once a (prefix, row) pair is filled, its choice is piecewise
+constant in the price: every candidate is the line ``q_S - lam * c_S``, and
+the sunk cost shifts all lines alike. When a fill is compiled (below), each
+pair's upper envelope of the lines of its allowed columns is walked from
+price 0 up (``_envelope_path``), and each piece becomes a certified cell
+``[lo, hi]`` with the column ``win`` that the full selection returns, under
+either pick, at every price in it (``_price_cells``). A step then looks up,
+per row, the cell holding its price: one gather of the pair's ``lo`` slots,
+one count and two gathers. Only rows that hit no cell (near a breakpoint,
+in a guard band, or where columns tie) and rows of pairs without cells go
+through the full selection over every column, still one
+``argmax_tradeoff_rows`` call per step, with no rows when every row hit.
+
+Why a cell is exact. A cell certifies ``win`` only where ``tau_win`` beats
+every other allowed column ``s`` by more than ``m0 + m1 * lam``, i.e. where
+``(q_win - q_s - m0) - lam * (c_win - c_s + m1) > 0``, one linear bound on
+the price per column. With ``Q = max |q|`` over the allowed columns and
+``C = |sunk| + max added cost``, where ``|sunk|`` is bounded by the sum of
+the prefix members' ``|computed_cost|``, every score a selection compares has
+``|tau| <= Q + lam * C``, so its tie tolerance ``max(TIE_REL * |tau*|,
+TIE_ABS)`` is at most ``TIE_ABS + TIE_REL * (Q + lam * C)``. The margin is
+``_CELL_SAFETY = 2`` times that: ``m0 = 2 * (TIE_ABS + TIE_REL * Q)`` and
+``m1 = 2 * TIE_REL * C``. The second half covers float error: each score is
+a handful of float64 operations on sums of at most k costs, so it is off by
+under ``(k + 3) * 2^-53 * (Q + lam * C)``, below 1e-14 of the bound for k up
+to 64, against ``TIE_REL = 1e-9``; the bounds of the cell are computed to the
+same accuracy. When the step prunes, the cell also ends at ``beta_win``, so
+``win`` is selectable throughout. Inside a cell, then, ``win`` is valid,
+``tau* = tau_win`` and the tie set is ``{win}``, and both picks return
+``win``. Pruned columns only leave the tie set, so the bound over every
+allowed column holds with pruning too. Cells are stored as float32 rounded
+one float32 step inward (``nextafter``), so rounding only shrinks them, and
+a price is compared with them in float64. Cells of one pair are disjoint and
+ascending, ``lo`` is made non-decreasing over the slots (which can only
+shrink a cell), and slot 0 is a sentinel no price hits, so the slot of the
+last ``lo <= lam`` is the one cell that can hold ``lam``.
+
+Which fills are compiled. A fill of ``rows`` new pairs at a step of
+``columns`` columns builds cells when ``rows >= max(columns, 64)``
+(``_compiles``). The walk costs about ten numpy calls per envelope piece
+and the bounds one pass over ``(pieces, columns)`` per row, once per fill; a
+lookup saves the full selection's passes over ``(rows, columns)`` on every
+later visit. Small fills, like the handful of rows a bisection run reaches
+for the first time, are bound by the count of numpy calls and never pay
+that back: on 41-row, 8-model validation tables compiling every fill with
+as many rows as columns made cascade-routing engine runs 16-20% slower,
+while on 1400-row, 5-model tables compiling the large first fills made them
+about 14% faster. A step none of whose fills was compiled skips the
+lookup. Compiled pairs keep no block thresholds and recompute them in the
+rare full selection; the 8 bytes per column they save pay for the cells, so
+the step tables keep about their size.
 
 A step's tables are allocated when the step is first reached, and a
 (prefix, row) pair is filled the first time its query reaches the prefix, so
@@ -68,6 +125,7 @@ This module is internal; the public per-query operations live in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -75,7 +133,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EstimateTable, Pick, StrategyParams, argmax_tradeoff_rows, regime_steps
+from .core import TIE_ABS, TIE_REL, EstimateTable, Pick, StrategyParams, argmax_tradeoff_rows, regime_steps
 from .montecarlo import MonteCarloConfig, query_normals
 
 
@@ -103,7 +161,8 @@ def check_decision_inputs(
 
     Shared by the engine and the per-query paths: ``sigma`` must be a finite,
     nonnegative ``(n_models, n_models + 1)`` matrix and ``lambdas`` must hold
-    one price per model. Arguments left as None are not checked.
+    one finite, nonnegative price per model. Arguments left as None are not
+    checked.
     """
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=np.float64)
@@ -111,8 +170,11 @@ def check_decision_inputs(
             raise ValueError("sigma must be shaped (n_models, n_models + 1)")
         if not (np.isfinite(sigma) & (sigma >= 0)).all():
             raise ValueError("sigma must be finite and >= 0")
-    if lambdas is not None and np.shape(lambdas) != (n_models,):
-        raise ValueError("lambdas must have one entry per model")
+    if lambdas is not None:
+        if np.shape(lambdas) != (n_models,):
+            raise ValueError("lambdas must have one entry per model")
+        if not all(math.isfinite(lam) and lam >= 0 for lam in lambdas):
+            raise ValueError("lambdas must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -171,20 +233,27 @@ def _step_layout(k: int, t: int, chain: bool) -> _StepLayout:
     return _StepLayout(prefixes, free, bits, child)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _StepTables:
     """Price-independent tables of every prefix of one step, filled by (prefix, row).
 
-    Axes are prefix rank, the engine's table row and the layout column;
-    only pairs whose ``filled`` flag is set hold computed values.
+    Axes are prefix rank, the engine's table row and the layout column, or
+    for the price cells the cell slot; only pairs whose ``filled`` flag is
+    set hold computed values. The cell tables widen when a fill needs more
+    slots than any earlier one.
     """
 
     quality: np.ndarray  # (P, n, columns) expected-max quality of each candidate
-    beta: Optional[np.ndarray]  # (P, n, columns) block threshold; None when not pruning
+    beta: Optional[np.ndarray]  # (rows, columns) block thresholds of pairs without cells; None when not pruning
+    beta_row: np.ndarray  # (P, n) int32: 1 + the pair's row of ``beta``, 0 for none
+    beta_used: int  # rows of ``beta`` in use; the rest is spare capacity
     next_model: np.ndarray  # (P, n, columns) int8 model each column runs next; -1 in column 0
     answer: np.ndarray  # (P, n) int8 answer of a query that stops here; -1 at t = 0
     filled: np.ndarray  # (P, n) bool
     allowed: np.ndarray  # (columns,) bool: not the empty prefix, and one added model for GREEDY
+    lo: np.ndarray  # (P, n, slots) float32 lowest price of each cell, ascending; +inf pads
+    hi: np.ndarray  # (P, n, slots) float32 highest price of each cell
+    win: np.ndarray  # (P, n, slots) unsigned column every price of the cell picks
 
 
 def _block_threshold(quality: np.ndarray, cost: np.ndarray, empty_prefix: bool) -> np.ndarray:
@@ -276,6 +345,124 @@ def _cheapest_added(cost: np.ndarray, free: np.ndarray) -> np.ndarray:
     return out
 
 
+# Fewer rows than this never pay for their cells (module docstring).
+_MIN_COMPILE_ROWS = 64
+
+# A cell's margin is this many tie tolerances; one covers the selection's
+# tie band, the rest covers float error (module docstring).
+_CELL_SAFETY = 2.0
+
+
+def _compiles(rows: int, columns: int) -> bool:
+    """Whether a fill of ``rows`` pairs at a step of ``columns`` columns builds price cells.
+
+    A fill is compiled when it has at least as many rows as the step has
+    columns, and at least ``_MIN_COMPILE_ROWS``; the module docstring says why.
+    """
+    return rows >= max(columns, _MIN_COMPILE_ROWS)
+
+
+def _envelope_path(quality: np.ndarray, added: np.ndarray) -> np.ndarray:
+    """(rows, m) columns of each row's upper envelope of ``quality - lam * added``, price ascending.
+
+    The walk starts at the best quality, the winner at price 0, and moves to
+    the cheaper column whose line crosses the current one first. Added cost
+    falls at every move, so at most ``columns`` moves are made; a row whose
+    walk has ended repeats its last column. Ties and rounding may make the
+    walk skip a piece; that only leaves its prices to the full selection.
+    """
+    rows = np.arange(quality.shape[0])
+    lines = np.stack([quality, added])
+    cur = quality.argmax(axis=1)
+    path = [cur]
+    for _ in range(quality.shape[1] - 1):
+        dq, da = lines[:, rows, cur][:, :, None] - lines
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(da > 0, dq / da, np.inf)
+        nxt = cross.argmin(axis=1)
+        more = cross[rows, nxt] < np.inf
+        if not more.any():
+            break
+        cur = np.where(more, nxt, cur)
+        path.append(cur)
+    return np.stack(path, axis=1)
+
+
+def _inward(x: np.ndarray, toward: float) -> np.ndarray:
+    """float32 values strictly between ``x`` and ``toward`` (+inf or -inf), one float32 step in."""
+    with np.errstate(over="ignore"):
+        return np.nextafter(x.astype(np.float32), np.float32(toward))
+
+
+def _price_cells(
+    quality: np.ndarray,
+    added: np.ndarray,
+    beta: Optional[np.ndarray],
+    allowed: np.ndarray,
+    sunk: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified price cells ``(lo, hi, win)`` of each row, each ``(rows, slots)``.
+
+    ``quality`` and ``added`` are one step's (rows, columns) candidate
+    quality and added cost, ``beta`` the block thresholds (None when the
+    step does not prune) and ``sunk`` a bound on each row's absolute sunk
+    cost. At every price ``lam`` with ``lo <= lam <= hi`` the step's full
+    selection picks column ``win`` under either pick. Slot 0 of every row
+    is a sentinel that no price hits (``lo = hi = -inf``); the cells follow
+    in ascending price, and slots past a row's last cell hold ``lo = +inf``.
+    So the slot of the last ``lo <= lam`` is the only cell that can hold a
+    price. Rows without cells (NaN scores, exact ties) hold the sentinel and
+    padding only.
+    """
+    cols = np.flatnonzero(allowed)
+    q, a = quality[:, cols], added[:, cols]
+    cand = _envelope_path(q, a)
+    n, m = cand.shape
+    # |tau*| <= max|q| + lam * (|sunk| + max added), so the tie tolerance is
+    # below m0 + m1 * lam, before the safety factor
+    m0 = _CELL_SAFETY * (TIE_ABS + TIE_REL * np.abs(q).max(axis=1))
+    m1 = _CELL_SAFETY * TIE_REL * (sunk + a.max(axis=1))
+    # per candidate, win beats column s by more than the margin where
+    # d - lam * e > 0, d = q_win - q_s - m0 and e = added_win - added_s + m1;
+    # the column axis leads, so the bounds reduce over the first axis
+    qc = np.take_along_axis(q, cand, 1) - m0[:, None]
+    ac = np.take_along_axis(a, cand, 1) + m1[:, None]
+    qT, aT = q.T, a.T
+    lo = np.empty((n, m))
+    hi = np.empty((n, m))
+    for part in _row_chunks(n, m * cols.size):
+        d = qc[None, part] - qT[:, part, None]
+        d[cand[part], np.arange(d.shape[1])[:, None], np.arange(m)] = np.inf  # no bound from win itself
+        # m1 >= +0, so e is never -0.0: where e == 0, d / e is +inf (no
+        # bound), -inf (no price) or NaN (d == 0, no price)
+        e = ac[None, part] - aT[:, part, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.divide(d, e, out=d)
+        # an upper bound lam < x where e >= 0, a lower bound lam > x where e < 0
+        down = e < 0
+        hi[part] = np.where(down, np.inf, x).min(axis=0)
+        np.copyto(x, -np.inf, where=~down)
+        lo[part] = x.max(axis=0)
+    if beta is not None:  # win stays selectable while lam <= beta
+        np.minimum(hi, np.take_along_axis(beta[:, cols], cand, 1), out=hi)
+    # stored one float32 step inward, so rounding never widens a cell
+    lo32, hi32 = _inward(lo, np.inf), _inward(hi, -np.inf)
+    keep = lo32 <= hi32
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    count = keep.sum(axis=1)
+    # at least one cell slot, so a step that compiled a fill is wider than its sentinel
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : max(int(count.max()), 1)]
+    cells_lo = np.where(np.arange(order.shape[1]) < count[:, None], np.take_along_axis(lo32, order, 1), np.inf)
+    sentinel = np.full((n, 1), -np.inf, dtype=np.float32)
+    win = np.zeros((n, order.shape[1] + 1), dtype=np.min_scalar_type(allowed.size - 1))
+    win[:, 1:] = cols[np.take_along_axis(cand, order, 1)]
+    return (
+        np.concatenate([sentinel, np.maximum.accumulate(cells_lo, axis=1)], axis=1),
+        np.concatenate([sentinel, np.take_along_axis(hi32, order, 1)], axis=1),
+        win,
+    )
+
+
 @dataclass
 class RunResult:
     """Per-query outcome of one deterministic cascade run."""
@@ -322,6 +509,11 @@ class BatchCascadeEngine:
         self._cost_open_cache: dict[int, np.ndarray] = {}
         self._full_answer: Optional[np.ndarray] = None
         self._metrics_cache: dict[tuple[tuple[float, ...], Pick], tuple[float, float]] = {}
+        # (prefix, row) pairs compiled into cells, and row selections read
+        # from a cell or made by the full selection
+        self.compiled_pairs = 0
+        self.cell_hits = 0
+        self.fallback_rows = 0
 
     # -- expected-max columns -------------------------------------------------
 
@@ -357,18 +549,16 @@ class BatchCascadeEngine:
             return np.full(rows.size, t - 1)
         return self.table.best_computed(rows, computed, t)
 
-    def _step_tables(
-        self, t: int, ranks: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-        """(quality, beta) of each row given its prefix rank at step t, each (rows, columns).
+    def _step_tables(self, t: int, ranks: np.ndarray, rows: np.ndarray) -> _StepTables:
+        """Step t's tables, with every (prefix rank, row) pair of ``ranks`` and ``rows`` filled.
 
         Everything a step needs but the price is cached per step in
         ``self._step_cache[t]``; a (prefix, row) pair is computed the first
         time the row reaches the prefix and read afterwards. All pairs a step
         reaches for the first time are filled together: their qualities by
         one ``_lattice_quality`` call, whatever prefixes they hold, then
-        their block thresholds, next models and stop answers. ``beta`` is
-        None for chains and the SLOW variant, which never prune.
+        their block thresholds, price cells, next models and stop answers.
+        ``beta`` is None for chains and the SLOW variant, which never prune.
         """
         layout = self._layout(t)
         tables = self._step_cache.get(t)
@@ -381,11 +571,16 @@ class BatchCascadeEngine:
                 allowed &= _lattice_tables(layout.free.shape[1]).popcount <= 1
             tables = _StepTables(
                 quality=np.empty(shape),
-                beta=np.empty(shape) if prunes else None,
+                beta=np.empty((1, shape[2])) if prunes else None,
+                beta_row=np.zeros(shape[:2], dtype=np.int32),
+                beta_used=0,
                 next_model=np.empty(shape, dtype=np.int8),
                 answer=np.empty(shape[:2], dtype=np.int8),
                 filled=np.zeros(shape[:2], dtype=bool),
                 allowed=allowed,
+                lo=np.full(shape[:2] + (1,), -np.inf, dtype=np.float32),
+                hi=np.full(shape[:2] + (1,), -np.inf, dtype=np.float32),
+                win=np.zeros(shape[:2] + (1,), dtype=np.min_scalar_type(shape[2] - 1)),
             )
             self._step_cache[t] = tables
         filled = tables.filled[ranks, rows]
@@ -396,18 +591,69 @@ class BatchCascadeEngine:
             quality = self._lattice_quality(t, prefixes, fill)
             tables.quality[new_ranks, fill] = quality
             cost = self._cost_open(t)[fill[:, None], free]
-            if tables.beta is not None:
-                tables.beta[new_ranks, fill] = _block_threshold(quality, cost, t == 0)
+            beta = None if tables.beta is None else _block_threshold(quality, cost, t == 0)
+            computed = (prefixes[:, None] >> np.arange(self.table.n_models)) & 1 == 1
+            if _compiles(fill.size, tables.allowed.size):
+                sunk = np.abs(np.where(computed, self.table.computed_cost[fill], 0.0)).sum(axis=1)
+                cells = _price_cells(quality, cost @ layout.bits.T, beta, tables.allowed, sunk)
+                self._store_cells(tables, new_ranks, fill, cells)
+                self.compiled_pairs += fill.size
+            else:
+                if beta is not None:
+                    self._keep_beta(tables, new_ranks, fill, beta)
+                if tables.lo.shape[2] > 1:  # width 1 is the allocated sentinel
+                    tables.lo[new_ranks, fill, 0] = -np.inf
+                    tables.hi[new_ranks, fill, 0] = -np.inf
+                    tables.lo[new_ranks, fill, 1:] = np.inf
             if self.chain_only:
                 tables.next_model[new_ranks, fill] = -1
                 tables.next_model[new_ranks, fill, 1:] = t
             else:
                 tables.next_model[new_ranks, fill] = _cheapest_added(cost, free)
-            computed = (prefixes[:, None] >> np.arange(self.table.n_models)) & 1 == 1
             tables.answer[new_ranks, fill] = self._stop_answer(t, computed, fill)
             tables.filled[new_ranks, fill] = True
-        beta = None if tables.beta is None else tables.beta[ranks, rows]
-        return tables.quality[ranks, rows], beta
+        return tables
+
+    @staticmethod
+    def _keep_beta(tables: _StepTables, ranks: np.ndarray, rows: np.ndarray, beta: np.ndarray) -> None:
+        """Append new pairs' block thresholds to the step's ``beta`` rows, doubling its capacity as needed.
+
+        Only pairs without cells keep them, packed in fill order, so memory
+        grows with those pairs and not with the ``(P, n, columns)`` extent.
+        """
+        start, stop = tables.beta_used, tables.beta_used + rows.size
+        if stop > tables.beta.shape[0]:
+            grown = np.empty((max(stop, 2 * tables.beta.shape[0]), beta.shape[1]))
+            grown[:start] = tables.beta[:start]
+            tables.beta = grown
+        tables.beta[start:stop] = beta
+        tables.beta_row[ranks, rows] = np.arange(start + 1, stop + 1)
+        tables.beta_used = stop
+
+    @staticmethod
+    def _store_cells(tables: _StepTables, ranks: np.ndarray, rows: np.ndarray, cells) -> None:
+        """Write new pairs' cells, widening the step's cell tables when they need more slots.
+
+        Slots past a pair's last cell hold ``lo = +inf``: widening pads the
+        filled pairs with it, and new pairs narrower than the table too.
+        """
+        lo, hi, win = cells
+        width = tables.lo.shape[2]
+        if lo.shape[1] > width:
+            old_ranks, old_rows = np.nonzero(tables.filled)
+            for name in ("lo", "hi", "win"):
+                old = getattr(tables, name)
+                new = np.empty(old.shape[:2] + (lo.shape[1],), dtype=old.dtype)
+                new[old_ranks, old_rows, :width] = old[old_ranks, old_rows]
+                setattr(tables, name, new)
+            tables.lo[old_ranks, old_rows, width:] = np.inf
+            width = lo.shape[1]
+        slots = lo.shape[1]
+        tables.lo[ranks, rows, :slots] = lo
+        tables.hi[ranks, rows, :slots] = hi
+        tables.win[ranks, rows, :slots] = win
+        if slots < width:
+            tables.lo[ranks, rows, slots:] = np.inf
 
     def _lattice_quality(self, t: int, prefixes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """(rows, columns) quality of each layout column of each row's prefix.
@@ -467,27 +713,58 @@ class BatchCascadeEngine:
     def _select(self, t, lam, pick, ranks, rows, sunk):
         """The layout column each row picks at step t; column 0 stops.
 
-        Every row has computed exactly t models, so each scores the same
-        columns of the step's layout: for cascade routing its prefix plus
-        each submask of its free models, for a chain its prefix and each
-        longer chain prefix. Columns are ascending in the full candidate
-        mask, which implements the lowest-id residual tie-break. Quality and
-        block thresholds are gathered from the step's tables by (prefix
-        rank, row) and a column's added cost is a product with the layout's
-        ``bits``; a candidate is pruned when ``lam > beta``, which is the
-        negative-marginal-gain rule closed over supersets. The step's
-        ``allowed`` columns leave out running nothing at step 0 and, for
-        GREEDY, every lattice column adding more than one model. One
-        selection covers all prefixes of the step.
+        A row whose (prefix, row) pair holds a price cell containing ``lam``
+        takes the cell's column. Every other row goes through the full
+        selection, one ``argmax_tradeoff_rows`` call per step even when no
+        row needs it. Every row has computed exactly t models, so each scores
+        the same columns of the step's layout: for cascade routing its
+        prefix plus each submask of its free models, for a chain its prefix
+        and each longer chain prefix. Columns are ascending in the full
+        candidate mask, which implements the lowest-id residual tie-break.
+        The step's ``allowed`` columns leave out running nothing at step 0
+        and, for GREEDY, every lattice column adding more than one model.
         """
+        tables = self._step_tables(t, ranks, rows)
+        lam = np.float64(lam)  # a Python float would be compared in float32
+        if tables.lo.shape[2] == 1:  # no fill of the step was compiled
+            self.fallback_rows += rows.size
+            return argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks, rows, sunk), pick)
+        slot = np.count_nonzero(tables.lo[ranks, rows] <= lam, axis=1) - 1
+        choice = tables.win[ranks, rows, slot]
+        miss = np.flatnonzero(tables.hi[ranks, rows, slot] < lam)
+        self.cell_hits += rows.size - miss.size
+        self.fallback_rows += miss.size
+        choice[miss] = argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks[miss], rows[miss], sunk), pick)
+        return choice
+
+    def _full_scores(self, t, lam, tables, ranks, rows, sunk):
+        """(tau, cost, valid) of the full selection over every column, for ``argmax_tradeoff_rows``.
+
+        Quality and block thresholds are gathered from the step's tables by
+        (prefix rank, row) and a column's added cost is a product with the
+        layout's ``bits``; a candidate is pruned when ``lam > beta``, which
+        is the negative-marginal-gain rule closed over supersets. A compiled
+        pair keeps no ``beta``, so its thresholds are computed again here,
+        bit for bit as the fill computed them.
+        No rows give empty arrays at once.
+        """
+        if rows.size == 0:
+            tau = np.empty((0, tables.allowed.size))
+            return tau, tau, np.empty(tau.shape, dtype=bool)
         layout = self._layout(t)
-        quality, beta = self._step_tables(t, ranks, rows)
-        allowed = self._step_cache[t].allowed
-        added = self._cost_open(t)[rows[:, None], layout.free[ranks]] @ layout.bits.T
-        cost = sunk[rows][:, None] + added
+        quality = tables.quality[ranks, rows]
+        open_cost = self._cost_open(t)[rows[:, None], layout.free[ranks]]
+        cost = sunk[rows][:, None] + open_cost @ layout.bits.T
         tau = quality - lam * cost
-        valid = np.broadcast_to(allowed, tau.shape) if beta is None else ~(lam > beta) & allowed
-        return argmax_tradeoff_rows(tau, cost, valid, pick)
+        if tables.beta is None:
+            return tau, cost, np.broadcast_to(tables.allowed, tau.shape)
+        row = tables.beta_row[ranks, rows]
+        beta = tables.beta[row - 1]
+        if tables.lo.shape[2] > 1:  # some fill of the step was compiled
+            fresh = np.flatnonzero(row == 0)
+            if fresh.size:
+                beta[fresh] = _block_threshold(quality[fresh], open_cost[fresh], t == 0)
+        return tau, cost, ~(lam > beta) & tables.allowed
 
     # -- full run ---------------------------------------------------------------
 
@@ -512,7 +789,7 @@ class BatchCascadeEngine:
         for t in range(k):
             if act.size == 0:
                 break
-            choice = self._select(t, float(lams[t]), pick, ranks, act, sunk)
+            choice = self._select(t, lams[t], pick, ranks, act, sunk)
             tables = self._step_cache[t]
             if not choice.all():
                 stop = np.flatnonzero(choice == 0)

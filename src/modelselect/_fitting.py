@@ -7,6 +7,7 @@ expensive strategies' costs.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -26,8 +27,11 @@ def check_budget_floor(budget: float, floor: float, infeasible_msg: str) -> floa
     Raises ``ValueError(infeasible_msg)`` when the budget is below the floor
     by more than a relative 1e-9; a budget within that tolerance is raised
     to the floor, so rounding in the floor cannot reject a budget set to it.
-    The tolerance scales with the floor, so it holds at any cost unit.
+    The tolerance scales with the floor, so it holds at any cost unit. A
+    NaN or infinite budget raises ``ValueError``.
     """
+    if not math.isfinite(budget):
+        raise ValueError(f"budget must be finite, got {budget}")
     if budget < floor - 1e-9 * floor:
         raise ValueError(infeasible_msg)
     return max(budget, floor)

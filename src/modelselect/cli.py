@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -125,9 +126,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    budget = args.budget
+    if not math.isfinite(budget):  # linear-interp fits nothing, so no fit would check it
+        raise ValueError(f"budget must be finite, got {budget}")
     config = _load_config(args)
     ctx = prepare_run(config)
-    budget = args.budget
     runner = STRATEGIES[args.strategy](ctx)
     grid = np.flatnonzero(ctx.budgets == budget)
     if grid.size:
@@ -153,6 +156,8 @@ def _cmd_evaluate(args) -> int:
         raise DataFormatError(f"{args.params}: params must be a JSON object")
     strategy = payload.get("strategy", args.strategy)
     budget = params_field(payload, "budget")
+    if not math.isfinite(budget):
+        raise DataFormatError(f"{args.params}: params field 'budget' must be finite, got {budget!r}")
     if strategy not in STRATEGY_NAMES:
         raise DataFormatError(f"{args.params}: unknown strategy {strategy!r}")
     runner = STRATEGIES[strategy](ctx)

@@ -83,8 +83,10 @@ def argmax_tradeoff_rows(
 
     Columns are candidates in ascending-id order, so ``argmin``/``argmax``
     first-hit semantics implement the lowest-id residual tie-break. Rows with
-    no valid column raise.
+    no valid column raise; no rows give an empty result.
     """
+    if tau.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp)
     if not valid.any(axis=1).all():
         raise ValueError("no candidates")
     tau = np.where(valid, tau, -np.inf)

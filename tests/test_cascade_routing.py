@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from modelselect.cascade_routing import (
     select_with_pick,
 )
 from modelselect.cascading import StepEstimates, estimate_sigma, run_cascade
+from modelselect._fitting import LAMBDA_CAP
 from modelselect.core import EstimateTable, Pick, StrategyParams, Supermodel
 from modelselect.montecarlo import EmaxEvaluator, MonteCarloConfig, query_normals
 from modelselect.routing import choose_models
@@ -475,6 +477,24 @@ class TestScalarInputChecks:
             self.decide(entry, t, params, sigma)
 
 
+class TestEnginePriceChecks:
+    """The engine rejects prices its cells and its selection cannot take."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_prices_not_finite_or_negative(self, rng, value):
+        k = 3
+        engine = BatchCascadeEngine(random_table(rng, n=4, k=k), np.zeros((k, k + 1)))
+        lambdas = [0.1, value, 0.1]
+        for call in (engine.run, engine.run_metrics):
+            with pytest.raises(ValueError, match="lambdas must be finite and >= 0"):
+                call(lambdas, Pick.MIN_COST)
+
+    def test_highest_bisection_price_is_valid(self, rng):
+        k = 3
+        engine = BatchCascadeEngine(random_table(rng, n=4, k=k), np.zeros((k, k + 1)))
+        assert engine.run([LAMBDA_CAP] * k, Pick.MIN_COST).n_executed.min() >= 1
+
+
 class TestPruningSavesWork:
     """On the timed per-query path, pruning computes fewer subset qualities."""
 
@@ -527,7 +547,8 @@ class TestEngineMatchesScalarExactly:
         engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
         rows = np.arange(t.n_queries)
         for step in range(k):
-            got, beta = engine._step_tables(step, np.zeros_like(rows), rows)
+            tables = engine._step_tables(step, np.zeros_like(rows), rows)
+            got, beta = tables.quality[0, rows], tables.beta
             assert beta is None and got.shape == (t.n_queries, k - step + 1)
             for q in rows:
                 ev = scalar_evaluator(t, q, step, sigma, list(range(step)), mc)
@@ -669,6 +690,165 @@ class TestEngineStepCache:
             for field in RUN_FIELDS:
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def tied_table(rng, n, k):
+    """Coarse qualities and costs make exact ties, and model k // 2 costs nothing."""
+    t = random_table(rng, n=n, k=k, step_varying=True)
+    t.cost_mean[:] = np.round(t.cost_mean * 2) / 2
+    t.cost_mean[:, :, k // 2] = 0.0
+    t.quality_mean[:] = np.round(t.quality_mean * 4) / 4
+    return t
+
+
+def compiling(on: bool):
+    """Build price cells for every fill (on) or for none, whatever its size."""
+    return mock.patch.object(_engine, "_compiles", lambda rows, columns: on)
+
+
+class TestPriceCells:
+    """Runs that read price cells make the full selection's decisions."""
+
+    @staticmethod
+    def step0_crossings(engine, k):
+        """Every price where two step-0 candidate lines of one row cross, with its float neighbours."""
+        rows = np.arange(engine.table.n_queries)
+        layout = engine._layout(0)
+        quality = engine._step_tables(0, np.zeros_like(rows), rows).quality[0][:, 1:]
+        added = (engine._cost_open(0)[rows[:, None], layout.free[0]] @ layout.bits.T)[:, 1:]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = (quality[:, :, None] - quality[:, None, :]) / (added[:, :, None] - added[:, None, :])
+        cross = np.unique(cross[np.isfinite(cross) & (cross >= 0)])
+        near = np.concatenate([cross, np.nextafter(cross, np.inf), np.nextafter(cross, -np.inf)])
+        return near[near >= 0]
+
+    @staticmethod
+    def cell_bounds(engine):
+        """The stored bounds of every cell at step 0, as float64 prices."""
+        lo, hi = engine._step_cache[0].lo, engine._step_cache[0].hi
+        bounds = np.concatenate([lo[np.isfinite(lo)], hi[np.isfinite(hi)]]).astype(np.float64)
+        return bounds[bounds >= 0]
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        k=st.integers(1, 8),
+        tied=st.booleans(),
+        variant=st.sampled_from(list(Variant)),
+        chain_only=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cells_match_full_selection_property(self, seed, n, k, tied, variant, chain_only, data):
+        rng = np.random.default_rng(seed)
+        t = tied_table(rng, n, k) if tied else random_table(rng, n=n, k=k, step_varying=True)
+        sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=16, seed=seed)
+        with compiling(True):
+            cells = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+            cells.run([0.0] * k, Pick.MAX_COST)
+            prices = np.concatenate([self.step0_crossings(cells, k), self.cell_bounds(cells), [0.0, LAMBDA_CAP]])
+            picked = data.draw(st.lists(st.sampled_from(sorted(prices)), min_size=1, max_size=6))
+            runs = [[lam] * k for lam in picked] + [[lam, *rng.choice(prices, k - 1)] for lam in picked]
+            got = [cells.run(lambdas, pick) for lambdas in runs for pick in Pick]
+        with compiling(False):
+            full = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+            full.run([0.0] * k, Pick.MAX_COST)
+            want = [full.run(lambdas, pick) for lambdas in runs for pick in Pick]
+        for a, b in zip(got, want):
+            for field in RUN_FIELDS:
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert full.cell_hits == full.compiled_pairs == 0
+        assert cells.cell_hits + cells.fallback_rows == full.fallback_rows
+
+    @pytest.mark.parametrize("variant", [Variant.DEFAULT, Variant.SLOW])
+    def test_compiled_fill_without_cells(self, rng, variant):
+        # every candidate ties at every price, so no pair has a cell, and the
+        # full selection must still see each pair's block thresholds
+        k = 4
+        t = random_table(rng, n=5, k=k, step_varying=True)
+        t.quality_mean[:] = 0.5
+        t.cost_mean[:] = 0.0
+        runs = [([lam] * k, pick) for lam in PRICE_LADDER for pick in Pick]
+        with compiling(True):
+            cells = BatchCascadeEngine(t, np.zeros((k, k + 1)), variant=variant)
+            got = [cells.run(*run) for run in runs]
+        with compiling(False):
+            full = BatchCascadeEngine(t, np.zeros((k, k + 1)), variant=variant)
+            want = [full.run(*run) for run in runs]
+        for a, b in zip(got, want):
+            for field in RUN_FIELDS:
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert cells.cell_hits == 0 and cells.compiled_pairs > 0
+
+    def test_counters(self, rng):
+        # every row-step is a cell hit or a fallback row; near a breakpoint
+        # some rows fall back, and every filled pair of a large fill compiles
+        k = 4
+        t = random_table(rng, n=80, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=3))
+        row_steps = 0
+        for lam in (0.0, 0.05, 0.2, 0.6):
+            for pick in Pick:
+                result = engine.run([lam] * k, pick)
+                row_steps += int(np.minimum(result.n_executed + 1, k).sum())
+        # a compiled pruning pair keeps no block thresholds
+        kept = sum(tables.beta_used for tables in engine._step_cache.values())
+        filled = sum(int(tables.filled.sum()) for tables in engine._step_cache.values())
+        assert engine.compiled_pairs == filled - kept > 0
+        assert engine.cell_hits + engine.fallback_rows == row_steps
+        assert engine.cell_hits > engine.fallback_rows
+        with compiling(True):
+            for lam in self.step0_crossings(engine, k)[:20]:
+                engine.run([lam] * k, Pick.MIN_COST)
+        assert engine.fallback_rows > 0
+
+    def test_prices_are_compared_in_float64(self, rng):
+        # one float64 step above a cell's float32 upper bound lies outside
+        # the cell, though a float32 comparison would round it onto the bound
+        k = 3
+        t = random_table(rng, n=4, k=k, step_varying=True)
+        with compiling(True):
+            engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), chain_only=True)
+            engine.run([0.0] * k, Pick.MIN_COST)
+            tables = engine._step_cache[0]
+            hi = tables.hi[0, 0, 1:][np.isfinite(tables.hi[0, 0, 1:])]
+            lam = float(np.nextafter(np.float64(hi.min()), np.inf))
+            assert np.float32(lam) == hi.min()
+            hits = engine.cell_hits
+            engine._select(0, lam, Pick.MIN_COST, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(4))
+        assert engine.cell_hits == hits
+
+    def test_step_table_bytes_per_filled_pair(self):
+        # by arithmetic on the table layout, without allocating a large engine:
+        # every pair holds 8-byte qualities and 1-byte next models per
+        # column, 9 bytes per cell slot, a 4-byte block-threshold row index
+        # and 2 flag and answer bytes; only pairs without cells add a packed
+        # 8-byte block threshold per column
+        k = 5
+        t = random_table(np.random.default_rng(5), n=70, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), MonteCarloConfig(n_samples=8, seed=1))
+        for lam in (0.2, 0.0):
+            engine.run([lam] * k, Pick.MIN_COST)
+        kept = sum(tables.beta_used for tables in engine._step_cache.values())
+        assert engine.compiled_pairs > 0 and kept > 0
+        for step, tables in engine._step_cache.items():
+            columns = tables.allowed.size
+            slots = tables.lo.shape[2]
+            per_pair = {
+                name: arr.itemsize * int(np.prod(arr.shape[2:]))
+                for name, arr in vars(tables).items()
+                if isinstance(arr, np.ndarray) and arr.shape[:2] == tables.filled.shape
+            }
+            assert per_pair == {
+                "quality": 8 * columns, "beta_row": 4, "next_model": columns, "answer": 1,
+                "filled": 1, "lo": 4 * slots, "hi": 4 * slots, "win": slots,
+            }, step
+            assert tables.beta.itemsize * tables.beta.shape[1] == 8 * columns
+            assert tables.beta_used == int((tables.beta_row > 0).sum())
+        # at k = 8 the empty prefix's 256 columns and a 22-slot envelope take
+        # 2.5 KB per compiled pair, against 4.4 KB for a pair without cells
+        assert 9 * 256 + 6 + 9 * 22 == 2508 and 17 * 256 + 6 + 9 == 4367
 
 
 class TestRowPermutation:

@@ -11,6 +11,7 @@ from modelselect.core import (
     Supermodel,
     TrueTable,
     argmax_tradeoff,
+    argmax_tradeoff_rows,
     tradeoff,
 )
 
@@ -54,6 +55,15 @@ class TestArgmaxTradeoff:
         cands = [(3, 0.5, 1.0), (1, 0.5, 1.0), (2, 0.5, 1.0)]
         assert argmax_tradeoff(cands, 0.0, Pick.MIN_COST) == 1
         assert argmax_tradeoff(cands, 0.0, Pick.MAX_COST) == 1
+
+
+class TestArgmaxTradeoffRows:
+    @pytest.mark.parametrize("columns", [0, 4])
+    def test_zero_rows_give_an_empty_choice(self, columns):
+        empty = np.empty((0, columns))
+        for pick in Pick:
+            got = argmax_tradeoff_rows(empty, empty, np.empty((0, columns), dtype=bool), pick)
+            assert got.shape == (0,) and got.dtype == np.intp
 
 
 # Coarse grids keep score gaps far from the tie tolerance, so the invariance

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from modelselect._fitting import check_budget_floor
 from modelselect.cli import _build_parser, main as cli_main
 from modelselect.core import EstimateTable, TrueTable
 from modelselect.harness import (
@@ -490,6 +495,35 @@ class TestCli:
         params_path.write_text(json.dumps([1, 2]))
         assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path)]) == 2
         assert "data error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("strategy", ["cascade-routing", "routing", "linear-interp"])
+    def test_fit_rejects_a_budget_that_is_not_finite(self, tmp_path, capsys, strategy, budget):
+        cfg_path = write(tmp_path, "c.json", json.dumps(self.GRID_CONFIG))
+        assert cli_main(["fit", "--config", str(cfg_path), "--strategy", strategy,
+                         f"--budget={budget}"]) == 2
+        assert "budget must be finite" in capsys.readouterr().err
+
+    def test_budget_floor_rejects_a_budget_that_is_not_finite(self):
+        for budget in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="budget must be finite"):
+                check_budget_floor(budget, 1.0, "below the floor")
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+    def test_evaluate_rejects_a_budget_that_is_not_finite(self, tmp_path, capsys, budget):
+        # json writes these as NaN, Infinity and -Infinity, which it also reads
+        cfg_path, params_path, _, _ = self.fit_at_grid_point(tmp_path, "cascade", 2)
+        payload = json.loads(params_path.read_text())
+        params_path.write_text(json.dumps({**payload, "budget": budget}))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--params", str(params_path)]) == 2
+        assert "data error: " in capsys.readouterr().err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "modelselect", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and "evaluate" in proc.stdout
 
     def test_choices_follow_the_tables(self):
         commands = _build_parser()._subparsers._group_actions[0].choices
