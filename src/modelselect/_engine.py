@@ -108,10 +108,45 @@ scaled draws is one cache-sized ``(chunk, k, S)`` block.
 ``run_metrics`` keeps the realized (quality, cost) means of every
 (prices, pick) it has run, since fitting asks for the same run again.
 
+Delta runs. Fitting runs the whole table again and again at nearby prices:
+bisection steps, search proposals, the second pick of a pair. So ``run``
+keeps its last outcome as a reference (``_Reference``): per row the answer,
+execution order and realized cost, and per step the row reached the float32
+cell ``[lo, hi]`` its choice came from. A step decided by the full selection
+(a cell miss, or a pair without cells) holds the empty cell, and a step the
+row never reached holds ``[-inf, +inf]``. A new run compares every row's
+cells with its prices in one ``(n, k)`` comparison, the float32 bounds
+against the prices as a float64 array. Rows whose cells all hold keep the
+reference outcome; only the others go through the steps, written into copies
+of the reference arrays, so a run's means are taken over full arrays as
+before. When every row is kept, no step runs.
+
+Why a kept row is exact. Its cell at step 0 certifies that the full
+selection picks the same column at the new price under either pick, so the
+row runs the same next model and reaches the same prefix with the same sunk
+cost; by induction it makes the same choice at every step it reaches, with
+the same stop step, next models, cached answer and running cost sum. Its
+``RunResult`` row is therefore identical, even when the pick changes. The
+engine's choices always equal the full selection's, so which cell a lookup
+would have found does not matter.
+
+When no reference is kept. Every row reaches step 0, so a run whose step 0
+has no compiled fill could keep no row: such an engine keeps no reference
+and does no copies or bookkeeping. That holds for every table too small to
+compile its first fill, such as 41-row, 8-model validation tables. A run that
+raises leaves the reference as it was. The reference takes
+``9 * n * (k + 1)`` bytes: int8 answers and execution orders, float64 costs
+and two float32 cells per step. The counters ``kept_rows`` and
+``kept_row_steps`` count what was kept, next to ``cell_hits`` and
+``fallback_rows``, so the selections a run would have made are
+``cell_hits + fallback_rows + kept_row_steps``.
+
 The Monte Carlo draws are antithetic: the last S/2 samples of a query are
 the negated first S/2. The engine holds only the first half, as one
 ``(n, k, S/2)`` tensor: row r holds the transposed first half of the
-``query_normals`` matrix of query ``query_ids[r]``. A fill chunk's block
+``query_normals`` matrix of query ``query_ids[r]``, bit for bit, drawn by
+``montecarlo.half_normals`` with every query's seed computed in one pass.
+A fill chunk's block
 is ``(chunk, k, S)``, built in one buffer as ``means + stds * z`` and then
 ``means - stds * z``. That equals scaling the full draws to the last bit,
 because IEEE negation is exact: ``(-z) * s == -(z * s)`` and
@@ -134,7 +169,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TIE_ABS, TIE_REL, EstimateTable, Pick, StrategyParams, argmax_tradeoff_rows, regime_steps
-from .montecarlo import MonteCarloConfig, query_normals
+from .montecarlo import MonteCarloConfig, half_normals
 
 
 class Variant(Enum):
@@ -476,6 +511,21 @@ class RunResult:
         return tuple(int(m) for m in self.exec_order[q, : self.n_executed[q]])
 
 
+@dataclass
+class _Reference:
+    """The last run's outcome per row, and the cell each step it reached chose from.
+
+    A step the row never reached holds ``[-inf, +inf]``, and a step decided
+    by the full selection the empty ``[+inf, -inf]``.
+    """
+
+    answer: np.ndarray  # (n,) int8
+    exec_order: np.ndarray  # (n, k) int8, -1 past the executed models
+    realized_cost: np.ndarray  # (n,) float64
+    lo: np.ndarray  # (n, k) float32
+    hi: np.ndarray  # (n, k) float32
+
+
 class BatchCascadeEngine:
     """Runs a whole table through a cascade (routing) strategy at once.
 
@@ -509,22 +559,22 @@ class BatchCascadeEngine:
         self._cost_open_cache: dict[int, np.ndarray] = {}
         self._full_answer: Optional[np.ndarray] = None
         self._metrics_cache: dict[tuple[tuple[float, ...], Pick], tuple[float, float]] = {}
-        # (prefix, row) pairs compiled into cells, and row selections read
-        # from a cell or made by the full selection
+        self._reference: Optional[_Reference] = None
+        # (prefix, row) pairs compiled into cells; row selections read from a
+        # cell or made by the full selection; rows, and the row selections
+        # they would have made, kept from the reference
         self.compiled_pairs = 0
         self.cell_hits = 0
         self.fallback_rows = 0
+        self.kept_rows = 0
+        self.kept_row_steps = 0
 
     # -- expected-max columns -------------------------------------------------
 
     def _draws(self) -> np.ndarray:
         """(n, k, half): the first, un-negated half of each query's antithetic draws."""
         if self._z is None:
-            n, k, half = self.table.n_queries, self.table.n_models, self.mc.half
-            z = np.empty((n, k, half))
-            for row, qid in enumerate(self.table.query_ids):
-                z[row] = query_normals(self.mc, int(qid), k)[:half].T
-            self._z = z
+            self._z = half_normals(self.mc, self.table.query_ids, self.table.n_models)
         return self._z
 
     def _layout(self, t: int) -> _StepLayout:
@@ -711,7 +761,7 @@ class BatchCascadeEngine:
     # -- one decision step ----------------------------------------------------
 
     def _select(self, t, lam, pick, ranks, rows, sunk):
-        """The layout column each row picks at step t; column 0 stops.
+        """The layout column each row picks at step t, and the cell it came from; column 0 stops.
 
         A row whose (prefix, row) pair holds a price cell containing ``lam``
         takes the cell's column. Every other row goes through the full
@@ -723,19 +773,28 @@ class BatchCascadeEngine:
         candidate mask, which implements the lowest-id residual tie-break.
         The step's ``allowed`` columns leave out running nothing at step 0
         and, for GREEDY, every lattice column adding more than one model.
+
+        Returns ``(choice, cells)``. ``cells`` is None when no fill of the
+        step was compiled, and otherwise the float32 ``(lo, hi)`` of each
+        row's cell, empty (``+inf``, ``-inf``) for rows of the full selection.
         """
         tables = self._step_tables(t, ranks, rows)
         lam = np.float64(lam)  # a Python float would be compared in float32
         if tables.lo.shape[2] == 1:  # no fill of the step was compiled
             self.fallback_rows += rows.size
-            return argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks, rows, sunk), pick)
-        slot = np.count_nonzero(tables.lo[ranks, rows] <= lam, axis=1) - 1
+            return argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks, rows, sunk), pick), None
+        lo = tables.lo[ranks, rows]
+        slot = np.count_nonzero(lo <= lam, axis=1) - 1
+        cell_lo = lo[np.arange(rows.size), slot]
+        cell_hi = tables.hi[ranks, rows, slot]
         choice = tables.win[ranks, rows, slot]
-        miss = np.flatnonzero(tables.hi[ranks, rows, slot] < lam)
+        miss = np.flatnonzero(cell_hi < lam)
         self.cell_hits += rows.size - miss.size
         self.fallback_rows += miss.size
         choice[miss] = argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks[miss], rows[miss], sunk), pick)
-        return choice
+        cell_lo[miss] = np.inf
+        cell_hi[miss] = -np.inf
+        return choice, (cell_lo, cell_hi)
 
     def _full_scores(self, t, lam, tables, ranks, rows, sunk):
         """(tau, cost, valid) of the full selection over every column, for ``argmax_tradeoff_rows``.
@@ -774,22 +833,48 @@ class BatchCascadeEngine:
         Rows that still decide are tracked by their prefix rank; a row stops
         when it picks column 0, with the answer cached for its prefix, and
         otherwise runs the column's cached next model and moves to that
-        model's child rank.
+        model's child rank. A row whose reference cells all hold the new
+        prices keeps the last run's outcome, and only the other rows take
+        the steps (module docstring, "Delta runs").
         """
         table = self.table
         n, k = table.n_queries, table.n_models
         check_decision_inputs(k, lambdas=lambdas)
         lams = np.asarray(lambdas, dtype=np.float64)
-        answer = np.full(n, -1, dtype=np.int64)
-        exec_order = np.full((n, k), -1, dtype=np.int64)
-        sunk = np.zeros(n)
-        act = np.arange(n)
-        ranks = np.zeros(n, dtype=np.int64)
+        ref = self._reference
+        cell_lo = cell_hi = None
+        if ref is None:
+            act = np.arange(n)
+            answer = np.full(n, -1, dtype=np.int64)
+            exec_order = np.full((n, k), -1, dtype=np.int64)
+            sunk = np.zeros(n)
+        else:
+            # float32 bounds against a float64 array compare in float64
+            redo = ((ref.lo > lams) | (lams > ref.hi)).any(axis=1)
+            act = np.flatnonzero(redo)
+            answer = ref.answer.astype(np.int64)
+            exec_order = ref.exec_order.astype(np.int64)
+            sunk = ref.realized_cost.copy()
+            if act.size:
+                answer[act] = -1
+                exec_order[act] = -1
+                sunk[act] = 0.0
+                cell_lo, cell_hi = ref.lo.copy(), ref.hi.copy()
+                cell_lo[act] = -np.inf
+                cell_hi[act] = np.inf
+        kept = n - act.size
+        ranks = np.zeros(act.size, dtype=np.int64)
 
         for t in range(k):
             if act.size == 0:
                 break
-            choice = self._select(t, lams[t], pick, ranks, act, sunk)
+            choice, cells = self._select(t, lams[t], pick, ranks, act, sunk)
+            if cell_lo is None and t == 0 and cells is not None:
+                # every row reaches step 0: without cells there, no row could be kept
+                cell_lo = np.full((n, k), -np.inf, dtype=np.float32)
+                cell_hi = np.full((n, k), np.inf, dtype=np.float32)
+            if cell_lo is not None:
+                cell_lo[act, t], cell_hi[act, t] = (np.inf, -np.inf) if cells is None else cells
             tables = self._step_cache[t]
             if not choice.all():
                 stop = np.flatnonzero(choice == 0)
@@ -808,6 +893,14 @@ class BatchCascadeEngine:
         n_exec = np.count_nonzero(exec_order >= 0, axis=1)
         if np.any(n_exec == 0):
             raise RuntimeError("a query finished without executing any model")
+        if kept:
+            # a row decides at steps 0..n_executed, except at step k
+            self.kept_rows += kept
+            self.kept_row_steps += int(np.minimum(n_exec[~redo], k - 1).sum()) + kept
+        if cell_lo is not None:
+            self._reference = _Reference(
+                answer.astype(np.int8), exec_order.astype(np.int8), sunk.copy(), cell_lo, cell_hi
+            )
         return RunResult(
             answer=answer,
             exec_order=exec_order,

@@ -181,6 +181,12 @@ def regime_steps(computed: np.ndarray, t: int) -> np.ndarray:
     return np.where(computed, np.maximum(t, idx + 1), np.minimum(t, idx))
 
 
+def _require_ids(table) -> None:
+    """Reject negative query ids: they seed per-query random streams, which need ids >= 0."""
+    if np.any(table.query_ids < 0):
+        raise ValueError("query_ids must be >= 0")
+
+
 def _require_finite(table, names: Sequence[str]) -> None:
     """Reject NaN and infinite entries before they can reach a decision."""
     for name in names:
@@ -210,6 +216,7 @@ class TrueTable:
             raise ValueError("true table shapes disagree")
         if n < 1 or k < 1:
             raise ValueError("true table needs at least one query and one model")
+        _require_ids(self)
         _require_finite(self, ("quality", "cost"))
         if np.any(self.cost < 0):
             raise ValueError("true costs must be >= 0")
@@ -263,6 +270,7 @@ class EstimateTable:
                 raise ValueError(f"{name} shape disagrees with quality_mean")
         if self.query_ids.shape != (n,):
             raise ValueError("query_ids length disagrees with estimates")
+        _require_ids(self)
         _require_finite(self, ("quality_mean", "quality_std", "cost_mean", "cost_std"))
         if np.any(self.cost_mean < 0):
             raise ValueError("cost estimate means must be >= 0")

@@ -40,7 +40,7 @@ from .estimators import (
     generate_workload,
     simulate_estimates,
 )
-from .montecarlo import MonteCarloConfig, mixing_uniform
+from .montecarlo import MonteCarloConfig, mixing_uniforms
 from .routing import (
     FittedRouter,
     cheapest_strategy_cost,
@@ -661,9 +661,7 @@ class RunContext:
     def test_coins(self) -> np.ndarray:
         coins = getattr(self, "_coins", None)
         if coins is None:
-            coins = np.array(
-                [mixing_uniform(self.config.seed, int(q)) for q in self.test_table.query_ids]
-            )
+            coins = mixing_uniforms(self.config.seed, self.test_table.query_ids)
             self._coins = coins
         return coins
 

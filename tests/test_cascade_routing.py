@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -758,8 +759,8 @@ class TestPriceCells:
         for a, b in zip(got, want):
             for field in RUN_FIELDS:
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        assert full.cell_hits == full.compiled_pairs == 0
-        assert cells.cell_hits + cells.fallback_rows == full.fallback_rows
+        assert full.cell_hits == full.compiled_pairs == full.kept_row_steps == 0
+        assert cells.cell_hits + cells.fallback_rows + cells.kept_row_steps == full.fallback_rows
 
     @pytest.mark.parametrize("variant", [Variant.DEFAULT, Variant.SLOW])
     def test_compiled_fill_without_cells(self, rng, variant):
@@ -782,8 +783,9 @@ class TestPriceCells:
         assert cells.cell_hits == 0 and cells.compiled_pairs > 0
 
     def test_counters(self, rng):
-        # every row-step is a cell hit or a fallback row; near a breakpoint
-        # some rows fall back, and every filled pair of a large fill compiles
+        # every row-step is a cell hit, a fallback row or kept from the
+        # reference; near a breakpoint some rows fall back, and every filled
+        # pair of a large fill compiles
         k = 4
         t = random_table(rng, n=80, k=k, step_varying=True)
         engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=3))
@@ -796,8 +798,9 @@ class TestPriceCells:
         kept = sum(tables.beta_used for tables in engine._step_cache.values())
         filled = sum(int(tables.filled.sum()) for tables in engine._step_cache.values())
         assert engine.compiled_pairs == filled - kept > 0
-        assert engine.cell_hits + engine.fallback_rows == row_steps
-        assert engine.cell_hits > engine.fallback_rows
+        assert engine.cell_hits + engine.fallback_rows + engine.kept_row_steps == row_steps
+        # a kept row-step is a cell hit at the run that decided it
+        assert engine.cell_hits + engine.kept_row_steps > engine.fallback_rows
         with compiling(True):
             for lam in self.step0_crossings(engine, k)[:20]:
                 engine.run([lam] * k, Pick.MIN_COST)
@@ -849,6 +852,198 @@ class TestPriceCells:
         # at k = 8 the empty prefix's 256 columns and a 22-slot envelope take
         # 2.5 KB per compiled pair, against 4.4 KB for a pair without cells
         assert 9 * 256 + 6 + 9 * 22 == 2508 and 17 * 256 + 6 + 9 == 4367
+
+
+class TestDeltaRuns:
+    """A run keeps the rows whose reference cells hold its prices and re-decides the rest."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        k=st.integers(1, 8),
+        tied=st.booleans(),
+        variant=st.sampled_from(list(Variant)),
+        chain_only=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_delta_runs_equal_fresh_runs_property(self, seed, n, k, tied, variant, chain_only, data):
+        rng = np.random.default_rng(seed)
+        t = tied_table(rng, n, k) if tied else random_table(rng, n=n, k=k, step_varying=True)
+        sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=16, seed=seed)
+        with compiling(True):
+            delta = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+            delta.run([0.0] * k, Pick.MAX_COST)
+            prices = sorted(np.concatenate([
+                TestPriceCells.step0_crossings(delta, k), TestPriceCells.cell_bounds(delta), [0.0, LAMBDA_CAP]
+            ]))
+            price = st.sampled_from(prices)
+            runs = data.draw(st.lists(
+                st.tuples(st.one_of(price.map(lambda lam: [lam] * k), st.lists(price, min_size=k, max_size=k)),
+                          st.sampled_from(list(Pick))),
+                min_size=1, max_size=6,
+            ))
+            for lambdas, pick in runs:
+                got = delta.run(lambdas, pick)
+                want = BatchCascadeEngine(t, sigma, mc, variant, chain_only).run(lambdas, pick)
+                for field in RUN_FIELDS:
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+    @staticmethod
+    def assert_sweep_matches_full(delta, prices, compile_all=None):
+        """Runs ``delta`` at each price, dearer pick first, against an engine that never compiles.
+
+        ``compile_all`` forces ``delta`` to compile every fill (True) or
+        leaves the rule as shipped (None). The other engine's step 0 has no
+        cells, so it keeps no reference and makes every full selection.
+        """
+        k = delta.table.n_models
+        full = BatchCascadeEngine(delta.table, delta.sigma, delta.mc, delta.variant, delta.chain_only)
+        for lam in prices:
+            for pick in (Pick.MAX_COST, Pick.MIN_COST):
+                with compiling(compile_all) if compile_all is not None else contextlib.nullcontext():
+                    got = delta.run([lam] * k, pick)
+                with compiling(False):
+                    want = full.run([lam] * k, pick)
+                for field in RUN_FIELDS:
+                    assert np.array_equal(getattr(got, field), getattr(want, field)), (lam, pick, field)
+        assert full._reference is None
+
+    @pytest.mark.parametrize("chain_only", [False, True])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_missed_rows_are_rerun(self, rng, variant, chain_only):
+        # at a step-0 crossing a row misses its cells and the cheaper pick
+        # leaves the cell's column; the next, lower price lies back in that
+        # cell, so a missed row kept there would replay the wrong choice
+        k = 4
+        t = random_table(rng, n=6, k=k, step_varying=True)
+        mc = MonteCarloConfig(n_samples=16, seed=5)
+        with compiling(True):
+            delta = BatchCascadeEngine(t, rng.uniform(0.0, 0.35, (k, k + 1)), mc, variant, chain_only)
+            delta.run([0.0] * k, Pick.MAX_COST)
+            prices = np.unique(np.concatenate([
+                TestPriceCells.step0_crossings(delta, k), TestPriceCells.cell_bounds(delta), [0.0]
+            ]))
+        prices = np.sort(rng.choice(prices, min(prices.size, 150), replace=False))
+        self.assert_sweep_matches_full(delta, np.concatenate([prices, prices[::-1]]), compile_all=True)
+        assert delta.kept_rows > 0 and delta.fallback_rows > 0
+
+    def test_steps_without_cells_bound_every_row(self, rng):
+        # as shipped, an 80-row table compiles its first fills but not the
+        # small fills of later steps, whose rows must always be re-run
+        k = 5
+        t = random_table(rng, n=80, k=k, step_varying=True)
+        delta = BatchCascadeEngine(t, rng.uniform(0.0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=16, seed=9))
+        prices = np.geomspace(0.01, 1.0, 12)
+        self.assert_sweep_matches_full(delta, np.concatenate([prices, prices[::-1]]))
+        widths = [tables.lo.shape[2] for tables in delta._step_cache.values()]
+        assert widths[0] > 1 and min(widths) == 1
+        assert delta.kept_rows > 0
+
+    @staticmethod
+    def kept_engine(rng, monkeypatch, chain_only=True):
+        """An engine compiling every fill, whose run at 0.2 decided every row from cells."""
+        monkeypatch.setattr(_engine, "_compiles", lambda rows, columns: True)
+        k = 3
+        t = random_table(rng, n=80, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=7),
+                                    chain_only=chain_only)
+        first = engine.run([0.2] * k, Pick.MIN_COST)
+        assert engine.fallback_rows == 0 and engine._reference is not None
+        return engine, first
+
+    def test_every_row_kept_runs_no_step(self, rng, monkeypatch):
+        engine, first = self.kept_engine(rng, monkeypatch)
+        k = engine.table.n_models
+        calls = []
+        monkeypatch.setattr(engine, "_select", lambda *a: calls.append(1))
+        again = engine.run([0.2] * k, Pick.MAX_COST)  # either pick: a cell certifies both
+        assert calls == [] and engine.kept_rows == engine.table.n_queries
+        for field in RUN_FIELDS:
+            assert np.array_equal(getattr(again, field), getattr(first, field)), field
+        # the result is a copy: writing to it leaves the reference as it was
+        again.answer[:] = -7
+        again.realized_cost[:] = -1.0
+        assert np.array_equal(engine.run([0.2] * k, Pick.MIN_COST).answer, first.answer)
+
+    def test_some_rows_kept(self, rng, monkeypatch):
+        engine, _ = self.kept_engine(rng, monkeypatch, chain_only=False)
+        k = engine.table.n_models
+        got = engine.run([0.21] * k, Pick.MIN_COST)
+        want = BatchCascadeEngine(engine.table, engine.sigma, engine.mc).run([0.21] * k, Pick.MIN_COST)
+        for field in RUN_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert 0 < engine.kept_rows < engine.table.n_queries
+        assert engine.kept_row_steps >= engine.kept_rows
+        # steps a row did not reach in its last run put no bound on it
+        ref = engine._reference
+        unreached = np.arange(k) > np.minimum(got.n_executed, k - 1)[:, None]
+        assert unreached.any()
+        assert (ref.lo[unreached] == -np.inf).all() and (ref.hi[unreached] == np.inf).all()
+
+    def test_failed_run_leaves_reference(self, rng, monkeypatch):
+        engine, _ = self.kept_engine(rng, monkeypatch, chain_only=False)
+        k = engine.table.n_models
+        before = {name: arr.copy() for name, arr in vars(engine._reference).items()}
+        reference = engine._reference
+
+        def fail(*args):
+            raise MemoryError
+
+        with mock.patch.object(_engine, "argmax_tradeoff_rows", fail), pytest.raises(MemoryError):
+            engine.run([5.0] * k, Pick.MIN_COST)
+        assert engine._reference is reference
+        for name, arr in vars(reference).items():
+            assert np.array_equal(arr, before[name]), name
+        got = engine.run([5.0] * k, Pick.MIN_COST)
+        want = BatchCascadeEngine(engine.table, engine.sigma, engine.mc).run([5.0] * k, Pick.MIN_COST)
+        for field in RUN_FIELDS:
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_prices_are_compared_with_cells_in_float64(self, rng, monkeypatch):
+        # one float64 step above a row's float32 cell bound is outside the
+        # cell, though a float32 comparison would round it onto the bound
+        engine, _ = self.kept_engine(rng, monkeypatch)
+        k = engine.table.n_models
+        hi = engine._reference.hi[:, 0]
+        row = int(np.flatnonzero(np.isfinite(hi) & (hi > 0.2))[0])
+        lam = float(np.nextafter(np.float64(hi[row]), np.inf))
+        assert np.float32(lam) == hi[row] and engine._reference.lo[row, 0] <= 0.2
+        step0_rows = []
+        select = engine._select
+
+        def spy(t, lam, pick, ranks, rows, sunk):
+            if t == 0:
+                step0_rows.extend(rows)
+            return select(t, lam, pick, ranks, rows, sunk)
+
+        monkeypatch.setattr(engine, "_select", spy)
+        engine.run([lam] + [0.2] * (k - 1), Pick.MIN_COST)
+        assert row in step0_rows
+
+    def test_no_reference_without_cells_at_step_0(self, rng):
+        # a 60-row table compiles no fill, so every row is a full selection
+        # at step 0 and the engine keeps nothing
+        k = 4
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=7))
+        for lam in (0.2, 0.2, 0.0):
+            engine.run([lam] * k, Pick.MIN_COST)
+        assert engine._reference is None and engine.compiled_pairs == 0
+        assert engine.kept_rows == engine.kept_row_steps == 0
+
+    def test_reference_bytes(self, rng, monkeypatch):
+        # by arithmetic: an int8 answer and execution order, a float64 cost
+        # and two float32 cells per step, 9 * n * (k + 1) bytes; 75.6 KB for
+        # a 1400-row, 5-model table
+        engine, _ = self.kept_engine(rng, monkeypatch)
+        n, k = engine.table.n_queries, engine.table.n_models
+        sizes = {name: arr.nbytes for name, arr in vars(engine._reference).items()}
+        assert sizes == {"answer": n, "exec_order": n * k, "realized_cost": 8 * n, "lo": 4 * n * k, "hi": 4 * n * k}
+        assert sum(sizes.values()) == 9 * n * (k + 1)
+        assert 9 * 1400 * 6 == 75_600
 
 
 class TestRowPermutation:

@@ -146,6 +146,17 @@ class TestTypes:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrueTable(query_ids=np.arange(2), **arrays)
 
+    def test_negative_query_ids_rejected(self):
+        # a negative id cannot seed a query's random stream; it used to be
+        # accepted here and fail only inside each strategy's sweep
+        ids = -np.arange(1, 4)
+        with pytest.raises(ValueError, match="query_ids must be >= 0"):
+            EstimateTable.build(np.full((3, 2), 0.5), np.ones((3, 2)), query_ids=ids)
+        with pytest.raises(ValueError, match="query_ids must be >= 0"):
+            TrueTable(query_ids=ids, quality=np.full((3, 2), 0.5), cost=np.ones((3, 2)))
+        assert list(EstimateTable.build(np.ones((2, 2)), np.ones((2, 2)), query_ids=[0, 2**63 - 1]).query_ids) == [
+            0, 2**63 - 1]
+
     def test_build_broadcasts_steps(self):
         t = EstimateTable.build(np.ones((4, 3)) * 0.5, np.ones((4, 3)))
         assert t.quality_mean.shape == (4, 4, 3)

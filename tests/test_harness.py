@@ -213,6 +213,14 @@ def small_config(**overrides):
 
 
 class TestRunSweep:
+    def test_test_coins_equal_per_query_coins(self):
+        from modelselect.montecarlo import mixing_uniform
+
+        ctx = prepare_run(small_config(seed=2**32 + 5))
+        assert "_coins" not in vars(ctx)  # drawn on first use, not in set-up
+        want = [mixing_uniform(2**32 + 5, int(q)) for q in ctx.test_table.query_ids]
+        assert np.array_equal(ctx.test_coins, want)
+
     def test_full_protocol_shapes(self):
         report = run_sweep(small_config())
         assert set(report.strategies) == set(small_config().strategies)

@@ -17,9 +17,12 @@ from modelselect.core import Pick
 from modelselect.montecarlo import (
     EmaxEvaluator,
     MonteCarloConfig,
+    _seed_words,
     antithetic_normals,
     expected_max,
+    half_normals,
     mixing_uniform,
+    mixing_uniforms,
     query_normals,
 )
 from modelselect.routing import cheapest_strategy_cost, expected_metrics, fit_router
@@ -52,6 +55,49 @@ class TestDraws:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MonteCarloConfig(n_samples=1)
+
+
+class TestBatchSeeding:
+    """One vectorized pass seeds every query exactly as its own SeedSequence would."""
+
+    IDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS + [2**64, 2**100 + 3])
+    @pytest.mark.parametrize("stream", [0x4D, 0x47])
+    def test_seed_words_equal_seed_sequence(self, seed, stream, rng):
+        # one-word and two-word ids mixed in one call, in any order; seeds of
+        # two or more words push the entropy past the 4-word pool
+        ids = np.array(self.IDS + list(rng.integers(0, 2**63 - 1, 6)) + list(rng.integers(0, 2**32, 6)))
+        ids = ids[rng.permutation(ids.size)]
+        got = _seed_words(seed, stream, ids)
+        want = [np.random.SeedSequence((seed, stream, int(q))).generate_state(4, np.uint64) for q in ids]
+        assert got.dtype == np.uint64 and np.array_equal(got, np.stack(want))
+
+    def test_no_ids(self):
+        assert _seed_words(3, 0x4D, np.array([], dtype=np.int64)).shape == (0, 4)
+        assert half_normals(MonteCarloConfig(n_samples=8), [], 3).shape == (0, 3, 4)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_draws_and_coins_equal_per_query_functions(self, seed, rng):
+        ids = np.array(self.IDS + list(rng.integers(0, 2**63 - 1, 3)))
+        cfg = MonteCarloConfig(n_samples=63, seed=seed)
+        z = half_normals(cfg, ids, 3)
+        assert z.shape == (ids.size, 3, cfg.half)
+        for row, q in enumerate(ids):
+            assert np.array_equal(z[row], query_normals(cfg, int(q), 3)[: cfg.half].T)
+        coins = mixing_uniforms(seed, ids)
+        assert np.array_equal(coins, [mixing_uniform(seed, int(q)) for q in ids])
+        t = random_table(rng, n=ids.size, k=3)
+        t.query_ids = ids
+        assert np.array_equal(BatchCascadeEngine(t, np.zeros((3, 4)), cfg)._draws(), z)
+
+    def test_negative_ids_rejected(self):
+        # a uint64 cast would wrap -1 to 2**64 - 1 without a word
+        with pytest.raises(ValueError, match="query ids must be >= 0"):
+            _seed_words(0, 0x4D, np.array([3, -1]))
+        with pytest.raises(ValueError, match="query ids must be >= 0"):
+            mixing_uniforms(0, [-5])
 
 
 class TestEvaluator:
