@@ -7,28 +7,30 @@ column of the step's layout (``_StepLayout``). Cascade routing scores every
 submask of its f = k - t free models, 2^f columns; cascading is cascade
 routing restricted to chain prefixes, so a chain-only step has the one
 prefix of the first t models and f + 1 columns, the bare prefix and each
-longer chain prefix. One step is therefore one selection over an
-``(active rows, columns)`` score matrix, whatever mix of prefixes the rows
-hold, and both strategies share it.
+longer chain prefix. One cascade-routing step is therefore one selection
+over an ``(active rows, columns)`` score matrix, whatever mix of prefixes
+the rows hold. Cascading scores the same columns, but a chain's choice is
+only stop or continue, so its runs take one pass over per-step price
+thresholds instead of the step loop (below, "Cascading runs").
 
-Everything about a prefix that does not depend on the price is cached per
-step, in ``(prefixes, n, columns)`` tables indexed by prefix rank (the
-prefix's position in the layout), table row and column:
+Everything about a cascade-routing prefix that does not depend on the price
+is cached per step, in ``(prefixes, n, columns)`` tables indexed by prefix
+rank (the prefix's position in the layout), table row and column:
 
 - the expected-max quality of every candidate, from the query's shared
   Monte Carlo draws;
-- for pruning cascade routing, the block threshold ``beta``: the smallest
+- for pruning variants, the block threshold ``beta``: the smallest
   marginal gain per unit cost, ``(q(T) - q(T - {j})) / c_j``, over every
   subset T of the candidate and member j of T. The sunk cost cancels from a
   marginal gain, so pruning at price ``lam`` is the single test
   ``lam > beta``; it removes each candidate with a negative marginal gain
-  together with all its supersets. Chains never prune. Only pairs without
-  price cells (below) keep it, packed one ``(columns,)`` row per pair in
-  fill order and found through a ``(prefixes, n)`` row index;
+  together with all its supersets. Only pairs without price cells (below)
+  keep it, packed one ``(columns,)`` row per pair in fill order and found
+  through a ``(prefixes, n)`` row index;
 - the model each column runs next: the cheapest added model by open cost,
-  lowest id on ties, and model t for a chain;
+  lowest id on ties;
 - per (prefix, row), the answer of a query that stops there:
-  ``EstimateTable.best_computed`` at step t, and model t - 1 for a chain;
+  ``EstimateTable.best_computed`` at step t;
 - per compiled (prefix, row), its price cells: float32 ``lo`` and ``hi``
   and the unsigned column ``win``, 9 bytes per slot, as many slots as the
   step's widest envelope plus a sentinel.
@@ -109,10 +111,10 @@ scaled draws is one cache-sized ``(chunk, k, S)`` block.
 (prices, pick) it has run, since fitting asks for the same run again.
 
 Delta runs. Fitting runs the whole table again and again at nearby prices:
-bisection steps, search proposals, the second pick of a pair. So ``run``
-keeps its last outcome as a reference (``_Reference``): per row the answer,
-execution order and realized cost, and per step the row reached the float32
-cell ``[lo, hi]`` its choice came from. A step decided by the full selection
+bisection steps, search proposals, the second pick of a pair. So a
+cascade-routing ``run`` keeps its last outcome as a reference
+(``_Reference``): per row the answer, execution order and realized cost, and
+per step the row reached the float32 cell ``[lo, hi]`` its choice came from. A step decided by the full selection
 (a cell miss, or a pair without cells) holds the empty cell, and a step the
 row never reached holds ``[-inf, +inf]``. A new run compares every row's
 cells with its prices in one ``(n, k)`` comparison, the float32 bounds
@@ -133,13 +135,55 @@ would have found does not matter.
 When no reference is kept. Every row reaches step 0, so a run whose step 0
 has no compiled fill could keep no row: such an engine keeps no reference
 and does no copies or bookkeeping. That holds for every table too small to
-compile its first fill, such as 41-row, 8-model validation tables. A run that
-raises leaves the reference as it was. The reference takes
+compile its first fill, such as 41-row, 8-model validation tables, and for
+chains, which take no steps (below). A run that raises leaves the reference
+as it was. The reference takes
 ``9 * n * (k + 1)`` bytes: int8 answers and execution orders, float64 costs
 and two float32 cells per step. The counters ``kept_rows`` and
 ``kept_row_steps`` count what was kept, next to ``cell_hits`` and
 ``fallback_rows``, so the selections a run would have made are
 ``cell_hits + fallback_rows + kept_row_steps``.
+
+Cascading runs. A chain row at step t has computed exactly models
+0..t - 1, whatever the earlier prices were, so its columns, quality, sunk
+cost and stop answer (model t - 1) are fixed per (step, row), and every
+column but the bare prefix runs model t next. A chain's choice at step t
+therefore depends only on the row, the step and ``lambdas[t]``, and its
+outcome only on the step s where it stops: it ran models 0..s - 1, answers
+with model s - 1 and paid the running sum of their costs, kept as one
+``(k + 1, n)`` table summed in chain order (``0.0 + c0``, then ``+ c1``, and
+so on), so it is the step loop's sum to the last bit. Step 0 cannot stop
+(running nothing is no candidate), so every row runs model 0 without a
+selection, as ``cascading.run_cascade`` does, and step 0 is never filled.
+
+When a (step t >= 1, row) pair is filled, three float64 thresholds are
+computed from its columns (``_chain_thresholds``): continuing is certified
+at every price ``lam < cont_hi`` and stopping at every price
+``stop_lo < lam < stop_hi``. Continuing is certified where some longer
+chain c beats stopping by more than the price cells' margin,
+``(q_c - q_0 - m0) - lam * (a_c + m1) > 0`` with ``a_c`` the cost chain c
+adds; stopping where stopping beats every longer chain by that margin. The
+margin is ``_price_cells``' (``Q = max |q|`` over the step's columns,
+``C`` the members' summed ``|computed_cost|`` plus the largest added cost),
+so as there the tie set holds no column 0 in the first case and only
+column 0 in the second, and both picks agree with the full selection. The
+comparisons are strict and in float64; an unfilled pair certifies nothing.
+
+A run compares the price vector with the ``(k + 1, n)`` ``cont_hi`` table
+in one pass, whose step 0 always continues and whose step k always stops,
+and takes each row's first step that is not a certified continue. A row
+that certainly stops there is done. The others take the full selection at
+that step (one ``argmax_tradeoff_rows`` call over the same ``(tau, cost,
+valid)`` arrays as the step loop), the lowest such step first, filling the
+pairs reached for the first time, so each step is filled at most once per
+run; those that continue move on to their next such step. Counters:
+``threshold_row_steps`` and ``exact_selections`` count the row-steps
+decided each way (a row decides at steps 1..s, except at step k).
+
+Memory: per (step, row) over steps 0..k, three float64 thresholds and a
+fill flag, plus the ``(k + 1, n)`` running costs, and per filled step t an
+``(n, f + 1)`` quality table. Chains keep no step tables, price cells,
+block thresholds or reference.
 
 The Monte Carlo draws are antithetic: the last S/2 samples of a query are
 the negated first S/2. The engine holds only the first half, as one
@@ -498,6 +542,51 @@ def _price_cells(
     )
 
 
+def _chain_thresholds(
+    quality: np.ndarray, added: np.ndarray, sunk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified price bounds ``(cont_hi, stop_lo, stop_hi)`` of each row of one chain step.
+
+    ``quality`` and ``added`` are the step's (rows, f + 1) candidate quality
+    and added cost, column 0 stopping and column c the chain that runs c more
+    models, and ``sunk`` a bound on each row's absolute sunk cost. The
+    step's full selection continues, under either pick, at every price
+    ``lam < cont_hi``, and stops at every price ``stop_lo < lam < stop_hi``.
+    The margin is ``_price_cells``'; NaN bounds certify nothing.
+    """
+    m0 = _CELL_SAFETY * (TIE_ABS + TIE_REL * np.abs(quality).max(axis=1, keepdims=True))
+    m1 = _CELL_SAFETY * TIE_REL * (sunk[:, None] + added.max(axis=1, keepdims=True))
+    gain, extra = quality[:, 1:] - quality[:, :1], added[:, 1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # continue: some chain has d - lam * e > 0, where e >= 0
+        d, e = gain - m0, extra + m1
+        cont_hi = np.where(e > 0, d / e, np.where(d > 0, np.inf, -np.inf)).max(axis=1)
+        # stop: every chain has d + lam * e > 0, a lower bound on lam where
+        # e > 0, an upper bound where e < 0, and all or no prices where e == 0
+        d, e = -gain - m0, extra - m1
+        x = -d / e
+        stop_lo = np.where(e > 0, x, np.where((e < 0) | (d > 0), -np.inf, np.inf)).max(axis=1)
+        stop_hi = np.where(e < 0, x, np.inf).min(axis=1)
+    return cont_hi, stop_lo, stop_hi
+
+
+@dataclass
+class _ChainTables:
+    """What a chain engine keeps per (step, row), steps 0..k; only steps 1..k - 1 are ever filled.
+
+    Step 0 always continues and step k always stops, so a run's search for
+    each row's first step that is not a certified continue ends at step k.
+    An unfilled pair certifies nothing.
+    """
+
+    cost: np.ndarray  # (k + 1, n) running sum of computed costs in chain order: the sunk cost at step t
+    cont_hi: np.ndarray  # (k + 1, n) continue is certified below this price
+    stop_lo: np.ndarray  # (k + 1, n) stop is certified strictly between stop_lo and stop_hi
+    stop_hi: np.ndarray  # (k + 1, n)
+    filled: np.ndarray  # (k + 1, n) bool
+    quality: dict[int, np.ndarray]  # step t -> (n, f + 1) quality of stopping and of each longer chain
+
+
 @dataclass
 class RunResult:
     """Per-query outcome of one deterministic cascade run."""
@@ -534,10 +623,11 @@ class BatchCascadeEngine:
     which is exactly the plain cascading strategy. Plain cascading answers
     with the last computed model; cascade routing is not bound by that
     restriction and answers with ``EstimateTable.best_computed``. Both
-    score, cache and select through the same step tables. Expected-max
-    columns depend only on the table, the uncertainty matrix and the step,
-    so one engine instance can be reused across budgets and hyperparameter
-    evaluations.
+    score the step layout's columns with the same expected-max fill;
+    cascade routing selects through the step tables and cascading through
+    its stop/continue thresholds. Expected-max columns depend only on the
+    table, the uncertainty matrix and the step, so one engine instance can
+    be reused across budgets and hyperparameter evaluations.
     """
 
     def __init__(
@@ -560,14 +650,18 @@ class BatchCascadeEngine:
         self._full_answer: Optional[np.ndarray] = None
         self._metrics_cache: dict[tuple[tuple[float, ...], Pick], tuple[float, float]] = {}
         self._reference: Optional[_Reference] = None
-        # (prefix, row) pairs compiled into cells; row selections read from a
-        # cell or made by the full selection; rows, and the row selections
-        # they would have made, kept from the reference
+        self._chain_tables: Optional[_ChainTables] = None
+        # lattice: (prefix, row) pairs compiled into cells; row selections
+        # read from a cell or made by the full selection; rows, and the row
+        # selections they would have made, kept from the reference
         self.compiled_pairs = 0
         self.cell_hits = 0
         self.fallback_rows = 0
         self.kept_rows = 0
         self.kept_row_steps = 0
+        # chain: row-steps decided by a certified threshold, and by the full selection
+        self.threshold_row_steps = 0
+        self.exact_selections = 0
 
     # -- expected-max columns -------------------------------------------------
 
@@ -590,13 +684,9 @@ class BatchCascadeEngine:
         return cached
 
     def _stop_answer(self, t: int, computed: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Answer of each row that stops at step t with ``computed`` models; -1 at t = 0.
-
-        A chain answers with its last model, cascade routing with
-        ``EstimateTable.best_computed`` at step t.
-        """
-        if self.chain_only or t == 0:
-            return np.full(rows.size, t - 1)
+        """Answer of each row that stops at step t with ``computed`` models: ``best_computed``, -1 at t = 0."""
+        if t == 0:
+            return np.full(rows.size, -1)
         return self.table.best_computed(rows, computed, t)
 
     def _step_tables(self, t: int, ranks: np.ndarray, rows: np.ndarray) -> _StepTables:
@@ -608,16 +698,16 @@ class BatchCascadeEngine:
         reaches for the first time are filled together: their qualities by
         one ``_lattice_quality`` call, whatever prefixes they hold, then
         their block thresholds, price cells, next models and stop answers.
-        ``beta`` is None for chains and the SLOW variant, which never prune.
+        Cascade routing only; ``beta`` is None for SLOW, which never prunes.
         """
         layout = self._layout(t)
         tables = self._step_cache.get(t)
         if tables is None:
             shape = (layout.prefixes.size, self.table.n_queries, layout.bits.shape[0])
-            prunes = not (self.chain_only or self.variant is Variant.SLOW)
+            prunes = self.variant is not Variant.SLOW
             allowed = np.ones(shape[2], dtype=bool)
             allowed[0] = t > 0  # running nothing is never a candidate
-            if self.variant is Variant.GREEDY and not self.chain_only:
+            if self.variant is Variant.GREEDY:
                 allowed &= _lattice_tables(layout.free.shape[1]).popcount <= 1
             tables = _StepTables(
                 quality=np.empty(shape),
@@ -655,11 +745,7 @@ class BatchCascadeEngine:
                     tables.lo[new_ranks, fill, 0] = -np.inf
                     tables.hi[new_ranks, fill, 0] = -np.inf
                     tables.lo[new_ranks, fill, 1:] = np.inf
-            if self.chain_only:
-                tables.next_model[new_ranks, fill] = -1
-                tables.next_model[new_ranks, fill, 1:] = t
-            else:
-                tables.next_model[new_ranks, fill] = _cheapest_added(cost, free)
+            tables.next_model[new_ranks, fill] = _cheapest_added(cost, free)
             tables.answer[new_ranks, fill] = self._stop_answer(t, computed, fill)
             tables.filled[new_ranks, fill] = True
         return tables
@@ -767,10 +853,10 @@ class BatchCascadeEngine:
         takes the cell's column. Every other row goes through the full
         selection, one ``argmax_tradeoff_rows`` call per step even when no
         row needs it. Every row has computed exactly t models, so each scores
-        the same columns of the step's layout: for cascade routing its
-        prefix plus each submask of its free models, for a chain its prefix
-        and each longer chain prefix. Columns are ascending in the full
-        candidate mask, which implements the lowest-id residual tie-break.
+        the same columns of the step's layout, its prefix plus each submask
+        of its free models (cascade routing only). Columns are ascending in
+        the full candidate mask, which implements the lowest-id residual
+        tie-break.
         The step's ``allowed`` columns leave out running nothing at step 0
         and, for GREEDY, every lattice column adding more than one model.
 
@@ -825,6 +911,98 @@ class BatchCascadeEngine:
                 beta[fresh] = _block_threshold(quality[fresh], open_cost[fresh], t == 0)
         return tau, cost, ~(lam > beta) & tables.allowed
 
+    # -- cascading runs ---------------------------------------------------------
+
+    def _chain(self) -> _ChainTables:
+        """The chain tables, allocated with every pair unfilled on first use."""
+        if self._chain_tables is None:
+            n, k = self.table.n_queries, self.table.n_models
+            cost = np.zeros((k + 1, n))
+            for m in range(k):  # 0.0 + c0 + c1 + ..., the step loop's order
+                np.add(cost[m], self.table.computed_cost[:, m], out=cost[m + 1])
+            cont_hi = np.full((k + 1, n), -np.inf)
+            cont_hi[0] = np.inf
+            stop_lo = np.full((k + 1, n), np.inf)
+            stop_lo[k] = -np.inf
+            stop_hi = np.full((k + 1, n), -np.inf)
+            stop_hi[k] = np.inf
+            filled = np.zeros((k + 1, n), dtype=bool)
+            self._chain_tables = _ChainTables(cost, cont_hi, stop_lo, stop_hi, filled, {})
+        return self._chain_tables
+
+    def _chain_quality(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """(rows, f + 1) chain quality at step t >= 1, filling the rows' pairs and thresholds first."""
+        chain = self._chain()
+        quality = chain.quality.get(t)
+        if quality is None:
+            quality = chain.quality[t] = np.empty((self.table.n_queries, self.table.n_models - t + 1))
+        fill = rows[~chain.filled[t, rows]]
+        if fill.size:
+            fresh = self._lattice_quality(t, np.full(fill.size, (1 << t) - 1, dtype=np.int64), fill)
+            quality[fill] = fresh
+            sunk = np.abs(self.table.computed_cost[fill, :t]).sum(axis=1)
+            bounds = _chain_thresholds(fresh, self._added_cost(t, fill), sunk)
+            chain.cont_hi[t, fill], chain.stop_lo[t, fill], chain.stop_hi[t, fill] = bounds
+            chain.filled[t, fill] = True
+        return quality[rows]
+
+    def _added_cost(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """(rows, f + 1) estimated cost each chain column of step t adds to the sunk cost."""
+        layout = self._layout(t)
+        return self._cost_open(t)[rows[:, None], layout.free[0]] @ layout.bits.T
+
+    def _chain_continues(self, t: int, lam: np.float64, pick: Pick, rows: np.ndarray) -> np.ndarray:
+        """Whether each row's full selection at chain step t >= 1 runs model t: one ``argmax_tradeoff_rows`` call."""
+        quality = self._chain_quality(t, rows)
+        cost = self._chain().cost[t, rows][:, None] + self._added_cost(t, rows)
+        tau = quality - lam * cost
+        return argmax_tradeoff_rows(tau, cost, np.broadcast_to(True, tau.shape), pick) != 0
+
+    def _first_open_step(self, cont, prices, rows, start):
+        """Per row, its first step from ``start`` on that is no certified continue, and whether it is a certified stop."""
+        chain = self._chain()
+        step = cont[start:, rows].argmin(axis=0) + start
+        lam = prices[step, 0]
+        return step, (chain.stop_lo[step, rows] < lam) & (lam < chain.stop_hi[step, rows])
+
+    def _run_chain(self, lams: np.ndarray, pick: Pick) -> RunResult:
+        """Run every query through the cascade in one pass over the certified thresholds.
+
+        Each row's stop step is its first step that is not a certified
+        continue, when that step is a certified stop. The other rows take the
+        full selection at that step, lowest step first, and move on to their
+        next such step if they continue (module docstring, "Cascading runs").
+        """
+        chain = self._chain()
+        n, k = self.table.n_queries, self.table.n_models
+        prices = np.append(lams, 0.0)[:, None]  # step k stops at any price
+        cont = prices < chain.cont_hi
+        rows = np.arange(n)
+        stop_step, certain = self._first_open_step(cont, prices, rows, 1)
+        pending = np.flatnonzero(~certain)
+        steps = stop_step[pending]
+        exact = 0
+        while pending.size:
+            t = int(steps.min())
+            here = steps == t
+            at = pending[here]
+            exact += at.size
+            moved = at[self._chain_continues(t, lams[t], pick, at)]
+            step, certain = self._first_open_step(cont, prices, moved, t + 1)
+            stop_step[moved] = step
+            pending = np.concatenate([pending[~here], moved[~certain]])
+            steps = np.concatenate([steps[~here], step[~certain]])
+        # a row decides at steps 1..stop_step, except at step k
+        self.exact_selections += exact
+        self.threshold_row_steps += int(np.minimum(stop_step, k - 1).sum()) - exact
+        order = np.arange(k)
+        return RunResult(
+            answer=stop_step - 1,
+            exec_order=np.where(order < stop_step[:, None], order, -1),
+            n_executed=stop_step,
+            realized_cost=chain.cost[stop_step, rows],
+        )
+
     # -- full run ---------------------------------------------------------------
 
     def run(self, lambdas: Sequence[float], pick: Pick) -> RunResult:
@@ -835,12 +1013,15 @@ class BatchCascadeEngine:
         otherwise runs the column's cached next model and moves to that
         model's child rank. A row whose reference cells all hold the new
         prices keeps the last run's outcome, and only the other rows take
-        the steps (module docstring, "Delta runs").
+        the steps (module docstring, "Delta runs"). A chain engine takes one
+        pass over its thresholds instead (``_run_chain``).
         """
         table = self.table
         n, k = table.n_queries, table.n_models
         check_decision_inputs(k, lambdas=lambdas)
         lams = np.asarray(lambdas, dtype=np.float64)
+        if self.chain_only:
+            return self._run_chain(lams, pick)
         ref = self._reference
         cell_lo = cell_hi = None
         if ref is None:

@@ -131,39 +131,57 @@ class _StepScores:
         return hit
 
 
+@lru_cache(maxsize=None)
+def _holding(k: int) -> tuple[int, ...]:
+    """Per model i < k, the masks 0..2^k - 1 that hold i, as the bits of one Python int.
+
+    Mask bit i is set in runs of 2^i masks that alternate with runs
+    without it, so each entry is one such run pair repeated.
+    """
+    every = (1 << (1 << k)) - 1
+    return tuple((((1 << (1 << i)) - 1) << (1 << i)) * (every // ((1 << (2 << i)) - 1)) for i in range(k))
+
+
 def _prune(candidates: Sequence[int], scores: _StepScores, lam: float) -> list[int]:
     """Survivors of the negative-marginal-gain sweep, in candidate order.
 
     Sweeping in (size, mask) order, a candidate whose score drops when one
     of its added models is removed can never be selected, nor can anything
-    containing all of it; the bare prefix always survives.
+    containing all of it; the bare prefix always survives. The masks that
+    contain a flagged candidate are kept as one bitset, the union of the
+    masks holding each of its added models (``_holding``), so skipping a
+    candidate is one bit test whatever the number of flagged candidates.
     """
     quality, cost, prefix = scores.quality, scores.cost, scores.prefix
+    holding = _holding(max(candidates, default=0).bit_length())
     tau: dict[int, float] = {}
-    flagged: list[int] = []
+    blocked = 0
     survivors: list[int] = []
     for cand in candidates:
-        for base in flagged:
-            if cand & base == base:
-                break
+        if blocked >> cand & 1:
+            continue
+        own = tau.get(cand)
+        if own is None:
+            own = tau[cand] = quality(cand) - lam * cost(cand)
+        added = rest = cand & ~prefix
+        while rest:
+            low = rest & -rest
+            parent = cand ^ low
+            if parent:
+                score = tau.get(parent)
+                if score is None:
+                    score = tau[parent] = quality(parent) - lam * cost(parent)
+                if own - score < 0:
+                    supersets = -1
+                    while added:
+                        low = added & -added
+                        supersets &= holding[low.bit_length() - 1]
+                        added ^= low
+                    blocked |= supersets
+                    break
+            rest ^= low
         else:
-            own = tau.get(cand)
-            if own is None:
-                own = tau[cand] = quality(cand) - lam * cost(cand)
-            added = cand & ~prefix
-            while added:
-                low = added & -added
-                parent = cand ^ low
-                if parent:
-                    score = tau.get(parent)
-                    if score is None:
-                        score = tau[parent] = quality(parent) - lam * cost(parent)
-                    if own - score < 0:
-                        flagged.append(cand)
-                        break
-                added ^= low
-            else:
-                survivors.append(cand)
+            survivors.append(cand)
     return survivors
 
 

@@ -284,6 +284,8 @@ class EstimateTable:
                     raise ValueError(f"{name} must be (n_queries, n_models)")
                 setattr(self, name, arr)
                 _require_finite(self, (name,))
+        if self.true_cost is not None and np.any(self.true_cost < 0):
+            raise ValueError("true costs must be >= 0")
 
     @staticmethod
     def build(

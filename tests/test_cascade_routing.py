@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelselect import _engine, cascade_routing, cascading
-from modelselect._engine import BatchCascadeEngine, Variant, _block_threshold
+from modelselect._engine import BatchCascadeEngine, RunResult, Variant, _block_threshold
 from modelselect.cascade_routing import (
     CandidateSet,
     enumerate_candidates,
@@ -22,7 +22,7 @@ from modelselect.cascade_routing import (
 )
 from modelselect.cascading import StepEstimates, estimate_sigma, run_cascade
 from modelselect._fitting import LAMBDA_CAP
-from modelselect.core import EstimateTable, Pick, StrategyParams, Supermodel
+from modelselect.core import EstimateTable, Pick, StrategyParams, Supermodel, argmax_tradeoff_rows
 from modelselect.montecarlo import EmaxEvaluator, MonteCarloConfig, query_normals
 from modelselect.routing import choose_models
 from modelselect.search import SearchConfig
@@ -125,6 +125,75 @@ class TestPruneCandidates:
                 fast = select_with_pick(pruned, est, lam, pick, Variant.DEFAULT, ev)
                 slow = select_with_pick(cs, est, lam, pick, Variant.SLOW, ev)
                 assert fast.member_set == slow.member_set
+
+    @given(
+        seed=st.integers(0, 2**16),
+        k=st.integers(1, 7),
+        lam=st.sampled_from((0.0, 0.1, 0.5, 2.0)),
+        greedy=st.booleans(),
+        sparse=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_prune_equals_quadratic_superset_check(self, seed, k, lam, greedy, sparse):
+        # the parent lookup keeps the survivors and the order of quality
+        # calls of the loop that tested every flagged candidate; a sparse
+        # candidate list leaves parents out, which resolve through their own
+        rng = np.random.default_rng(seed)
+        prefix = int(rng.integers(0, 1 << k))
+        free = tuple(m for m in range(k) if not prefix >> m & 1)
+        candidates = cascade_routing._candidate_masks(prefix, free, greedy)
+        if sparse:
+            candidates = [c for c in candidates if c == prefix or rng.random() < 0.6]
+        quality = np.round(rng.uniform(0, 1, 1 << k) * 8) / 8  # coarse, so gains tie at zero
+        cost = np.round(rng.uniform(0, 1, 1 << k) * 4) / 4
+        got, want = RecordingScores(prefix, quality, cost), RecordingScores(prefix, quality, cost)
+        assert cascade_routing._prune(candidates, got, lam) == quadratic_prune(candidates, want, lam)
+        assert got.calls == want.calls
+
+
+class RecordingScores:
+    """``_StepScores`` over fixed per-mask values, recording each quality call."""
+
+    def __init__(self, prefix, quality, cost):
+        self.prefix, self._quality, self._cost, self.calls = prefix, quality, cost, []
+
+    def quality(self, mask):
+        self.calls.append(mask)
+        return float(self._quality[mask])
+
+    def cost(self, mask):
+        return float(self._cost[mask])
+
+
+def quadratic_prune(candidates, scores, lam):
+    """The negative-marginal-gain sweep as it was, testing every candidate against every flagged one."""
+    quality, cost, prefix = scores.quality, scores.cost, scores.prefix
+    tau = {}
+    flagged = []
+    survivors = []
+    for cand in candidates:
+        for base in flagged:
+            if cand & base == base:
+                break
+        else:
+            own = tau.get(cand)
+            if own is None:
+                own = tau[cand] = quality(cand) - lam * cost(cand)
+            added = cand & ~prefix
+            while added:
+                low = added & -added
+                parent = cand ^ low
+                if parent:
+                    score = tau.get(parent)
+                    if score is None:
+                        score = tau[parent] = quality(parent) - lam * cost(parent)
+                    if own - score < 0:
+                        flagged.append(cand)
+                        break
+                added ^= low
+            else:
+                survivors.append(cand)
+    return survivors
 
 
 class TestSelectSupermodel:
@@ -393,19 +462,24 @@ class TestRunCascadeRoute:
         sigma = rng.uniform(0, 0.35, (k, k + 1))
         for variant, chain_only in itertools.product(Variant, (False, True)):
             engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=64, seed=31), variant, chain_only)
-            prefixes_per_fill = []
+            fills = []
             fill = engine._lattice_quality
             monkeypatch.setattr(
                 engine, "_lattice_quality",
-                lambda step, masks, rows: prefixes_per_fill.append(np.unique(masks).size)
+                lambda step, masks, rows: fills.append((step, np.unique(masks).size))
                 or fill(step, masks, rows),
             )
             result = engine.run([0.05] * k, Pick.MAX_COST)
             engine.run([0.05] * k, Pick.MAX_COST)  # warm: reads what the cold run filled
             monkeypatch.undo()
-            steps = int(np.minimum(result.n_executed, k - 1).max()) + 1
-            assert len(prefixes_per_fill) == steps, (variant, chain_only)
-            assert chain_only or max(prefixes_per_fill) > 1, variant
+            last = int(np.minimum(result.n_executed, k - 1).max())
+            if chain_only:
+                # every row runs model 0, so step 0 is never filled; each
+                # step a row reached is filled once, lowest first
+                assert [step for step, _ in fills] == list(range(1, last + 1)), variant
+            else:
+                assert [step for step, _ in fills] == list(range(last + 1)), variant
+                assert max(size for _, size in fills) > 1, variant
 
     def test_cold_lattice_run_leaves_no_cyclic_garbage(self, rng):
         k = 6
@@ -548,13 +622,15 @@ class TestEngineMatchesScalarExactly:
         engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
         rows = np.arange(t.n_queries)
         for step in range(k):
-            tables = engine._step_tables(step, np.zeros_like(rows), rows)
-            got, beta = tables.quality[0, rows], tables.beta
-            assert beta is None and got.shape == (t.n_queries, k - step + 1)
+            got = engine._lattice_quality(step, np.full(rows.size, (1 << step) - 1, dtype=np.int64), rows)
+            assert got.shape == (t.n_queries, k - step + 1)
+            if step:  # what a run reads back, filled by the same walk
+                assert np.array_equal(engine._chain_quality(step, rows), got)
             for q in rows:
                 ev = scalar_evaluator(t, q, step, sigma, list(range(step)), mc)
                 for length in range(max(step, 1), k + 1):
                     assert got[q, length - step] == ev.expected_max(range(length))
+        assert engine._step_cache == {}  # chains keep no step tables
 
     # the empty prefix at k=6 walks the deepest submask tree
     @pytest.mark.parametrize(
@@ -628,41 +704,45 @@ class TestEngineStepCache:
         t.cost_mean[:, :, k // 2] = 0.0
         t.quality_mean[:] = np.round(t.quality_mean * 4) / 4
         sigma = rng.uniform(0, 0.35, (k, k + 1))
-        engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=16, seed=89), chain_only=chain_only)
+        mc = MonteCarloConfig(n_samples=16, seed=89)
+        engine = BatchCascadeEngine(t, sigma, mc, chain_only=chain_only)
         for lam in PRICE_LADDER:
             for pick in Pick:
                 engine.run([lam] * k, pick)
                 engine.run(rng.choice(PRICE_LADDER, k), pick)
         checked = 0
+        if chain_only:
+            # a chain fills steps 1..k - 1 only; each pair's quality and
+            # thresholds equal those of a fill of its row alone
+            chain = engine._chain()
+            assert engine._step_cache == {} and not chain.filled[[0, k]].any()
+            fresh = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+            for step, q in zip(*np.nonzero(chain.filled)):
+                assert np.array_equal(chain.quality[step][q], fresh._chain_quality(step, np.array([q]))[0])
+                for name in ("cont_hi", "stop_lo", "stop_hi"):
+                    assert getattr(chain, name)[step, q] == getattr(fresh._chain(), name)[step, q], name
+                checked += 1
         for step, tables in engine._step_cache.items():
             layout = engine._layout(step)
-            if chain_only:
-                next_prefixes = [(1 << (step + 1)) - 1]
-            else:
-                next_prefixes = [sum(1 << m for m in c) for c in itertools.combinations(range(k), step + 1)]
-                next_prefixes.sort()
+            next_prefixes = [sum(1 << m for m in c) for c in itertools.combinations(range(k), step + 1)]
+            next_prefixes.sort()
             for rank, q in zip(*np.nonzero(tables.filled)):
                 prefix = int(layout.prefixes[rank])
                 held = [m for m in range(k) if prefix >> m & 1]
                 if step == 0:
                     want_answer = -1
-                elif chain_only:
-                    want_answer = step - 1
                 else:
                     want_answer = min(held, key=lambda m: (-t.quality_mean[q, max(step, m + 1), m], m))
                 assert tables.answer[rank, q] == want_answer
                 assert tables.next_model[rank, q, 0] == -1
                 for col in range(1, layout.bits.shape[0]):
                     added = [int(m) for m, on in zip(layout.free[rank], layout.bits[col]) if on]
-                    if chain_only:
-                        want_next = step
-                    else:
-                        want_next = min(added, key=lambda m: (t.cost_mean[q, min(step, m), m], m))
+                    want_next = min(added, key=lambda m: (t.cost_mean[q, min(step, m), m], m))
                     assert tables.next_model[rank, q, col] == want_next
                     child = next_prefixes.index(prefix | 1 << want_next)
                     assert layout.child[rank, want_next] == child
                 checked += 1
-        assert checked > 2 * t.n_queries
+        assert checked > (1 if chain_only else 2) * t.n_queries  # a chain has steps 1..k - 1 only
 
     @given(
         seed=st.integers(0, 2**16),
@@ -702,6 +782,54 @@ def tied_table(rng, n, k):
     return t
 
 
+def float_neighbours(prices):
+    """The finite, nonnegative ``prices`` and their float64 neighbours that are nonnegative too."""
+    prices = np.unique(prices[np.isfinite(prices) & (prices >= 0)])
+    near = np.concatenate([prices, np.nextafter(prices, np.inf), np.nextafter(prices, -np.inf)])
+    return near[near >= 0]
+
+
+def chain_bounds(engine):
+    """Every finite threshold of a chain engine's filled pairs, with its float neighbours."""
+    chain = engine._chain()
+    filled = chain.filled
+    return float_neighbours(np.concatenate([chain.cont_hi[filled], chain.stop_lo[filled], chain.stop_hi[filled]]))
+
+
+def chain_reference_run(engine, lambdas, pick):
+    """A chain run as the step loop made it: one full selection over every row still running, at every step.
+
+    Step 0 may not stop; a row stopping at step t answers with model
+    t - 1 and a row that runs every model with the last.
+    """
+    table = engine.table
+    n, k = table.n_queries, table.n_models
+    answer = np.full(n, -1, dtype=np.int64)
+    exec_order = np.full((n, k), -1, dtype=np.int64)
+    sunk = np.zeros(n)
+    act = np.arange(n)
+    for t in range(k):
+        layout = _engine._step_layout(k, t, True)
+        quality = engine._lattice_quality(t, np.full(act.size, (1 << t) - 1, dtype=np.int64), act)
+        cost = sunk[act][:, None] + engine._cost_open(t)[act[:, None], layout.free[0]] @ layout.bits.T
+        valid = np.ones(cost.shape, dtype=bool)
+        valid[:, 0] = t > 0
+        stop = argmax_tradeoff_rows(quality - np.float64(lambdas[t]) * cost, cost, valid, pick) == 0
+        answer[act[stop]] = t - 1
+        act = act[~stop]
+        exec_order[act, t] = t
+        sunk[act] += table.computed_cost[act, t]
+    answer[act] = k - 1
+    return RunResult(answer, exec_order, np.count_nonzero(exec_order >= 0, axis=1), sunk)
+
+
+def assert_same_run(got, want):
+    """Every ``RunResult`` field equal, dtype included."""
+    for field in RUN_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
 def compiling(on: bool):
     """Build price cells for every fill (on) or for none, whatever its size."""
     return mock.patch.object(_engine, "_compiles", lambda rows, columns: on)
@@ -712,20 +840,29 @@ class TestPriceCells:
 
     @staticmethod
     def step0_crossings(engine, k):
-        """Every price where two step-0 candidate lines of one row cross, with its float neighbours."""
+        """Every price where two candidate lines of one row cross at the first deciding step, with its float neighbours.
+
+        That step is step 0 for cascade routing and step 1 for a chain,
+        which always runs model 0; a one-model chain decides nothing.
+        """
         rows = np.arange(engine.table.n_queries)
-        layout = engine._layout(0)
-        quality = engine._step_tables(0, np.zeros_like(rows), rows).quality[0][:, 1:]
-        added = (engine._cost_open(0)[rows[:, None], layout.free[0]] @ layout.bits.T)[:, 1:]
+        if engine.chain_only:
+            if k == 1:
+                return np.zeros(0)
+            quality, added = engine._chain_quality(1, rows), engine._added_cost(1, rows)
+        else:
+            layout = engine._layout(0)
+            quality = engine._step_tables(0, np.zeros_like(rows), rows).quality[0][:, 1:]
+            added = (engine._cost_open(0)[rows[:, None], layout.free[0]] @ layout.bits.T)[:, 1:]
         with np.errstate(divide="ignore", invalid="ignore"):
             cross = (quality[:, :, None] - quality[:, None, :]) / (added[:, :, None] - added[:, None, :])
-        cross = np.unique(cross[np.isfinite(cross) & (cross >= 0)])
-        near = np.concatenate([cross, np.nextafter(cross, np.inf), np.nextafter(cross, -np.inf)])
-        return near[near >= 0]
+        return float_neighbours(cross)
 
     @staticmethod
     def cell_bounds(engine):
-        """The stored bounds of every cell at step 0, as float64 prices."""
+        """The stored bounds of every cell at step 0, as float64 prices; a chain's thresholds and their neighbours."""
+        if engine.chain_only:
+            return chain_bounds(engine)
         lo, hi = engine._step_cache[0].lo, engine._step_cache[0].hi
         bounds = np.concatenate([lo[np.isfinite(lo)], hi[np.isfinite(hi)]]).astype(np.float64)
         return bounds[bounds >= 0]
@@ -812,7 +949,7 @@ class TestPriceCells:
         k = 3
         t = random_table(rng, n=4, k=k, step_varying=True)
         with compiling(True):
-            engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), chain_only=True)
+            engine = BatchCascadeEngine(t, np.zeros((k, k + 1)))
             engine.run([0.0] * k, Pick.MIN_COST)
             tables = engine._step_cache[0]
             hi = tables.hi[0, 0, 1:][np.isfinite(tables.hi[0, 0, 1:])]
@@ -905,8 +1042,11 @@ class TestDeltaRuns:
             for pick in (Pick.MAX_COST, Pick.MIN_COST):
                 with compiling(compile_all) if compile_all is not None else contextlib.nullcontext():
                     got = delta.run([lam] * k, pick)
-                with compiling(False):
-                    want = full.run([lam] * k, pick)
+                if delta.chain_only:  # a chain keeps no cells: compare with the step loop
+                    want = chain_reference_run(full, [lam] * k, pick)
+                else:
+                    with compiling(False):
+                        want = full.run([lam] * k, pick)
                 for field in RUN_FIELDS:
                     assert np.array_equal(getattr(got, field), getattr(want, field)), (lam, pick, field)
         assert full._reference is None
@@ -916,7 +1056,9 @@ class TestDeltaRuns:
     def test_missed_rows_are_rerun(self, rng, variant, chain_only):
         # at a step-0 crossing a row misses its cells and the cheaper pick
         # leaves the cell's column; the next, lower price lies back in that
-        # cell, so a missed row kept there would replay the wrong choice
+        # cell, so a missed row kept there would replay the wrong choice. A
+        # chain keeps no rows: at its thresholds and their neighbours, the
+        # rows no threshold certifies take the full selection
         k = 4
         t = random_table(rng, n=6, k=k, step_varying=True)
         mc = MonteCarloConfig(n_samples=16, seed=5)
@@ -928,7 +1070,10 @@ class TestDeltaRuns:
             ]))
         prices = np.sort(rng.choice(prices, min(prices.size, 150), replace=False))
         self.assert_sweep_matches_full(delta, np.concatenate([prices, prices[::-1]]), compile_all=True)
-        assert delta.kept_rows > 0 and delta.fallback_rows > 0
+        if chain_only:
+            assert delta.exact_selections > 0 and delta.threshold_row_steps > 0
+        else:
+            assert delta.kept_rows > 0 and delta.fallback_rows > 0
 
     def test_steps_without_cells_bound_every_row(self, rng):
         # as shipped, an 80-row table compiles its first fills but not the
@@ -943,13 +1088,12 @@ class TestDeltaRuns:
         assert delta.kept_rows > 0
 
     @staticmethod
-    def kept_engine(rng, monkeypatch, chain_only=True):
-        """An engine compiling every fill, whose run at 0.2 decided every row from cells."""
+    def kept_engine(rng, monkeypatch):
+        """A cascade-routing engine compiling every fill, whose run at 0.2 decided every row from cells."""
         monkeypatch.setattr(_engine, "_compiles", lambda rows, columns: True)
         k = 3
         t = random_table(rng, n=80, k=k, step_varying=True)
-        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=7),
-                                    chain_only=chain_only)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=7))
         first = engine.run([0.2] * k, Pick.MIN_COST)
         assert engine.fallback_rows == 0 and engine._reference is not None
         return engine, first
@@ -969,7 +1113,7 @@ class TestDeltaRuns:
         assert np.array_equal(engine.run([0.2] * k, Pick.MIN_COST).answer, first.answer)
 
     def test_some_rows_kept(self, rng, monkeypatch):
-        engine, _ = self.kept_engine(rng, monkeypatch, chain_only=False)
+        engine, _ = self.kept_engine(rng, monkeypatch)
         k = engine.table.n_models
         got = engine.run([0.21] * k, Pick.MIN_COST)
         want = BatchCascadeEngine(engine.table, engine.sigma, engine.mc).run([0.21] * k, Pick.MIN_COST)
@@ -984,7 +1128,7 @@ class TestDeltaRuns:
         assert (ref.lo[unreached] == -np.inf).all() and (ref.hi[unreached] == np.inf).all()
 
     def test_failed_run_leaves_reference(self, rng, monkeypatch):
-        engine, _ = self.kept_engine(rng, monkeypatch, chain_only=False)
+        engine, _ = self.kept_engine(rng, monkeypatch)
         k = engine.table.n_models
         before = {name: arr.copy() for name, arr in vars(engine._reference).items()}
         reference = engine._reference
@@ -1044,6 +1188,161 @@ class TestDeltaRuns:
         assert sizes == {"answer": n, "exec_order": n * k, "realized_cost": 8 * n, "lo": 4 * n * k, "hi": 4 * n * k}
         assert sum(sizes.values()) == 9 * n * (k + 1)
         assert 9 * 1400 * 6 == 75_600
+
+
+class TestChainThresholds:
+    """A chain run reads each row's stop step off certified stop/continue thresholds."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        k=st.integers(1, 8),
+        tied=st.booleans(),
+        variant=st.sampled_from([Variant.DEFAULT, Variant.NO_EXPECT]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_runs_equal_step_loop_property(self, seed, n, k, tied, variant, data):
+        # prices exactly at every threshold and at its float neighbours, at
+        # step-1 crossings, 0 and the bisection's cap, on continuous tables
+        # and on tied ones with a zero-cost model and no uncertainty
+        rng = np.random.default_rng(seed)
+        t = tied_table(rng, n, k) if tied else random_table(rng, n=n, k=k, step_varying=True)
+        sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=16, seed=seed)
+        engine = BatchCascadeEngine(t, sigma, mc, variant, chain_only=True)
+        engine.run([0.0] * k, Pick.MAX_COST)
+        prices = sorted(np.concatenate([
+            chain_bounds(engine), TestPriceCells.step0_crossings(engine, k), [0.0, LAMBDA_CAP]
+        ]))
+        price = st.sampled_from(prices)
+        runs = data.draw(st.lists(
+            st.tuples(st.one_of(price.map(lambda lam: [lam] * k), st.lists(price, min_size=k, max_size=k)),
+                      st.sampled_from(list(Pick))),
+            min_size=1, max_size=6,
+        ))
+        for lambdas, pick in runs:
+            got = engine.run(lambdas, pick)
+            assert_same_run(got, chain_reference_run(engine, lambdas, pick))
+            if variant is Variant.DEFAULT:  # the per-query cascade scores expected maxima
+                params = StrategyParams(tuple(float(lam) for lam in lambdas), 1.0 if pick is Pick.MIN_COST else 0.0)
+                for q in range(n):
+                    assert_same_decision(run_cascade(t, q, params, sigma, mc, u=0.0), got, q)
+
+    def test_bounds_are_strict_and_compared_in_float64(self, rng):
+        # a price exactly at a stop bound is no certified stop and takes the
+        # full selection; one float64 step inside is a certified stop
+        k = 3
+        t = random_table(rng, n=40, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=32, seed=3)
+        engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+        engine.run([0.0] * k, Pick.MAX_COST)
+        chain = engine._chain()
+        lo, hi, cont = chain.stop_lo[1], chain.stop_hi[1], chain.cont_hi[1]
+        rows = np.flatnonzero((lo > cont) & (lo >= 0) & (np.nextafter(lo, np.inf) < hi))
+        assert rows.size
+        for row in rows:
+            # one row per engine, so its counters count that row alone
+            one = BatchCascadeEngine(t.subset([row]), sigma, mc, chain_only=True)
+            one.run([0.0] * k, Pick.MAX_COST)
+            edges = [(lo[row], True), (np.nextafter(lo[row], np.inf), False)]
+            if np.isfinite(hi[row]):
+                edges += [(np.nextafter(hi[row], -np.inf), False), (hi[row], True)]
+            for lam, exact in edges:
+                lambdas = [0.0, float(lam), 0.0]
+                before = one.exact_selections
+                got = one.run(lambdas, Pick.MIN_COST)
+                assert (one.exact_selections > before) == exact, (row, lam)
+                assert exact or got.n_executed[0] == 1
+                assert_same_run(got, chain_reference_run(one, lambdas, Pick.MIN_COST))
+
+    def test_counters(self, rng, monkeypatch):
+        # every decided row-step (steps 1..n_executed, except step k) is a
+        # threshold decision or a row of a full selection, and only the full
+        # selections reach argmax_tradeoff_rows; the lattice counters stay 0
+        k = 5
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=5),
+                                    chain_only=True)
+        rows = []
+        select = _engine.argmax_tradeoff_rows
+        monkeypatch.setattr(_engine, "argmax_tradeoff_rows",
+                            lambda tau, *a: rows.append(tau.shape[0]) or select(tau, *a))
+        decided = 0
+        for lam in (0.0, 0.05, 0.2, 0.6, 0.05, 0.2):
+            for pick in Pick:
+                decided += int(np.minimum(engine.run([lam] * k, pick).n_executed, k - 1).sum())
+        assert engine.threshold_row_steps + engine.exact_selections == decided
+        assert engine.exact_selections == sum(rows) > 0
+        assert engine.threshold_row_steps > engine.exact_selections
+        assert engine.cell_hits == engine.fallback_rows == engine.kept_rows == engine.compiled_pairs == 0
+
+    def test_warm_run_selects_at_most_once_per_step(self, rng, monkeypatch):
+        k = 6
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=9),
+                                    chain_only=True)
+        engine.run([0.05] * k, Pick.MAX_COST)
+        calls = []
+        select = _engine.argmax_tradeoff_rows
+        monkeypatch.setattr(_engine, "argmax_tradeoff_rows", lambda *a: calls.append(1) or select(*a))
+        engine.run([0.05] * k, Pick.MAX_COST)
+        engine.run([0.07] * k, Pick.MIN_COST)
+        assert len(calls) <= 2 * (k - 1)
+
+    def test_each_step_filled_at_most_once_per_run(self, rng, monkeypatch):
+        # after a dear run stops rows at different steps, a cheap run finds
+        # their first unfilled steps at different depths; filling the lowest
+        # step first fills each step once, though rows reach it in turn
+        k = 6
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=11),
+                                    chain_only=True)
+        steps = []
+        fill = engine._lattice_quality
+        monkeypatch.setattr(engine, "_lattice_quality", lambda step, masks, rows: steps.append(step)
+                            or fill(step, masks, rows))
+        widest = 0
+        for lam in (0.6, 0.2, 0.05, 0.0):
+            steps.clear()
+            got = engine.run([lam] * k, Pick.MAX_COST)
+            assert steps == sorted(set(steps)), (lam, steps)
+            assert_same_run(got, chain_reference_run(engine, [lam] * k, Pick.MAX_COST))
+            widest = max(widest, len(steps))
+        assert widest > 1
+
+    def test_zero_costs(self, rng):
+        # with no cost at all the bounds have no slope: a better longer chain
+        # continues and a better stop stops at every price, and a tie
+        # certifies nothing
+        quality = np.array([[0.5, 0.5], [0.5, 0.9], [0.9, 0.5]])
+        cont_hi, stop_lo, stop_hi = _engine._chain_thresholds(quality, np.zeros((3, 2)), np.zeros(3))
+        assert list(cont_hi) == [-np.inf, np.inf, -np.inf]
+        assert list(stop_lo) == [np.inf, np.inf, -np.inf] and stop_hi[2] == np.inf
+        k = 4
+        t = tied_table(rng, 12, k)
+        t = dataclasses.replace(t, cost_mean=np.zeros_like(t.cost_mean), true_cost=np.zeros_like(t.true_cost))
+        engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), chain_only=True)
+        for lam in PRICE_LADDER:
+            for pick in Pick:
+                assert_same_run(engine.run([lam] * k, pick), chain_reference_run(engine, [lam] * k, pick))
+
+    def test_chain_table_bytes(self):
+        # by arithmetic: three float64 thresholds and a fill flag per (step,
+        # row) over steps 0..k, the (k + 1, n) running costs, and per filled
+        # step t an (n, f + 1) quality table; no step tables, cells or reference
+        k = 5
+        t = random_table(np.random.default_rng(7), n=30, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), MonteCarloConfig(n_samples=8, seed=1), chain_only=True)
+        engine.run([0.0] * k, Pick.MAX_COST)
+        chain = engine._chain()
+        n = t.n_queries
+        sizes = {name: arr.nbytes for name, arr in vars(chain).items() if isinstance(arr, np.ndarray)}
+        assert sizes == {name: 8 * (k + 1) * n for name in ("cost", "cont_hi", "stop_lo", "stop_hi")} | {
+            "filled": (k + 1) * n}
+        assert {step: q.shape for step, q in chain.quality.items()} == {step: (n, k - step + 1) for step in range(1, k)}
+        assert engine._step_cache == {} and engine._reference is None
 
 
 class TestRowPermutation:

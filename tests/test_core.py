@@ -127,6 +127,14 @@ class TestTypes:
         with pytest.raises(ValueError):
             EstimateTable.build(np.zeros((2, 2)), -np.ones((2, 2)))
 
+    def test_table_negative_true_cost_rejected(self):
+        # a true cost is what a computed model is charged, so a negative one
+        # would lower every realized cost it enters
+        with pytest.raises(ValueError, match="true costs must be >= 0"):
+            EstimateTable.build(np.zeros((2, 2)), np.ones((2, 2)), true_cost=[[1.0, -1.0], [1.0, 1.0]])
+        t = EstimateTable.build(np.zeros((2, 2)), np.ones((2, 2)), true_cost=np.zeros((2, 2)))
+        assert t.computed_cost.min() == 0.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "field", ["quality_mean", "quality_std", "cost_mean", "cost_std", "true_quality", "true_cost"]

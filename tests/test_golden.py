@@ -1,0 +1,75 @@
+"""A pinned digest of batch-engine outcomes.
+
+Every field of every ``RunResult`` (with its dtype) and every ``run_metrics``
+pair over a fixed matrix of engines and prices is hashed into one sha256.
+Changes meant to keep behaviour must keep it; a change that moves a decision
+on purpose updates ``GOLDEN`` and says why in CHANGES.md.
+"""
+import hashlib
+
+import numpy as np
+
+from modelselect._engine import BatchCascadeEngine, Variant
+from modelselect._fitting import LAMBDA_CAP
+from modelselect.core import EstimateTable, Pick
+from modelselect.montecarlo import MonteCarloConfig
+
+GOLDEN = "1cf9fc35ae46991262f411eb467f1c0b89050a4dbb67be26d619d87342bfece2"
+
+RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
+
+
+def table(rng, n, k, tied):
+    """Random step-varying estimates; a tied table has coarse values and a zero-cost model k // 2.
+
+    Built here rather than from the shared test helpers, so that editing
+    those cannot move the pinned digest.
+    """
+    qm = rng.uniform(0.0, 1.0, (n, k + 1, k))
+    cm = rng.uniform(0.2, 2.0, (n, k + 1, k))
+    if tied:
+        qm, cm = np.round(qm * 4) / 4, np.round(cm * 2) / 2
+        cm[:, :, k // 2] = 0.0
+    return EstimateTable.build(
+        qm, cm, true_quality=rng.uniform(0.0, 1.0, (n, k)), true_cost=rng.uniform(0.2, 2.0, (n, k))
+    )
+
+
+def engine_digest() -> str:
+    """sha256 over each engine's run sequence: equal prices, per-step prices, then a 40-step bisection.
+
+    Tables of 70 rows compile price cells at k = 3 and 5; the 24-row k = 8
+    tables compile none. Engines are reused along the sequence, so warm
+    runs, delta runs and the chain's thresholds are all exercised.
+    """
+    digest = hashlib.sha256()
+    for k, n in ((3, 70), (5, 70), (8, 24)):
+        for tied in (False, True):
+            rng = np.random.default_rng(100 * k + tied)
+            t = table(rng, n, k, tied)
+            sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
+            per_step = [list(rng.choice([0.0, 0.05, 0.2, 0.6, 2.0], k)) for _ in range(4)]
+            for chain_only in (False, True):
+                for variant in Variant:
+                    engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=32, seed=k), variant, chain_only)
+                    runs = [[lam] * k for lam in (0.0, 0.05, 0.2, 0.6, 2.0, LAMBDA_CAP)] + per_step
+                    for lambdas in runs:
+                        for pick in Pick:
+                            result = engine.run(lambdas, pick)
+                            for field in RUN_FIELDS:
+                                arr = getattr(result, field)
+                                digest.update(str(arr.dtype).encode())
+                                digest.update(np.ascontiguousarray(arr).tobytes())
+                            digest.update(repr(engine.run_metrics(lambdas, pick)).encode())
+                    lo, hi = 0.0, 2.0
+                    budget = float(t.computed_cost.mean(axis=0)[: (k + 1) // 2].sum())
+                    for _ in range(40):
+                        mid = 0.5 * (lo + hi)
+                        metrics = engine.run_metrics([mid] * k, Pick.MIN_COST)
+                        digest.update(repr(metrics).encode())
+                        lo, hi = (mid, hi) if metrics[1] > budget else (lo, mid)
+    return digest.hexdigest()
+
+
+def test_engine_outcomes_match_golden_digest():
+    assert engine_digest() == GOLDEN
