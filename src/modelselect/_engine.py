@@ -81,20 +81,40 @@ ascending, ``lo`` is made non-decreasing over the slots (which can only
 shrink a cell), and slot 0 is a sentinel no price hits, so the slot of the
 last ``lo <= lam`` is the one cell that can hold ``lam``.
 
-Which fills are compiled. A fill of ``rows`` new pairs at a step of
-``columns`` columns builds cells when ``rows >= max(columns, 64)``
-(``_compiles``). The walk costs about ten numpy calls per envelope piece
-and the bounds one pass over ``(pieces, columns)`` per row, once per fill; a
-lookup saves the full selection's passes over ``(rows, columns)`` on every
-later visit. Small fills, like the handful of rows a bisection run reaches
-for the first time, are bound by the count of numpy calls and never pay
-that back: on 41-row, 8-model validation tables compiling every fill with
-as many rows as columns made cascade-routing engine runs 16-20% slower,
-while on 1400-row, 5-model tables compiling the large first fills made them
-about 14% faster. A step none of whose fills was compiled skips the
-lookup. Compiled pairs keep no block thresholds and recompute them in the
-rare full selection; the 8 bytes per column they save pay for the cells, so
-the step tables keep about their size.
+Which fills are compiled. A step compiles the filled pairs it holds
+without cells by one rule: once ``rows >= max(columns, 64)`` of them wait
+at a step of ``columns`` columns (``_compiles``), they all get cells from one
+``_price_cells`` call. The walk costs about ten numpy calls per envelope
+piece and the bounds one pass over ``(pieces, columns)`` per row, once per
+compile; a lookup saves the full selection's passes over ``(rows,
+columns)`` on every later visit. A fill that meets the rule on its own,
+like a table's first fill at step 0, is compiled at once. Smaller fills,
+like the handful of pairs a bisection run or a search proposal reaches for
+the first time, are bound by the count of numpy calls and never pay back a
+compile of their own: on 41-row, 8-model validation tables compiling every
+fill with as many rows as columns made cascade-routing engine runs 16-20%
+slower. So their pairs wait, marked in the step's ``(prefixes, n)``
+``pending`` flag, until enough have come together. Since batching only
+changes how many rows one ``_price_cells`` call holds, and that call works
+row by row (the batch's widest envelope sets the slot count, and ``lo =
++inf`` pads the rest), a pair's cells are the same whichever batch
+compiled them. On the 1000-query, 5-model bench sweeps, compiling small
+fills in batches raised the share of rows a warm run keeps (below, "Delta
+runs") from 49% to 78%.
+
+Small fills wait only in an engine whose step 0 has cells. Every row
+reaches step 0, so without cells there no run keeps a row (below, "When
+no reference is kept"), and cells at later steps would only save the full
+selections of their own steps: on 41-row, 8-model validation tables, whose
+first fill never compiles, batching their small fills anyway made the
+cascade-routing engine runs of 8 bench sweeps about 10% slower (median of
+8 alternating runs, 7 of them slower) and kept no row. A step none of whose
+pairs was compiled skips the lookup. Compiled pairs keep no block
+thresholds and recompute them in the rare full selection: a batch compile
+releases the pending pairs' ``beta`` rows, which later small fills reuse,
+so where step 0 has cells fewer than ``max(columns, 64)`` rows of a step's
+``beta`` are ever in use. The 8 bytes per column a compiled pair saves pay
+for its cells, so the step tables keep about their size.
 
 A step's tables are allocated when the step is first reached, and a
 (prefix, row) pair is filled the first time its query reaches the prefix, so
@@ -114,9 +134,12 @@ Delta runs. Fitting runs the whole table again and again at nearby prices:
 bisection steps, search proposals, the second pick of a pair. So a
 cascade-routing ``run`` keeps its last outcome as a reference
 (``_Reference``): per row the answer, execution order and realized cost, and
-per step the row reached the float32 cell ``[lo, hi]`` its choice came from. A step decided by the full selection
-(a cell miss, or a pair without cells) holds the empty cell, and a step the
-row never reached holds ``[-inf, +inf]``. A new run compares every row's
+per step the row reached the float32 cell ``[lo, hi]`` its choice came
+from. A step decided by the full selection (a cell miss, or a pair without
+cells) holds the empty cell, and a step the row never reached holds
+``[-inf, +inf]``. So a row that reaches a pending pair is re-run by every
+later run until the pair's step compiles its pending pairs; from then on
+it is kept whenever its cells hold. A new run compares every row's
 cells with its prices in one ``(n, k)`` comparison, the float32 bounds
 against the prices as a float64 array. Rows whose cells all hold keep the
 reference outcome; only the others go through the steps, written into copies
@@ -133,11 +156,11 @@ engine's choices always equal the full selection's, so which cell a lookup
 would have found does not matter.
 
 When no reference is kept. Every row reaches step 0, so a run whose step 0
-has no compiled fill could keep no row: such an engine keeps no reference
-and does no copies or bookkeeping. That holds for every table too small to
-compile its first fill, such as 41-row, 8-model validation tables, and for
-chains, which take no steps (below). A run that raises leaves the reference
-as it was. The reference takes
+has no compiled fill could keep no row: such an engine keeps no reference,
+does no copies or bookkeeping and compiles no small fills. That holds for
+every table too small to compile its first fill, such as 41-row, 8-model
+validation tables, and for chains, which take no steps (below). A run that
+raises leaves the reference as it was. The reference takes
 ``9 * n * (k + 1)`` bytes: int8 answers and execution orders, float64 costs
 and two float32 cells per step. The counters ``kept_rows`` and
 ``kept_row_steps`` count what was kept, next to ``cell_hits`` and
@@ -329,6 +352,8 @@ class _StepTables:
     next_model: np.ndarray  # (P, n, columns) int8 model each column runs next; -1 in column 0
     answer: np.ndarray  # (P, n) int8 answer of a query that stops here; -1 at t = 0
     filled: np.ndarray  # (P, n) bool
+    pending: np.ndarray  # (P, n) bool: filled pairs without cells, waiting to be compiled together
+    pending_count: int  # pairs set in ``pending``
     allowed: np.ndarray  # (columns,) bool: not the empty prefix, and one added model for GREEDY
     lo: np.ndarray  # (P, n, slots) float32 lowest price of each cell, ascending; +inf pads
     hi: np.ndarray  # (P, n, slots) float32 highest price of each cell
@@ -424,7 +449,7 @@ def _cheapest_added(cost: np.ndarray, free: np.ndarray) -> np.ndarray:
     return out
 
 
-# Fewer rows than this never pay for their cells (module docstring).
+# Fewer pairs than this never pay for compiling them (module docstring).
 _MIN_COMPILE_ROWS = 64
 
 # A cell's margin is this many tie tolerances; one covers the selection's
@@ -433,10 +458,10 @@ _CELL_SAFETY = 2.0
 
 
 def _compiles(rows: int, columns: int) -> bool:
-    """Whether a fill of ``rows`` pairs at a step of ``columns`` columns builds price cells.
+    """Whether ``rows`` filled pairs without cells at a step of ``columns`` columns are compiled together.
 
-    A fill is compiled when it has at least as many rows as the step has
-    columns, and at least ``_MIN_COMPILE_ROWS``; the module docstring says why.
+    They are when they are at least as many as the step has columns, and at
+    least ``_MIN_COMPILE_ROWS``; the module docstring says why.
     """
     return rows >= max(columns, _MIN_COMPILE_ROWS)
 
@@ -697,7 +722,8 @@ class BatchCascadeEngine:
         time the row reaches the prefix and read afterwards. All pairs a step
         reaches for the first time are filled together: their qualities by
         one ``_lattice_quality`` call, whatever prefixes they hold, then
-        their block thresholds, price cells, next models and stop answers.
+        their block thresholds, price cells (``_compile``), next models and
+        stop answers.
         Cascade routing only; ``beta`` is None for SLOW, which never prunes.
         """
         layout = self._layout(t)
@@ -717,6 +743,8 @@ class BatchCascadeEngine:
                 next_model=np.empty(shape, dtype=np.int8),
                 answer=np.empty(shape[:2], dtype=np.int8),
                 filled=np.zeros(shape[:2], dtype=bool),
+                pending=np.zeros(shape[:2], dtype=bool),
+                pending_count=0,
                 allowed=allowed,
                 lo=np.full(shape[:2] + (1,), -np.inf, dtype=np.float32),
                 hi=np.full(shape[:2] + (1,), -np.inf, dtype=np.float32),
@@ -732,23 +760,57 @@ class BatchCascadeEngine:
             tables.quality[new_ranks, fill] = quality
             cost = self._cost_open(t)[fill[:, None], free]
             beta = None if tables.beta is None else _block_threshold(quality, cost, t == 0)
+            self._compile(t, tables, new_ranks, fill, quality, cost, beta)
             computed = (prefixes[:, None] >> np.arange(self.table.n_models)) & 1 == 1
-            if _compiles(fill.size, tables.allowed.size):
-                sunk = np.abs(np.where(computed, self.table.computed_cost[fill], 0.0)).sum(axis=1)
-                cells = _price_cells(quality, cost @ layout.bits.T, beta, tables.allowed, sunk)
-                self._store_cells(tables, new_ranks, fill, cells)
-                self.compiled_pairs += fill.size
-            else:
-                if beta is not None:
-                    self._keep_beta(tables, new_ranks, fill, beta)
-                if tables.lo.shape[2] > 1:  # width 1 is the allocated sentinel
-                    tables.lo[new_ranks, fill, 0] = -np.inf
-                    tables.hi[new_ranks, fill, 0] = -np.inf
-                    tables.lo[new_ranks, fill, 1:] = np.inf
             tables.next_model[new_ranks, fill] = _cheapest_added(cost, free)
             tables.answer[new_ranks, fill] = self._stop_answer(t, computed, fill)
             tables.filled[new_ranks, fill] = True
         return tables
+
+    def _compile(self, t, tables, ranks, rows, quality, cost, beta) -> None:
+        """Compile a fill's new pairs, with the step's pending pairs, once they are enough; else hold them.
+
+        ``quality``, ``cost`` (open cost of each free model) and ``beta`` are
+        the new pairs'. When the new and pending pairs together meet
+        ``_compiles``, they all get price cells from one ``_price_cells`` call,
+        the pending pairs' inputs read back from the step's tables, and the
+        pending pairs give up their block thresholds. Otherwise the new pairs
+        keep their block thresholds and hold no cell; they join the pending
+        pairs only when step 0 has cells (module docstring, "Which fills are
+        compiled").
+        """
+        layout = self._layout(t)
+        count = rows.size + tables.pending_count
+        if not _compiles(count, tables.allowed.size):
+            if beta is not None:
+                self._keep_beta(tables, ranks, rows, beta)
+            if tables.lo.shape[2] > 1:  # width 1 is the allocated sentinel
+                tables.lo[ranks, rows, 0] = -np.inf
+                tables.hi[ranks, rows, 0] = -np.inf
+                tables.lo[ranks, rows, 1:] = np.inf
+            step0 = self._step_cache.get(0)
+            if step0 is not None and step0.lo.shape[2] > 1:
+                tables.pending[ranks, rows] = True
+                tables.pending_count = count
+            return
+        if tables.pending_count:
+            old_ranks, old_rows = tables.pending.nonzero()
+            ranks, rows = np.concatenate([old_ranks, ranks]), np.concatenate([old_rows, rows])
+            quality = np.concatenate([tables.quality[old_ranks, old_rows], quality])
+            cost = np.concatenate([self._cost_open(t)[old_rows[:, None], layout.free[old_ranks]], cost])
+            if beta is not None:
+                beta = np.concatenate([tables.beta[tables.beta_row[old_ranks, old_rows] - 1], beta])
+                # every block-threshold row in use is a pending pair's when the counts agree
+                if tables.beta_used == tables.pending_count:
+                    tables.beta_used = 0
+                tables.beta_row[old_ranks, old_rows] = 0
+            tables.pending[old_ranks, old_rows] = False
+            tables.pending_count = 0
+        computed = (layout.prefixes[ranks][:, None] >> np.arange(self.table.n_models)) & 1 == 1
+        sunk = np.abs(np.where(computed, self.table.computed_cost[rows], 0.0)).sum(axis=1)
+        cells = _price_cells(quality, cost @ layout.bits.T, beta, tables.allowed, sunk)
+        self._store_cells(tables, ranks, rows, cells)
+        self.compiled_pairs += rows.size
 
     @staticmethod
     def _keep_beta(tables: _StepTables, ranks: np.ndarray, rows: np.ndarray, beta: np.ndarray) -> None:
@@ -870,11 +932,11 @@ class BatchCascadeEngine:
             self.fallback_rows += rows.size
             return argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks, rows, sunk), pick), None
         lo = tables.lo[ranks, rows]
-        slot = np.count_nonzero(lo <= lam, axis=1) - 1
+        slot = (lo <= lam).sum(axis=1) - 1
         cell_lo = lo[np.arange(rows.size), slot]
         cell_hi = tables.hi[ranks, rows, slot]
         choice = tables.win[ranks, rows, slot]
-        miss = np.flatnonzero(cell_hi < lam)
+        miss = (cell_hi < lam).nonzero()[0]
         self.cell_hits += rows.size - miss.size
         self.fallback_rows += miss.size
         choice[miss] = argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks[miss], rows[miss], sunk), pick)
@@ -1057,10 +1119,10 @@ class BatchCascadeEngine:
             if cell_lo is not None:
                 cell_lo[act, t], cell_hi[act, t] = (np.inf, -np.inf) if cells is None else cells
             tables = self._step_cache[t]
-            if not choice.all():
-                stop = np.flatnonzero(choice == 0)
+            go = choice != 0
+            if not go.all():
+                stop = ~go
                 answer[act[stop]] = tables.answer[ranks[stop], act[stop]]
-                go = np.flatnonzero(choice)
                 act, ranks, choice = act[go], ranks[go], choice[go]
             nxt = tables.next_model[ranks, act, choice]
             exec_order[act, t] = nxt

@@ -536,6 +536,17 @@ class BenchmarkConfig:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
         self.splits = tuple(float(f) for f in self.splits)
         self.strategies = tuple(self.strategies)
+        try:
+            self.variant_enum()
+        except (AttributeError, ValueError):
+            raise ValueError(f"unknown variant {self.variant!r}") from None
+        if not isinstance(self.search, dict):
+            raise ValueError("search must be a mapping of SearchConfig fields")
+        # no seed: each fit's seed is derived per sweep point (``_search_seed``)
+        unknown = set(self.search) - ({f.name for f in fields(SearchConfig)} - {"seed"})
+        if unknown:
+            raise ValueError(f"unknown search keys: {sorted(unknown)}")
+        self.search_config(0)  # raises on a bad value
 
     def noise_spec(self) -> NoiseSpec:
         if isinstance(self.noise, NoiseSpec):

@@ -9,6 +9,8 @@ config seed, and the returned point is always feasible.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,8 +36,14 @@ class SearchConfig:
     threshold_scale: float = 0.1
 
     def __post_init__(self) -> None:
+        if isinstance(self.max_evals, bool) or not isinstance(self.max_evals, numbers.Integral):
+            raise ValueError(f"max_evals must be an integer, got {self.max_evals!r}")
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
+        for name in ("lambda_log_scale", "gamma_scale", "threshold_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _reflect_unit(x: float) -> float:

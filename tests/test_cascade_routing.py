@@ -931,10 +931,13 @@ class TestPriceCells:
             for pick in Pick:
                 result = engine.run([lam] * k, pick)
                 row_steps += int(np.minimum(result.n_executed + 1, k).sum())
-        # a compiled pruning pair keeps no block thresholds
+        # a compiled pruning pair keeps no block thresholds, and every pair
+        # without cells waits for its step's next batch compile
         kept = sum(tables.beta_used for tables in engine._step_cache.values())
+        pending = sum(tables.pending_count for tables in engine._step_cache.values())
         filled = sum(int(tables.filled.sum()) for tables in engine._step_cache.values())
-        assert engine.compiled_pairs == filled - kept > 0
+        assert engine.compiled_pairs == filled - kept > 0 and kept == pending
+        assert all(tables.pending_count == tables.pending.sum() for tables in engine._step_cache.values())
         assert engine.cell_hits + engine.fallback_rows + engine.kept_row_steps == row_steps
         # a kept row-step is a cell hit at the run that decided it
         assert engine.cell_hits + engine.kept_row_steps > engine.fallback_rows
@@ -963,8 +966,8 @@ class TestPriceCells:
         # by arithmetic on the table layout, without allocating a large engine:
         # every pair holds 8-byte qualities and 1-byte next models per
         # column, 9 bytes per cell slot, a 4-byte block-threshold row index
-        # and 2 flag and answer bytes; only pairs without cells add a packed
-        # 8-byte block threshold per column
+        # and 3 bytes for the filled and pending flags and the answer; only
+        # pairs without cells add a packed 8-byte block threshold per column
         k = 5
         t = random_table(np.random.default_rng(5), n=70, k=k, step_varying=True)
         engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), MonteCarloConfig(n_samples=8, seed=1))
@@ -982,13 +985,144 @@ class TestPriceCells:
             }
             assert per_pair == {
                 "quality": 8 * columns, "beta_row": 4, "next_model": columns, "answer": 1,
-                "filled": 1, "lo": 4 * slots, "hi": 4 * slots, "win": slots,
+                "filled": 1, "pending": 1, "lo": 4 * slots, "hi": 4 * slots, "win": slots,
             }, step
             assert tables.beta.itemsize * tables.beta.shape[1] == 8 * columns
             assert tables.beta_used == int((tables.beta_row > 0).sum())
         # at k = 8 the empty prefix's 256 columns and a 22-slot envelope take
         # 2.5 KB per compiled pair, against 4.4 KB for a pair without cells
-        assert 9 * 256 + 6 + 9 * 22 == 2508 and 17 * 256 + 6 + 9 == 4367
+        assert 9 * 256 + 7 + 9 * 22 == 2509 and 17 * 256 + 7 + 9 == 4368
+
+
+class TestBatchCompiles:
+    """A step compiles the small fills of many runs together, with the full selection's decisions."""
+
+    @staticmethod
+    def spy_compiles(engine):
+        """Record what the engine's ``_compile`` calls compile.
+
+        Returns ``(alone, batches)``: per call, the count of new pairs that
+        met ``_compiles`` on their own (0 if they did not), and the
+        ``(step, ranks, rows)`` of every compile that took pending pairs.
+        """
+        alone, batches = [], []
+        compile_ = engine._compile
+
+        def spy(t, tables, ranks, rows, *rest):
+            columns = tables.allowed.size
+            alone.append(rows.size if _engine._compiles(rows.size, columns) else 0)
+            if tables.pending_count and _engine._compiles(rows.size + tables.pending_count, columns):
+                old_ranks, old_rows = tables.pending.nonzero()
+                batches.append((t, np.concatenate([old_ranks, ranks]), np.concatenate([old_rows, rows])))
+            return compile_(t, tables, ranks, rows, *rest)
+
+        engine._compile = spy
+        return alone, batches
+
+    @staticmethod
+    def fit_like_runs(crossings, k, rng, picked=()):
+        """Equal prices at 16 quantiles of the step-0 crossings and at ``picked``, then 40 per-step proposals.
+
+        A proposal draws each step's price log-normally around the median
+        crossing, so most runs reach a few (prefix, row) pairs for the
+        first time, as a fit's search proposals do.
+        """
+        ladder = np.quantile(crossings, np.linspace(0.0, 1.0, 16))
+        base = np.quantile(crossings, 0.5)
+        proposals = base * np.exp(1.5 * rng.standard_normal((40, k)))
+        return [[lam] * k for lam in (*ladder, *picked)] + proposals.tolist()
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(96, 160),
+        k=st.integers(3, 6),
+        variant=st.sampled_from(list(Variant)),
+        data=st.data(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_batched_runs_equal_fresh_and_uncompiled_runs_property(self, seed, n, k, variant, data):
+        # step 0 compiles (n >= 2^k columns and 64 rows), so small fills wait
+        # and are compiled in batches; every run must equal a fresh engine's
+        # and the full selection's of an engine that never compiles. From
+        # k = 4 on, with at least 96 rows, these runs reach a batch compile
+        rng = np.random.default_rng(seed)
+        t = random_table(rng, n=n, k=k, step_varying=True)
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=16, seed=seed)
+        batched = BatchCascadeEngine(t, sigma, mc, variant)
+        alone, _ = self.spy_compiles(batched)
+        crossings = TestPriceCells.step0_crossings(batched, k)
+        picked = data.draw(st.lists(st.sampled_from(crossings), max_size=4))
+        runs = self.fit_like_runs(crossings, k, rng, picked)
+        runs += [[lam, *rng.choice(crossings, k - 1)] for lam in picked]
+        with compiling(False):
+            full = BatchCascadeEngine(t, sigma, mc, variant)
+        row_steps = 0
+        for i, lambdas in enumerate(runs):
+            for pick in Pick:
+                got = batched.run(lambdas, pick)
+                with compiling(False):
+                    assert_same_run(got, full.run(lambdas, pick))
+                if i % 5 == 0 or lambdas[0] in picked:  # a fresh engine's cold run costs the most
+                    assert_same_run(got, BatchCascadeEngine(t, sigma, mc, variant).run(lambdas, pick))
+                row_steps += int(np.minimum(got.n_executed + 1, k).sum())
+        assert batched.cell_hits + batched.fallback_rows + batched.kept_row_steps == row_steps
+        assert full.compiled_pairs == 0 and full._reference is None
+        if k > 3:  # 3-model tables reach too few new pairs per step to fill a batch reliably
+            assert batched.compiled_pairs > sum(alone)
+
+    @staticmethod
+    def single_pair_cells(engine, t, rank, row):
+        """``_price_cells`` of one (prefix rank, row) pair of step t alone, its inputs computed as a fill computes them."""
+        layout, tables = engine._layout(t), engine._step_cache[t]
+        quality = tables.quality[rank, row][None]
+        open_cost = engine._cost_open(t)[row, layout.free[rank]][None]
+        beta = None if tables.beta is None else _block_threshold(quality, open_cost, t == 0)
+        members = (layout.prefixes[rank] >> np.arange(engine.table.n_models)) & 1 == 1
+        sunk = np.abs(np.where(members[None], engine.table.computed_cost[row][None], 0.0)).sum(axis=1)
+        return _engine._price_cells(quality, open_cost @ layout.bits.T, beta, tables.allowed, sunk)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_batch_compiled_cells_equal_single_pair_cells(self, rng, variant):
+        # the batch only sets the slot count: every pair's stored cells are
+        # its own ``_price_cells`` and +inf padding, whatever it was compiled with
+        k = 5
+        t = random_table(rng, n=112, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0.0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=16, seed=5), variant)
+        alone, batches = self.spy_compiles(engine)
+        for lambdas in self.fit_like_runs(TestPriceCells.step0_crossings(engine, k), k, rng):
+            for pick in Pick:
+                engine.run(lambdas, pick)
+        assert batches and engine.compiled_pairs > sum(alone)
+        for step, ranks, rows in batches:
+            assert ranks.size > 1
+            tables = engine._step_cache[step]
+            for rank, row in zip(ranks, rows):
+                lo, hi, win = self.single_pair_cells(engine, step, rank, row)
+                width, live = lo.shape[1], lo[0] < np.inf
+                assert np.array_equal(tables.lo[rank, row, :width], lo[0]), (step, rank, row)
+                assert (tables.lo[rank, row, width:] == np.inf).all()
+                assert np.array_equal(tables.hi[rank, row, :width][live], hi[0][live])
+                assert np.array_equal(tables.win[rank, row, :width][live], win[0][live])
+                assert not tables.pending[rank, row] and tables.beta_row[rank, row] == 0
+
+    def test_no_batches_without_cells_at_step_0(self, rng):
+        # a 60-row table compiles no fill, step 0's included, so its small
+        # fills keep their block thresholds and never wait, though at step 1
+        # they add up to more pairs than a batch needs
+        k = 4
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=16, seed=3))
+        for lambdas in self.fit_like_runs(TestPriceCells.step0_crossings(engine, k), k, rng):
+            for pick in Pick:
+                engine.run(lambdas, pick)
+        step1 = engine._step_cache[1]
+        assert _engine._compiles(int(step1.filled.sum()), step1.allowed.size)
+        assert engine.compiled_pairs == 0 and engine._reference is None
+        for tables in engine._step_cache.values():
+            assert tables.pending_count == 0 and not tables.pending.any()
+            assert tables.beta_used == int(tables.filled.sum())
+        assert engine.cell_hits == engine.kept_rows == engine.kept_row_steps == 0
 
 
 class TestDeltaRuns:
@@ -1076,8 +1210,9 @@ class TestDeltaRuns:
             assert delta.kept_rows > 0 and delta.fallback_rows > 0
 
     def test_steps_without_cells_bound_every_row(self, rng):
-        # as shipped, an 80-row table compiles its first fills but not the
-        # small fills of later steps, whose rows must always be re-run
+        # as shipped, an 80-row table compiles its first fills, but some
+        # later step never holds enough waiting pairs for a batch, and the
+        # rows that reach it must always be re-run
         k = 5
         t = random_table(rng, n=80, k=k, step_varying=True)
         delta = BatchCascadeEngine(t, rng.uniform(0.0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=16, seed=9))

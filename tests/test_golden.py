@@ -1,9 +1,10 @@
-"""A pinned digest of batch-engine outcomes.
+"""Pinned digests of batch-engine outcomes.
 
 Every field of every ``RunResult`` (with its dtype) and every ``run_metrics``
 pair over a fixed matrix of engines and prices is hashed into one sha256.
-Changes meant to keep behaviour must keep it; a change that moves a decision
-on purpose updates ``GOLDEN`` and says why in CHANGES.md.
+Changes meant to keep behaviour must keep them; a change that moves a
+decision on purpose updates ``GOLDEN`` or ``BATCH_GOLDEN`` and says why in
+CHANGES.md.
 """
 import hashlib
 
@@ -15,6 +16,10 @@ from modelselect.core import EstimateTable, Pick
 from modelselect.montecarlo import MonteCarloConfig
 
 GOLDEN = "1cf9fc35ae46991262f411eb467f1c0b89050a4dbb67be26d619d87342bfece2"
+
+# Lattice engines driven the way a fit drives them, long enough that later
+# steps compile the pairs of many small fills together.
+BATCH_GOLDEN = "7d9f4280b3b8846a1dd324b3abcbb21f89de6a18b6b3bdd669b9c1f7c6e70fb9"
 
 RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
 
@@ -33,6 +38,16 @@ def table(rng, n, k, tied):
     return EstimateTable.build(
         qm, cm, true_quality=rng.uniform(0.0, 1.0, (n, k)), true_cost=rng.uniform(0.2, 2.0, (n, k))
     )
+
+
+def update(digest, engine, lambdas, pick) -> None:
+    """Hash one run's ``RunResult`` fields with their dtypes, then its ``run_metrics`` pair."""
+    result = engine.run(lambdas, pick)
+    for field in RUN_FIELDS:
+        arr = getattr(result, field)
+        digest.update(str(arr.dtype).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    digest.update(repr(engine.run_metrics(lambdas, pick)).encode())
 
 
 def engine_digest() -> str:
@@ -55,12 +70,7 @@ def engine_digest() -> str:
                     runs = [[lam] * k for lam in (0.0, 0.05, 0.2, 0.6, 2.0, LAMBDA_CAP)] + per_step
                     for lambdas in runs:
                         for pick in Pick:
-                            result = engine.run(lambdas, pick)
-                            for field in RUN_FIELDS:
-                                arr = getattr(result, field)
-                                digest.update(str(arr.dtype).encode())
-                                digest.update(np.ascontiguousarray(arr).tobytes())
-                            digest.update(repr(engine.run_metrics(lambdas, pick)).encode())
+                            update(digest, engine, lambdas, pick)
                     lo, hi = 0.0, 2.0
                     budget = float(t.computed_cost.mean(axis=0)[: (k + 1) // 2].sum())
                     for _ in range(40):
@@ -71,5 +81,45 @@ def engine_digest() -> str:
     return digest.hexdigest()
 
 
+def batch_digest() -> str:
+    """sha256 over lattice engines run through a 40-step bisection, then 60 search-style proposals.
+
+    DEFAULT and SLOW engines at k = 5 and 8 on tables large enough to
+    compile step 0. Each bisection price and each proposal is run under
+    both picks. A proposal perturbs some of the incumbent's per-step prices
+    in log space and is accepted when the mean of its two picks is within
+    budget and better, so every run after the first few reaches a few
+    (prefix, row) pairs for the first time.
+    """
+    digest = hashlib.sha256()
+    for k, n in ((5, 96), (8, 264)):
+        rng = np.random.default_rng(7 * k)
+        t = table(rng, n, k, tied=False)
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        budget = float(t.computed_cost.mean(axis=0)[: (k + 1) // 2].sum())
+        for variant in (Variant.DEFAULT, Variant.SLOW):
+            engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=16, seed=k), variant)
+            lo, hi = 0.0, 2.0
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                for pick in Pick:
+                    update(digest, engine, [mid] * k, pick)
+                lo, hi = (mid, hi) if engine.run_metrics([mid] * k, Pick.MIN_COST)[1] > budget else (lo, mid)
+            best, best_q = np.full(k, hi), -np.inf
+            for _ in range(60):
+                move = rng.random(k) < 0.5
+                lambdas = np.where(move, best * np.exp(0.6 * rng.standard_normal(k)), best).tolist()
+                for pick in Pick:
+                    update(digest, engine, lambdas, pick)
+                q, c = np.mean([engine.run_metrics(lambdas, pick) for pick in Pick], axis=0)
+                if c <= budget and q > best_q:
+                    best, best_q = np.array(lambdas), q
+    return digest.hexdigest()
+
+
 def test_engine_outcomes_match_golden_digest():
     assert engine_digest() == GOLDEN
+
+
+def test_batch_compiled_outcomes_match_golden_digest():
+    assert batch_digest() == BATCH_GOLDEN

@@ -11,6 +11,7 @@ import pytest
 from modelselect._fitting import check_budget_floor
 from modelselect.cli import _build_parser, main as cli_main
 from modelselect.core import EstimateTable, TrueTable
+from modelselect._engine import Variant
 from modelselect.harness import (
     STRATEGIES,
     STRATEGY_NAMES,
@@ -27,6 +28,26 @@ from modelselect.harness import (
     split_dataset,
     write_csv,
 )
+from modelselect.search import SearchConfig
+
+
+# Config entries that would only fail inside a fit, one sweep point after another.
+BAD_ENTRIES = [
+    {"variant": "fast"},
+    {"variant": 3},
+    {"search": {"max_eval": 3}},
+    {"search": {"seed": 3}},
+    {"search": {"max_evals": 0}},
+    {"search": {"max_evals": "3"}},
+    {"search": {"max_evals": 2.5}},
+    {"search": {"gamma_scale": float("nan")}},
+    {"search": [["max_evals", 3]]},
+]
+
+# Every SearchConfig field a config may set; the seed is derived per sweep point.
+VALID_SEARCH = {"max_evals": 3, "lambda_log_scale": 0.5, "gamma_scale": 0.1, "threshold_scale": 0.2}
+
+SMALL_WORKLOAD = {"workload": {"n_queries": 60, "n_models": 3, "seed": 4}}
 
 
 def write(tmp_path, name, text):
@@ -333,6 +354,22 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown config keys"):
             BenchmarkConfig.from_dict({"data": {}, "nonsense": 1})
 
+    @pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
+    def test_bad_variant_or_search_entry_rejected(self, entry):
+        with pytest.raises(ValueError):
+            BenchmarkConfig(data={}, **entry)
+        with pytest.raises(ValueError):
+            BenchmarkConfig.from_dict({"data": {}, **entry})
+
+    def test_valid_variant_and_search_entries_accepted(self):
+        for name, variant in (("default", Variant.DEFAULT), ("slow", Variant.SLOW), ("greedy", Variant.GREEDY),
+                              ("no-expect", Variant.NO_EXPECT), ("no_expect", Variant.NO_EXPECT)):
+            assert BenchmarkConfig.from_dict({"data": {}, "variant": name}).variant_enum() is variant
+        cfg = BenchmarkConfig.from_dict({"data": {}, "search": dict(VALID_SEARCH)})
+        assert cfg.search_config(5) == SearchConfig(seed=5, **VALID_SEARCH)
+        for key, value in VALID_SEARCH.items():
+            assert BenchmarkConfig.from_dict({"data": {}, "search": {key: value}}).search == {key: value}
+
 
 class TestCli:
     def test_generate_then_sweep(self, tmp_path):
@@ -358,6 +395,21 @@ class TestCli:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert cli_main(["sweep", "--config", "x.json", "--bogus"]) == 1
+
+    @pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
+    def test_bad_variant_or_search_entry_exits_two(self, tmp_path, entry):
+        cfg = write(tmp_path, "c.json", json.dumps({"data": SMALL_WORKLOAD, "budget_points": 2, **entry}))
+        assert cli_main(["sweep", "--config", str(cfg)]) == 2
+
+    def test_hyphenated_variant_and_every_search_key_sweep(self, tmp_path):
+        cfg = write(tmp_path, "c.json", json.dumps({
+            "data": SMALL_WORKLOAD, "budget_points": 2, "strategies": ["cascade-routing"],
+            "variant": "no-expect", "search": VALID_SEARCH, "mc_samples": 16,
+        }))
+        out = tmp_path / "r.json"
+        assert cli_main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
+        result = json.loads(out.read_text())["strategies"]["cascade-routing"]
+        assert result["error"] is None and result["auc"] is not None
 
     def test_missing_config_is_data_error(self, tmp_path):
         assert cli_main(["sweep", "--config", str(tmp_path / "none.json")]) == 2
