@@ -24,9 +24,10 @@ rank (the prefix's position in the layout), table row and column:
   subset T of the candidate and member j of T. The sunk cost cancels from a
   marginal gain, so pruning at price ``lam`` is the single test
   ``lam > beta``; it removes each candidate with a negative marginal gain
-  together with all its supersets. Only pairs without price cells (below)
-  keep it, packed one ``(columns,)`` row per pair in fill order and found
-  through a ``(prefixes, n)`` row index;
+  together with all its supersets. It is packed one ``(columns,)`` row per
+  pair in the order pairs get one, and found through a ``(prefixes, n)``
+  row index. A pair compiled into price cells (below) at its own fill gets
+  its row only when the full selection first needs it;
 - the model each column runs next: the cheapest added model by open cost,
   lowest id on ties;
 - per (prefix, row), the answer of a query that stops there:
@@ -109,12 +110,18 @@ selections of their own steps: on 41-row, 8-model validation tables, whose
 first fill never compiles, batching their small fills anyway made the
 cascade-routing engine runs of 8 bench sweeps about 10% slower (median of
 8 alternating runs, 7 of them slower) and kept no row. A step none of whose
-pairs was compiled skips the lookup. Compiled pairs keep no block
-thresholds and recompute them in the rare full selection: a batch compile
-releases the pending pairs' ``beta`` rows, which later small fills reuse,
-so where step 0 has cells fewer than ``max(columns, 64)`` rows of a step's
-``beta`` are ever in use. The 8 bytes per column a compiled pair saves pay
-for its cells, so the step tables keep about their size.
+pairs was compiled skips the lookup.
+
+Block thresholds follow one rule: once a pair has a ``beta`` row, it keeps
+it. A pending pair's row survives its batch compile. A pair compiled at its
+own fill has none until a full selection first takes it (a cell miss), which
+computes its thresholds, bit for bit as the fill computed them, and stores
+them (counted by ``beta_recomputes``). So each pair's thresholds are
+computed at most twice, and no row is ever released. The worst case is one
+row per filled pair, ``8 * columns`` bytes each, the size before price
+cells: ``8 * n * (3^k - 1)`` bytes if every pair of every step were filled.
+The rows in use are those of pairs filled by small fills, plus those of
+pairs compiled at their own fill that missed once.
 
 A step's tables are allocated when the step is first reached, and a
 (prefix, row) pair is filled the first time its query reaches the prefix, so
@@ -213,8 +220,8 @@ the negated first S/2. The engine holds only the first half, as one
 ``(n, k, S/2)`` tensor: row r holds the transposed first half of the
 ``query_normals`` matrix of query ``query_ids[r]``, bit for bit, drawn by
 ``montecarlo.half_normals`` with every query's seed computed in one pass.
-A fill chunk's block
-is ``(chunk, k, S)``, built in one buffer as ``means + stds * z`` and then
+A fill chunk's block is ``(chunk, k, S)``, built in one buffer by
+``montecarlo.antithetic_samples`` as ``means + stds * z`` and then
 ``means - stds * z``. That equals scaling the full draws to the last bit,
 because IEEE negation is exact: ``(-z) * s == -(z * s)`` and
 ``m + -(x) == m - x``. The S samples of each model stay contiguous, so every
@@ -236,7 +243,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import TIE_ABS, TIE_REL, EstimateTable, Pick, StrategyParams, argmax_tradeoff_rows, regime_steps
-from .montecarlo import MonteCarloConfig, half_normals
+from .montecarlo import MonteCarloConfig, antithetic_samples, half_normals
 
 
 class Variant(Enum):
@@ -346,7 +353,7 @@ class _StepTables:
     """
 
     quality: np.ndarray  # (P, n, columns) expected-max quality of each candidate
-    beta: Optional[np.ndarray]  # (rows, columns) block thresholds of pairs without cells; None when not pruning
+    beta: Optional[np.ndarray]  # (rows, columns) packed block thresholds; None when not pruning
     beta_row: np.ndarray  # (P, n) int32: 1 + the pair's row of ``beta``, 0 for none
     beta_used: int  # rows of ``beta`` in use; the rest is spare capacity
     next_model: np.ndarray  # (P, n, columns) int8 model each column runs next; -1 in column 0
@@ -684,6 +691,8 @@ class BatchCascadeEngine:
         self.fallback_rows = 0
         self.kept_rows = 0
         self.kept_row_steps = 0
+        # block-threshold rows computed again for pairs compiled without one
+        self.beta_recomputes = 0
         # chain: row-steps decided by a certified threshold, and by the full selection
         self.threshold_row_steps = 0
         self.exact_selections = 0
@@ -773,8 +782,8 @@ class BatchCascadeEngine:
         ``quality``, ``cost`` (open cost of each free model) and ``beta`` are
         the new pairs'. When the new and pending pairs together meet
         ``_compiles``, they all get price cells from one ``_price_cells`` call,
-        the pending pairs' inputs read back from the step's tables, and the
-        pending pairs give up their block thresholds. Otherwise the new pairs
+        the pending pairs' inputs read back from the step's tables; the
+        pending pairs keep their block-threshold rows. Otherwise the new pairs
         keep their block thresholds and hold no cell; they join the pending
         pairs only when step 0 has cells (module docstring, "Which fills are
         compiled").
@@ -800,10 +809,6 @@ class BatchCascadeEngine:
             cost = np.concatenate([self._cost_open(t)[old_rows[:, None], layout.free[old_ranks]], cost])
             if beta is not None:
                 beta = np.concatenate([tables.beta[tables.beta_row[old_ranks, old_rows] - 1], beta])
-                # every block-threshold row in use is a pending pair's when the counts agree
-                if tables.beta_used == tables.pending_count:
-                    tables.beta_used = 0
-                tables.beta_row[old_ranks, old_rows] = 0
             tables.pending[old_ranks, old_rows] = False
             tables.pending_count = 0
         computed = (layout.prefixes[ranks][:, None] >> np.arange(self.table.n_models)) & 1 == 1
@@ -816,8 +821,8 @@ class BatchCascadeEngine:
     def _keep_beta(tables: _StepTables, ranks: np.ndarray, rows: np.ndarray, beta: np.ndarray) -> None:
         """Append new pairs' block thresholds to the step's ``beta`` rows, doubling its capacity as needed.
 
-        Only pairs without cells keep them, packed in fill order, so memory
-        grows with those pairs and not with the ``(P, n, columns)`` extent.
+        Rows are packed in the order pairs get them, so memory grows with
+        those pairs and not with the ``(P, n, columns)`` extent.
         """
         start, stop = tables.beta_used, tables.beta_used + rows.size
         if stop > tables.beta.shape[0]:
@@ -864,11 +869,11 @@ class BatchCascadeEngine:
         (row, model) blocks, members first, so one walk over f free models
         serves every prefix: depth first over the submask tree
         (``_descend``) or along the chain (``_ascend``). Row chunks keep one
-        ``(chunk, k, S)`` block cache-sized; it is built in one buffer as
-        ``means + stds * z`` over the stored half of the draws, then
-        ``means - stds * z`` for the antithetic half. Rows without sampling
-        (NO_EXPECT, or no uncertainty in their regime) take the same walk
-        with S = 1 on the means.
+        ``(chunk, k, S)`` block cache-sized; ``antithetic_samples`` builds it
+        in one buffer as ``means + stds * z`` over the stored half of the
+        draws, then ``means - stds * z`` for the antithetic half. Rows
+        without sampling (NO_EXPECT, or no uncertainty in their regime) take
+        the same walk with S = 1 on the means.
         """
         k = self.table.n_models
         idx = np.arange(k)
@@ -886,15 +891,12 @@ class BatchCascadeEngine:
         for group, n_samples in ((np.flatnonzero(~sampled), 1), (np.flatnonzero(sampled), 2 * half)):
             for part in _row_chunks(group.size, n_samples):
                 sel = group[part]
-                mu = means[sel, :, None]
                 if n_samples == 1:
-                    vals = mu
+                    vals = means[sel, :, None]
                 else:
                     z = self._draws()[rows[sel, None], cols[sel]]
                     z *= stds[sel, :, None]
-                    vals = np.empty((sel.size, k, n_samples))
-                    np.add(mu, z, out=vals[:, :, :half])
-                    np.subtract(mu, z, out=vals[:, :, half:])
+                    vals = antithetic_samples(means[sel], z)
                 block = np.empty((sel.size, width))
                 root = vals[:, :t].max(axis=1) if t else None
                 block[:, 0] = np.nan if root is None else np.add.reduce(root, axis=1)
@@ -950,9 +952,10 @@ class BatchCascadeEngine:
         Quality and block thresholds are gathered from the step's tables by
         (prefix rank, row) and a column's added cost is a product with the
         layout's ``bits``; a candidate is pruned when ``lam > beta``, which
-        is the negative-marginal-gain rule closed over supersets. A compiled
-        pair keeps no ``beta``, so its thresholds are computed again here,
-        bit for bit as the fill computed them.
+        is the negative-marginal-gain rule closed over supersets. A pair
+        compiled at its own fill has no ``beta`` row at its first miss, so
+        its thresholds are computed again here, bit for bit as the fill
+        computed them, and kept.
         No rows give empty arrays at once.
         """
         if rows.size == 0:
@@ -971,6 +974,8 @@ class BatchCascadeEngine:
             fresh = np.flatnonzero(row == 0)
             if fresh.size:
                 beta[fresh] = _block_threshold(quality[fresh], open_cost[fresh], t == 0)
+                self._keep_beta(tables, ranks[fresh], rows[fresh], beta[fresh])
+                self.beta_recomputes += fresh.size
         return tau, cost, ~(lam > beta) & tables.allowed
 
     # -- cascading runs ---------------------------------------------------------
@@ -1160,10 +1165,15 @@ class BatchCascadeEngine:
         """Realized mean (quality, cost) of one run, memoized per (prices, pick).
 
         A run is deterministic, so a repeated call returns the stored pair of
-        floats without running again; no ``RunResult`` is kept.
+        floats without running again; no ``RunResult`` is kept. Prices are
+        checked once, by ``run``: only prices it accepted are stored, and
+        prices that are not a sequence of numbers make no key and go
+        straight to it.
         """
-        check_decision_inputs(self.table.n_models, lambdas=lambdas)
-        key = (tuple(float(lam) for lam in lambdas), pick)
+        try:
+            key = (tuple(float(lam) for lam in lambdas), pick)
+        except TypeError:
+            key = None
         metrics = self._metrics_cache.get(key)
         if metrics is None:
             result = self.run(lambdas, pick)

@@ -7,6 +7,12 @@ expected maximum of its members' noisy quality estimates; its cost charges
 the observed cost of computed members plus the estimated cost of the rest.
 The answer is always the last computed model's.
 
+One query's decision (``run_cascade``) draws the first antithetic half of
+the query's Monte Carlo draws once and, at each step, scores every chain
+prefix it routes between from one block of samples (``_stops``): the
+arithmetic of ``BatchCascadeEngine``'s chain fill, so both paths give the
+same expected maxima to the last bit and make the same decisions.
+
 Fitting is two-stage: an equal-price bisection meets the budget, then a
 constrained local search refines the per-step prices and the mixing weight.
 The prior-work baseline that stops on a per-step quality threshold is also
@@ -30,8 +36,8 @@ from .core import (
     regime_steps,
 )
 from .montecarlo import (
-    EmaxEvaluator,
     MonteCarloConfig,
+    antithetic_samples,
     expected_max,
     expected_max_stderr,
     mixing_uniform,
@@ -128,22 +134,33 @@ def _stops(
     """Whether the cascade stops with the first ``t >= 1`` chain models computed.
 
     Routes between the stop candidate (the chain prefix of length ``t``) and
-    every longer chain prefix, scored against the query's draw matrix ``z``.
-    Chain costs are running sums of ``StepEstimates.member_costs`` in chain
-    order.
+    each of the f = k - t longer chain prefixes, as the engine's chain fill
+    scores them. With the chain prefix computed, every model reads step
+    slice ``t`` (``core.regime_steps``), so the query's ``(k, half)`` draws
+    ``z`` scale into one ``(k, S)`` block (``antithetic_samples``). The
+    members' sample maximum, then its running maximum over models
+    t..k - 1, fill one ``(f + 1, S)`` block, whose row sums over S give the
+    f + 1 expected maxima, each equal to ``EmaxEvaluator.expected_max_mask``
+    of its chain prefix to the last bit. Chain costs are running sums in
+    chain order of the members' ``computed_cost`` and then the open models'
+    ``cost_mean`` at step t. Candidate ids are chain lengths, so
+    ``argmax_tradeoff`` breaks residual ties toward the shorter chain.
     """
-    k = table.n_models
-    est = StepEstimates.from_table(table, q, t, sigma, range(t))
-    evaluator = EmaxEvaluator(z, est.quality_mean, est.quality_std)
-    costs = est.member_costs()
+    vals = antithetic_samples(table.quality_mean[q, t], z * sigma[:, t, None])
+    block = vals[t - 1 :]  # row 0 becomes the members' maximum, row j adds models t..t + j - 1
+    if t > 1:
+        np.maximum.reduce(vals[:t], axis=0, out=block[0])
+    for j in range(1, block.shape[0]):
+        np.maximum(block[j - 1], block[j], out=block[j])
+    quality = (np.add.reduce(block, axis=1) / vals.shape[1]).tolist()
+    costs = table.computed_cost[q, :t].tolist() + table.cost_mean[q, t, t:].tolist()
     cost = 0.0
     candidates = []
-    for length in range(1, k + 1):
-        cost += costs[length - 1]
+    for length, c in enumerate(costs, start=1):
+        cost += c
         if length >= t:
-            mask = (1 << length) - 1
-            candidates.append((mask, evaluator.expected_max_mask(mask), cost))
-    return argmax_tradeoff(candidates, lam, pick) == (1 << t) - 1
+            candidates.append((length, quality[length - t], cost))
+    return argmax_tradeoff(candidates, lam, pick) == t
 
 
 def run_cascade(
@@ -156,16 +173,19 @@ def run_cascade(
 ) -> DecisionTrace:
     """Walk the chain for one query and record what happened.
 
-    The query's draw matrix is drawn once and shared by every step.
+    The mixing coin ``u`` is flipped from the Monte Carlo seed and the query
+    id unless given. The first antithetic half of the query's draw matrix is
+    drawn once, model-major, and every step scales it (``_stops``).
     """
     k = table.n_models
     check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas)
+    sigma = np.asarray(sigma, dtype=np.float64)
     mc = mc or MonteCarloConfig()
     qid = int(table.query_ids[q])
     if u is None:
         u = mixing_uniform(mc.seed, qid)
     pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
-    z = query_normals(mc, qid, k)
+    z = np.ascontiguousarray(query_normals(mc, qid, k)[: mc.half].T)
     executed = [0]
     for t in range(1, k):
         if _stops(table, q, t, params.lambdas[t], pick, sigma, z):

@@ -183,6 +183,23 @@ def half_normals(config: MonteCarloConfig, query_ids, n_models: int) -> np.ndarr
     return out
 
 
+def antithetic_samples(means: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """``(..., k, 2 * half)`` samples: ``means + scaled``, then ``means - scaled``.
+
+    ``scaled`` is ``(..., k, half)``, the first antithetic half of the draws
+    times each model's std, with each model's samples along the last axis,
+    and ``means`` is ``(..., k)``. Equal to the full antithetic draws scaled
+    as ``z * stds + means`` to the last bit, because IEEE negation is exact:
+    ``(-z) * s == -(z * s)`` and ``m + -(x) == m - x``.
+    """
+    half = scaled.shape[-1]
+    mu = means[..., None]
+    out = np.empty(scaled.shape[:-1] + (2 * half,))
+    np.add(mu, scaled, out=out[..., :half])
+    np.subtract(mu, scaled, out=out[..., half:])
+    return out
+
+
 def expected_max_stderr(
     means: Sequence[float],
     stds: Sequence[float],

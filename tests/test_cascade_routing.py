@@ -564,6 +564,15 @@ class TestEnginePriceChecks:
             with pytest.raises(ValueError, match="lambdas must be finite and >= 0"):
                 call(lambdas, Pick.MIN_COST)
 
+    @pytest.mark.parametrize("lambdas", [0.1, [0.1, 0.1], [0.1] * 4, [[0.1, 0.1, 0.1]], np.full((1, 3), 0.1)])
+    def test_prices_of_the_wrong_shape(self, rng, lambdas):
+        k = 3
+        engine = BatchCascadeEngine(random_table(rng, n=4, k=k), np.zeros((k, k + 1)))
+        engine.run_metrics([0.1] * k, Pick.MIN_COST)  # a stored run at the same prices
+        for call in (engine.run, engine.run_metrics):
+            with pytest.raises(ValueError, match="lambdas must have one entry per model"):
+                call(lambdas, Pick.MIN_COST)
+
     def test_highest_bisection_price_is_valid(self, rng):
         k = 3
         engine = BatchCascadeEngine(random_table(rng, n=4, k=k), np.zeros((k, k + 1)))
@@ -931,13 +940,18 @@ class TestPriceCells:
             for pick in Pick:
                 result = engine.run([lam] * k, pick)
                 row_steps += int(np.minimum(result.n_executed + 1, k).sum())
-        # a compiled pruning pair keeps no block thresholds, and every pair
-        # without cells waits for its step's next batch compile
+        # every filled pair is compiled or waits for its step's next batch
+        # compile; a pair keeps the block-threshold row it has, pending pairs
+        # have one, and a pair compiled at its own fill gets one at its first
+        # miss, so no pair's thresholds are recomputed more than once
         kept = sum(tables.beta_used for tables in engine._step_cache.values())
         pending = sum(tables.pending_count for tables in engine._step_cache.values())
         filled = sum(int(tables.filled.sum()) for tables in engine._step_cache.values())
-        assert engine.compiled_pairs == filled - kept > 0 and kept == pending
-        assert all(tables.pending_count == tables.pending.sum() for tables in engine._step_cache.values())
+        assert engine.compiled_pairs == filled - pending > 0 and pending <= kept <= filled
+        for tables in engine._step_cache.values():
+            assert tables.pending_count == tables.pending.sum()
+            assert tables.beta_used == (tables.beta_row > 0).sum() and (tables.beta_row[tables.pending] > 0).all()
+        assert engine.beta_recomputes <= engine.compiled_pairs
         assert engine.cell_hits + engine.fallback_rows + engine.kept_row_steps == row_steps
         # a kept row-step is a cell hit at the run that decided it
         assert engine.cell_hits + engine.kept_row_steps > engine.fallback_rows
@@ -966,8 +980,9 @@ class TestPriceCells:
         # by arithmetic on the table layout, without allocating a large engine:
         # every pair holds 8-byte qualities and 1-byte next models per
         # column, 9 bytes per cell slot, a 4-byte block-threshold row index
-        # and 3 bytes for the filled and pending flags and the answer; only
-        # pairs without cells add a packed 8-byte block threshold per column
+        # and 3 bytes for the filled and pending flags and the answer; a pair
+        # with a block-threshold row (a pair filled without cells, or a
+        # compiled pair after its first miss) adds 8 bytes per column
         k = 5
         t = random_table(np.random.default_rng(5), n=70, k=k, step_varying=True)
         engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), MonteCarloConfig(n_samples=8, seed=1))
@@ -990,8 +1005,9 @@ class TestPriceCells:
             assert tables.beta.itemsize * tables.beta.shape[1] == 8 * columns
             assert tables.beta_used == int((tables.beta_row > 0).sum())
         # at k = 8 the empty prefix's 256 columns and a 22-slot envelope take
-        # 2.5 KB per compiled pair, against 4.4 KB for a pair without cells
-        assert 9 * 256 + 7 + 9 * 22 == 2509 and 17 * 256 + 7 + 9 == 4368
+        # 2.5 KB per compiled pair, 4.6 KB once it has a block-threshold row,
+        # against 4.4 KB for a pair without cells
+        assert 9 * 256 + 7 + 9 * 22 == 2509 and 17 * 256 + 7 + 9 * 22 == 4557 and 17 * 256 + 7 + 9 == 4368
 
 
 class TestBatchCompiles:
@@ -1003,7 +1019,8 @@ class TestBatchCompiles:
 
         Returns ``(alone, batches)``: per call, the count of new pairs that
         met ``_compiles`` on their own (0 if they did not), and the
-        ``(step, ranks, rows)`` of every compile that took pending pairs.
+        ``(step, ranks, rows, waited)`` of every compile that took pending
+        pairs, ``waited`` flagging the pairs that were pending.
         """
         alone, batches = [], []
         compile_ = engine._compile
@@ -1013,7 +1030,8 @@ class TestBatchCompiles:
             alone.append(rows.size if _engine._compiles(rows.size, columns) else 0)
             if tables.pending_count and _engine._compiles(rows.size + tables.pending_count, columns):
                 old_ranks, old_rows = tables.pending.nonzero()
-                batches.append((t, np.concatenate([old_ranks, ranks]), np.concatenate([old_rows, rows])))
+                waited = np.arange(old_ranks.size + ranks.size) < old_ranks.size
+                batches.append((t, np.concatenate([old_ranks, ranks]), np.concatenate([old_rows, rows]), waited))
             return compile_(t, tables, ranks, rows, *rest)
 
         engine._compile = spy
@@ -1094,17 +1112,41 @@ class TestBatchCompiles:
             for pick in Pick:
                 engine.run(lambdas, pick)
         assert batches and engine.compiled_pairs > sum(alone)
-        for step, ranks, rows in batches:
-            assert ranks.size > 1
+        for step, ranks, rows, waited in batches:
+            assert ranks.size > 1 and waited.any()
             tables = engine._step_cache[step]
-            for rank, row in zip(ranks, rows):
+            for rank, row, pending in zip(ranks, rows, waited):
                 lo, hi, win = self.single_pair_cells(engine, step, rank, row)
                 width, live = lo.shape[1], lo[0] < np.inf
                 assert np.array_equal(tables.lo[rank, row, :width], lo[0]), (step, rank, row)
                 assert (tables.lo[rank, row, width:] == np.inf).all()
                 assert np.array_equal(tables.hi[rank, row, :width][live], hi[0][live])
                 assert np.array_equal(tables.win[rank, row, :width][live], win[0][live])
-                assert not tables.pending[rank, row] and tables.beta_row[rank, row] == 0
+                # a pending pair keeps its block-threshold row through its batch compile
+                assert not tables.pending[rank, row]
+                if pending:
+                    assert (tables.beta_row[rank, row] > 0) == (tables.beta is not None)
+
+    @pytest.mark.parametrize("variant", [Variant.DEFAULT, Variant.GREEDY, Variant.NO_EXPECT])
+    def test_block_thresholds_are_computed_again_at_most_once_per_pair(self, rng, variant):
+        # a pair compiled at its own fill computes its block thresholds again
+        # at its first miss and keeps them, so the same runs again recompute
+        # none; NO_EXPECT cells cover few prices, so its pairs miss often
+        k = 5
+        t = random_table(rng, n=112, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0.0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=16, seed=5), variant)
+        runs = self.fit_like_runs(TestPriceCells.step0_crossings(engine, k), k, rng)
+        for lambdas in runs:
+            for pick in Pick:
+                engine.run(lambdas, pick)
+        recomputed = engine.beta_recomputes
+        filled = sum(int(tables.filled.sum()) for tables in engine._step_cache.values())
+        assert 0 < recomputed <= filled
+        engine._reference = None  # every row takes its steps again
+        for lambdas in runs:
+            for pick in Pick:
+                engine.run(lambdas, pick)
+        assert engine.beta_recomputes == recomputed
 
     def test_no_batches_without_cells_at_step_0(self, rng):
         # a 60-row table compiles no fill, step 0's included, so its small

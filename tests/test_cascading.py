@@ -1,11 +1,19 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from modelselect import cascading
 from modelselect._engine import BatchCascadeEngine
+from modelselect._fitting import LAMBDA_CAP
 from modelselect.cascading import (
+    StepEstimates,
     cascade_floor_cost,
+    decision_trace,
     estimate_sigma,
     expected_max,
     expected_max_stderr,
@@ -15,8 +23,8 @@ from modelselect.cascading import (
     threshold_cascade,
     threshold_metrics,
 )
-from modelselect.core import EstimateTable, StrategyParams
-from modelselect.montecarlo import MonteCarloConfig
+from modelselect.core import EstimateTable, Pick, StrategyParams, argmax_tradeoff
+from modelselect.montecarlo import EmaxEvaluator, MonteCarloConfig, mixing_uniform, query_normals
 from modelselect.search import SearchConfig
 
 from conftest import random_table
@@ -257,3 +265,112 @@ class TestRunCascade:
     def test_floor_cost_is_first_model(self, rng):
         t = random_table(rng, n=10, k=3)
         assert cascade_floor_cost(t) == pytest.approx(t.true_cost[:, 0].mean())
+
+
+def step_candidates(table, q, sigma, mc):
+    """Per step t >= 1, the ``(mask, expected max, cost)`` of each chain prefix of length >= t, as a step walk scores them.
+
+    One ``StepEstimates`` and one ``EmaxEvaluator`` per step and one
+    expected maximum per chain prefix, over the query's full draw matrix;
+    chain costs are running sums of ``member_costs`` in chain order.
+    """
+    k = table.n_models
+    z = query_normals(mc, int(table.query_ids[q]), k)
+    steps = {}
+    for t in range(1, k):
+        est = StepEstimates.from_table(table, q, t, sigma, range(t))
+        evaluator = EmaxEvaluator(z, est.quality_mean, est.quality_std)
+        costs = est.member_costs()
+        cost = 0.0
+        steps[t] = []
+        for length in range(1, k + 1):
+            cost += costs[length - 1]
+            if length >= t:
+                mask = (1 << length) - 1
+                steps[t].append((mask, evaluator.expected_max_mask(mask), cost))
+    return steps
+
+
+def walk(table, q, params, steps, mc, u):
+    """The cascade decision of ``step_candidates``, selected by ``argmax_tradeoff`` over masks."""
+    if u is None:
+        u = mixing_uniform(mc.seed, int(table.query_ids[q]))
+    pick = Pick.MIN_COST if u < params.gamma else Pick.MAX_COST
+    executed = [0]
+    for t in range(1, table.n_models):
+        if argmax_tradeoff(steps[t], params.lambdas[t], pick) == (1 << t) - 1:
+            break
+        executed.append(t)
+    return decision_trace(table, q, executed, executed[-1])
+
+
+def tie_prices(steps):
+    """Every nonnegative price where two candidates of one step tie, with its float64 neighbours."""
+    prices = [
+        (qa - qb) / (ca - cb)
+        for cands in steps.values()
+        for i, (_, qa, ca) in enumerate(cands)
+        for (_, qb, cb) in cands[i + 1 :]
+        if ca != cb
+    ]
+    prices = np.unique([p for p in prices if np.isfinite(p) and p >= 0])
+    near = np.concatenate([prices, np.nextafter(prices, np.inf), np.nextafter(prices, -np.inf)])
+    return near[near >= 0].tolist()
+
+
+@contextlib.contextmanager
+def scores_seen():
+    """The candidates ``cascading._stops`` hands to ``argmax_tradeoff``, one list per step."""
+    seen = []
+
+    def spy(candidates, lam, pick):
+        seen.append(list(candidates))
+        return argmax_tradeoff(candidates, lam, pick)
+
+    with mock.patch.object(cascading, "argmax_tradeoff", spy):
+        yield seen
+
+
+class TestRunCascadeEqualsStepWalk:
+    """``run_cascade`` scores a step's chain prefixes in one block, with a step walk's bits and decisions."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        k=st.integers(1, 8),
+        n_samples=st.sampled_from([2, 3, 5, 16, 33, 64]),
+        tied=st.booleans(),
+        zero_sigma=st.booleans(),
+        gamma=st.sampled_from([0.0, 0.5, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_decisions_and_scores_equal_step_walk_property(self, seed, k, n_samples, tied, zero_sigma, gamma, data):
+        rng = np.random.default_rng(seed)
+        n = 3
+        t = random_table(rng, n=n, k=k, step_varying=True)
+        if tied:  # coarse values tie exactly, and model k // 2 costs nothing
+            t.quality_mean[:] = np.round(t.quality_mean * 4) / 4
+            t.cost_mean[:] = np.round(t.cost_mean * 2) / 2
+            t.cost_mean[:, :, k // 2] = 0.0
+        sigma = np.zeros((k, k + 1)) if zero_sigma else rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=n_samples, seed=seed)
+        for q in range(n):
+            steps = step_candidates(t, q, sigma, mc)
+            prices = [0.0, 1e6, LAMBDA_CAP] + tie_prices(steps)
+            price = st.sampled_from(prices)
+            ladder = data.draw(st.lists(
+                st.one_of(price.map(lambda lam: [lam] * k), st.lists(price, min_size=k, max_size=k)),
+                min_size=1, max_size=4,
+            ))
+            for lambdas in ladder:
+                params = StrategyParams(tuple(lambdas), gamma)
+                for u in (0.25, 0.75, None):
+                    with scores_seen() as seen:
+                        got = run_cascade(t, q, params, sigma, mc, u)
+                    assert got == walk(t, q, params, steps, mc, u)
+                    # every step's expected maxima and chain costs, to the last bit,
+                    # with ids ascending in chain length
+                    assert len(seen) == min(len(got.executed), k - 1)
+                    for step, cands in enumerate(seen, start=1):
+                        assert cands == [(mask.bit_length(), emax, cost) for mask, emax, cost in steps[step]], step
+

@@ -1,10 +1,11 @@
-"""Pinned digests of batch-engine outcomes.
+"""Pinned digests of batch-engine and per-query outcomes.
 
 Every field of every ``RunResult`` (with its dtype) and every ``run_metrics``
-pair over a fixed matrix of engines and prices is hashed into one sha256.
+pair over a fixed matrix of engines and prices is hashed into one sha256,
+and so is every field of the ``DecisionTrace``s of the per-query paths.
 Changes meant to keep behaviour must keep them; a change that moves a
-decision on purpose updates ``GOLDEN`` or ``BATCH_GOLDEN`` and says why in
-CHANGES.md.
+decision on purpose updates ``GOLDEN``, ``BATCH_GOLDEN`` or
+``PER_QUERY_GOLDEN`` and says why in CHANGES.md.
 """
 import hashlib
 
@@ -12,7 +13,9 @@ import numpy as np
 
 from modelselect._engine import BatchCascadeEngine, Variant
 from modelselect._fitting import LAMBDA_CAP
-from modelselect.core import EstimateTable, Pick
+from modelselect.cascade_routing import run_cascade_route
+from modelselect.cascading import run_cascade
+from modelselect.core import EstimateTable, Pick, StrategyParams
 from modelselect.montecarlo import MonteCarloConfig
 
 GOLDEN = "1cf9fc35ae46991262f411eb467f1c0b89050a4dbb67be26d619d87342bfece2"
@@ -20,6 +23,9 @@ GOLDEN = "1cf9fc35ae46991262f411eb467f1c0b89050a4dbb67be26d619d87342bfece2"
 # Lattice engines driven the way a fit drives them, long enough that later
 # steps compile the pairs of many small fills together.
 BATCH_GOLDEN = "7d9f4280b3b8846a1dd324b3abcbb21f89de6a18b6b3bdd669b9c1f7c6e70fb9"
+
+# ``run_cascade`` and ``run_cascade_route`` over a price ladder.
+PER_QUERY_GOLDEN = "e56b504ca516bafef7fcbec14e25d5af30fac476b2a25fca66e69b266d2aeb90"
 
 RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
 
@@ -117,9 +123,40 @@ def batch_digest() -> str:
     return digest.hexdigest()
 
 
+def per_query_digest() -> str:
+    """sha256 over the ``DecisionTrace``s of both per-query paths at k = 3, 5 and 8.
+
+    On plain and tied tables, every query runs ``run_cascade`` under both
+    forced coins and the seeded one, and ``run_cascade_route`` under both
+    picks for every variant, at each price vector of a ladder of equal
+    prices and a few per-step ones.
+    """
+    digest = hashlib.sha256()
+    for k, n in ((3, 12), (5, 8), (8, 4)):
+        for tied in (False, True):
+            rng = np.random.default_rng(1000 + 10 * k + tied)
+            t = table(rng, n, k, tied)
+            sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
+            mc = MonteCarloConfig(n_samples=33, seed=k)
+            ladder = [[lam] * k for lam in (0.0, 0.05, 0.2, 0.6, 2.0, 1e6, LAMBDA_CAP)]
+            ladder += [list(rng.choice([0.0, 0.05, 0.2, 0.6, 2.0], k)) for _ in range(3)]
+            for lambdas in ladder:
+                params = StrategyParams(tuple(lambdas), gamma=0.5)
+                for q in range(n):
+                    traces = [run_cascade(t, q, params, sigma, mc, u) for u in (0.25, 0.75, None)]
+                    for variant in Variant:
+                        traces += [run_cascade_route(t, q, params, sigma, variant, mc, pick) for pick in Pick]
+                    digest.update(repr(traces).encode())
+    return digest.hexdigest()
+
+
 def test_engine_outcomes_match_golden_digest():
     assert engine_digest() == GOLDEN
 
 
 def test_batch_compiled_outcomes_match_golden_digest():
     assert batch_digest() == BATCH_GOLDEN
+
+
+def test_per_query_decisions_match_golden_digest():
+    assert per_query_digest() == PER_QUERY_GOLDEN
