@@ -134,6 +134,22 @@ over the submask tree for the lattice and a running maximum for a chain.
 The cold fill works through the rows in chunks, so its working copy of the
 scaled draws is one cache-sized ``(chunk, k, S)`` block.
 
+In the simulated workloads (``estimators.simulate_estimates``) a model's
+estimate stops moving once it has run, so ``estimate_sigma`` gives every
+computed model zero std in its regime. A sampled row whose t
+members all have zero std builds samples for its f free models only, a
+``(chunk, f, S)`` block, and the root of its walk, the members' sample
+maximum, is its largest member mean written into a contiguous ``(chunk,
+S)`` block. That root holds the values the full build gives: with std 0,
+``m + 0 * z`` and ``m - 0 * z`` equal ``m`` for every finite mean but
+-0.0, and a maximum is exact. A -0.0 mean can only flip the sign of a zero
+expected maximum, which no comparison sees. Rows with a varying member,
+and unsampled rows, keep the full build; at t = 0 there are no members,
+so every sampled row draws all k models. On a 1400-row, 5-model split of
+the tall bench workload this cut a fill's time per row at steps 1, 2, 3 and
+4 by 6%, 23%, 38% and 61% for the lattice and by 4%, 14%, 45% and 64% for
+chains.
+
 ``run_metrics`` keeps the realized (quality, cost) means of every
 (prices, pick) it has run, since fitting asks for the same run again.
 
@@ -220,7 +236,8 @@ the negated first S/2. The engine holds only the first half, as one
 ``(n, k, S/2)`` tensor: row r holds the transposed first half of the
 ``query_normals`` matrix of query ``query_ids[r]``, bit for bit, drawn by
 ``montecarlo.half_normals`` with every query's seed computed in one pass.
-A fill chunk's block is ``(chunk, k, S)``, built in one buffer by
+A fill chunk's block is ``(chunk, k, S)``, or ``(chunk, f, S)`` for rows
+with constant members, built in one buffer by
 ``montecarlo.antithetic_samples`` as ``means + stds * z`` and then
 ``means - stds * z``. That equals scaling the full draws to the last bit,
 because IEEE negation is exact: ``(-z) * s == -(z * s)`` and
@@ -871,9 +888,12 @@ class BatchCascadeEngine:
         (``_descend``) or along the chain (``_ascend``). Row chunks keep one
         ``(chunk, k, S)`` block cache-sized; ``antithetic_samples`` builds it
         in one buffer as ``means + stds * z`` over the stored half of the
-        draws, then ``means - stds * z`` for the antithetic half. Rows
-        without sampling (NO_EXPECT, or no uncertainty in their regime) take
-        the same walk with S = 1 on the means.
+        draws, then ``means - stds * z`` for the antithetic half. A row
+        whose members all have zero std builds only its f free models'
+        samples, and its walk starts from S copies of its largest member
+        mean, the values the members' samples would give (module
+        docstring). Rows without sampling (NO_EXPECT, or no uncertainty in
+        their regime) take the same walk with S = 1 on the means.
         """
         k = self.table.n_models
         idx = np.arange(k)
@@ -884,26 +904,35 @@ class BatchCascadeEngine:
         means = self.table.quality_mean[rows[:, None], steps, cols]
         stds = self.sigma[cols, steps]
         sampled = (stds != 0).any(axis=1) & (self.variant is not Variant.NO_EXPECT)
+        constant = sampled & (stds[:, :t] == 0).all(axis=1)
         f = k - t
-        half = self.mc.half
+        drawn_samples = 2 * self.mc.half
         width = self._layout(t).bits.shape[0]
         out = np.empty((rows.size, width))
-        for group, n_samples in ((np.flatnonzero(~sampled), 1), (np.flatnonzero(sampled), 2 * half)):
+        # (rows, samples per model, first model drawn): unsampled rows, rows
+        # whose members all have zero std, and rows with a varying member
+        groups = ((~sampled, 1, 0), (constant, drawn_samples, t), (sampled & ~constant, drawn_samples, 0))
+        for mask, n_samples, drawn in groups:
+            group = np.flatnonzero(mask)
             for part in _row_chunks(group.size, n_samples):
                 sel = group[part]
                 if n_samples == 1:
                     vals = means[sel, :, None]
                 else:
-                    z = self._draws()[rows[sel, None], cols[sel]]
-                    z *= stds[sel, :, None]
-                    vals = antithetic_samples(means[sel], z)
+                    z = self._draws()[rows[sel, None], cols[sel, drawn:]]
+                    z *= stds[sel, drawn:, None]
+                    vals = antithetic_samples(means[sel, drawn:], z)
                 block = np.empty((sel.size, width))
-                root = vals[:, :t].max(axis=1) if t else None
-                block[:, 0] = np.nan if root is None else np.add.reduce(root, axis=1)
-                if self.chain_only:
-                    _ascend(block, vals[:, t:], root)
+                if drawn:  # every sample of a constant member is its mean
+                    root = np.repeat(means[sel, :t].max(axis=1, keepdims=True), n_samples, axis=1)
                 else:
-                    _descend(block, vals[:, t:], 0, f, root)
+                    root = vals[:, :t].max(axis=1) if t else None
+                block[:, 0] = np.nan if root is None else np.add.reduce(root, axis=1)
+                free = vals[:, t - drawn :]
+                if self.chain_only:
+                    _ascend(block, free, root)
+                else:
+                    _descend(block, free, 0, f, root)
                 # np.mean divides the sum by S, so one division per block gives the same bits
                 out[sel] = np.divide(block, n_samples, out=block)
         return out

@@ -4,7 +4,7 @@ Subcommands: ``generate`` (synthetic workload to CSV), ``sweep`` (the full
 budget-sweep protocol), ``fit`` (one strategy at one budget, params dumped as
 JSON), ``evaluate`` (fitted params against the test split), and ``ablate``
 (variant timing/AUC comparison). Exit codes: 0 success, 1 usage error,
-2 data error.
+2 data error, 3 a strategy failed in ``sweep --strict``.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ from .harness import (
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
+STRATEGY_ERROR = 3
 
 
 def _variant_name(variant: Variant) -> str:
@@ -84,6 +85,10 @@ def _build_parser() -> _Parser:
                 "--strategy", choices=list(STRATEGY_NAMES), default=None,
                 help="run a single strategy instead of the config list",
             )
+            cmd.add_argument(
+                "--strict", action="store_true",
+                help=f"exit {STRATEGY_ERROR} when any strategy recorded an error",
+            )
     return parser
 
 
@@ -122,7 +127,7 @@ def _cmd_sweep(args) -> int:
     failures = [n for n, r in report.strategies.items() if r.error]
     if failures:
         print(f"strategies with errors: {', '.join(sorted(failures))}", file=sys.stderr)
-    return 0
+    return STRATEGY_ERROR if failures and args.strict else 0
 
 
 def _cmd_fit(args) -> int:

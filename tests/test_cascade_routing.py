@@ -619,14 +619,45 @@ def scalar_evaluator(table, q, t, sigma, executed, mc):
     return EmaxEvaluator(z, est.quality_mean, est.quality_std)
 
 
-class TestEngineMatchesScalarExactly:
-    """The engine's expected maxima are the scalar evaluator's, bit for bit."""
+def uncertainty(rng, k, shaped):
+    """A random ``(k, k + 1)`` sigma; a shaped one is an estimate's: no std once a model has run.
 
-    def test_chain_quality(self, rng):
+    A computed model i is read from slice ``max(t, i + 1)``
+    (``core.regime_steps``), so ``sigma[i, s] = 0`` for ``s >= i + 1``
+    gives every member of every prefix zero std, while a free model i, read
+    from slice ``min(t, i)``, keeps its std.
+    """
+    sigma = rng.uniform(0.05, 0.35, (k, k + 1))
+    if shaped:
+        sigma[np.arange(k + 1) >= np.arange(1, k + 1)[:, None]] = 0.0
+    return sigma
+
+
+def assert_lattice_matches_scalar(got, table, step, sigma, mc, held):
+    """Every column of every row of a lattice fill equals the scalar evaluator's expected max (``==``)."""
+    k = table.n_models
+    for q, members_q in enumerate(held):
+        ev = scalar_evaluator(table, q, step, sigma, list(members_q), mc)
+        free = [m for m in range(k) if m not in members_q]
+        for sub in range(1 if step == 0 else 0, 1 << len(free)):
+            added = [m for j, m in enumerate(free) if sub >> j & 1]
+            assert got[q, sub] == ev.expected_max(list(members_q) + added)
+
+
+class TestEngineMatchesScalarExactly:
+    """The engine's expected maxima are the scalar evaluator's, bit for bit.
+
+    Each fill test runs with positive stds everywhere and with an
+    estimate-shaped sigma, whose sampled rows at a step t >= 1 have
+    constant members and so build samples for their free models only.
+    """
+
+    @pytest.mark.parametrize("shaped", [False, True])
+    def test_chain_quality(self, rng, shaped):
         # a chain-only step has one prefix; its column j is the chain of length step + j
         k = 5
         t = random_table(rng, n=16, k=k, step_varying=True)
-        sigma = rng.uniform(0.05, 0.35, (k, k + 1))
+        sigma = uncertainty(rng, k, shaped)
         mc = MonteCarloConfig(seed=41)
         engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
         rows = np.arange(t.n_queries)
@@ -642,14 +673,15 @@ class TestEngineMatchesScalarExactly:
         assert engine._step_cache == {}  # chains keep no step tables
 
     # the empty prefix at k=6 walks the deepest submask tree
+    @pytest.mark.parametrize("shaped", [False, True])
     @pytest.mark.parametrize(
         "prefix_members, step, k", [((1,), 1, 4), ((0, 2), 2, 4), ((3,), 1, 4), ((), 0, 6)]
     )
-    def test_lattice_quality_out_of_order_prefix(self, rng, prefix_members, step, k):
+    def test_lattice_quality_out_of_order_prefix(self, rng, prefix_members, step, k, shaped):
         # one fill call covers rows holding different prefixes of the step:
         # even rows hold the named prefix, odd rows cycle through all of them
         t = random_table(rng, n=12, k=k, step_varying=True)
-        sigma = rng.uniform(0.05, 0.35, (k, k + 1))
+        sigma = uncertainty(rng, k, shaped)
         mc = MonteCarloConfig(seed=43)
         engine = BatchCascadeEngine(t, sigma, mc)
         step_prefixes = list(itertools.combinations(range(k), step))
@@ -659,20 +691,17 @@ class TestEngineMatchesScalarExactly:
         masks = np.array([sum(1 << m for m in p) for p in held], dtype=np.int64)
         got = engine._lattice_quality(step, masks, np.arange(t.n_queries))
         assert np.isnan(got[:, 0]).all() == (step == 0)  # the bare empty prefix is no candidate
-        for q, members_q in enumerate(held):
-            ev = scalar_evaluator(t, q, step, sigma, list(members_q), mc)
-            free = [m for m in range(k) if m not in members_q]
-            for sub in range(1 if step == 0 else 0, 1 << len(free)):
-                added = [m for j, m in enumerate(free) if sub >> j & 1]
-                assert got[q, sub] == ev.expected_max(list(members_q) + added)
+        assert_lattice_matches_scalar(got, t, step, sigma, mc, held)
 
-    def test_lattice_quality_mixes_exact_and_sampled_rows(self, rng):
+    @pytest.mark.parametrize("shaped", [False, True])
+    def test_lattice_quality_mixes_exact_and_sampled_rows(self, rng, shaped):
         # at step 1 prefix {0} reads every model from slice 1, which has no
         # uncertainty, so its rows take the exact max of means; prefix {1}
-        # reads slices 0 and 2 and is sampled, in the same fill call
+        # reads slices 0 and 2 and is sampled, in the same fill call, with
+        # a constant member when sigma is shaped
         k = 3
         t = random_table(rng, n=8, k=k, step_varying=True)
-        sigma = rng.uniform(0.05, 0.35, (k, k + 1))
+        sigma = uncertainty(rng, k, shaped)
         sigma[:, 1] = 0.0
         mc = MonteCarloConfig(seed=47)
         held = [(0,), (1,)] * 4
@@ -686,6 +715,65 @@ class TestEngineMatchesScalarExactly:
                 cand = list(members_q) + [m for j, m in enumerate(free) if sub >> j & 1]
                 want = est.quality_mean[cand].max() if members_q == (0,) else ev.expected_max(cand)
                 assert got[q, sub] == want
+
+    def test_constant_and_varying_members_in_one_chunk(self, rng):
+        # shaped sigma, but model 0 keeps a std at slice 2: at step 2 the
+        # rows whose prefix holds model 0 have a varying member and the
+        # others constant members, all in one fill call that fits one row
+        # chunk (a chain fill cannot mix them: its rows hold one prefix)
+        k = 4
+        t = random_table(rng, n=12, k=k, step_varying=True)
+        sigma = uncertainty(rng, k, shaped=True)
+        sigma[0, 2] = 0.2
+        mc = MonteCarloConfig(n_samples=64, seed=53)
+        step = 2
+        step_prefixes = list(itertools.combinations(range(k), step))
+        held = [step_prefixes[q % len(step_prefixes)] for q in range(t.n_queries)]
+        assert {0 in p for p in held} == {False, True}
+        rows = np.arange(t.n_queries)
+        assert rows.size <= _engine._CHUNK_CELLS // (2 * mc.half)
+        masks = np.array([sum(1 << m for m in p) for p in held], dtype=np.int64)
+        got = BatchCascadeEngine(t, sigma, mc)._lattice_quality(step, masks, rows)
+        assert_lattice_matches_scalar(got, t, step, sigma, mc, held)
+
+    @pytest.mark.parametrize("chain_only", [False, True])
+    def test_negative_zero_member_mean(self, rng, chain_only):
+        # the largest member mean is -0.0 and every free mean is negative,
+        # so the bare prefix scores zero; its sign is the only bit a
+        # constant root may change, and == does not see it
+        k = 3
+        t = random_table(rng, n=4, k=k, step_varying=True)
+        t.quality_mean[:] -= 2.0
+        t.quality_mean[:, 2, 1] = -0.0  # model 1, computed, read at step 2
+        sigma = uncertainty(rng, k, shaped=True)
+        mc = MonteCarloConfig(n_samples=16, seed=59)
+        rows = np.arange(t.n_queries)
+        got = BatchCascadeEngine(t, sigma, mc, chain_only=chain_only)._lattice_quality(
+            2, np.full(rows.size, 0b011, dtype=np.int64), rows
+        )
+        assert (got[:, 0] == 0.0).all()
+        for q in rows:
+            ev = scalar_evaluator(t, q, 2, sigma, [0, 1], mc)
+            assert got[q, 0] == ev.expected_max([0, 1])
+            assert got[q, 1] == ev.expected_max([0, 1, 2])
+
+    @pytest.mark.parametrize("chain_only", [False, True])
+    def test_constant_members_draw_free_models_only(self, rng, chain_only):
+        # the fill builds samples for the f = k - t free models of a row
+        # whose members all have zero std, and for all k models otherwise
+        k = 5
+        t = random_table(rng, n=10, k=k, step_varying=True)
+        rows = np.arange(t.n_queries)
+        for shaped in (True, False):
+            engine = BatchCascadeEngine(t, uncertainty(rng, k, shaped), MonteCarloConfig(n_samples=16, seed=61),
+                                        chain_only=chain_only)
+            for step in range(1, k):
+                prefixes = engine._layout(step).prefixes
+                masks = prefixes[rows % prefixes.size]
+                with mock.patch.object(_engine, "antithetic_samples", wraps=_engine.antithetic_samples) as spy:
+                    engine._lattice_quality(step, masks, rows)
+                drawn = {call.args[1].shape[:2] for call in spy.call_args_list}
+                assert drawn == {(rows.size, k - step if shaped else k)}, (shaped, step)
 
 
 class TestEngineStepCache:

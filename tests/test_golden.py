@@ -4,8 +4,9 @@ Every field of every ``RunResult`` (with its dtype) and every ``run_metrics``
 pair over a fixed matrix of engines and prices is hashed into one sha256,
 and so is every field of the ``DecisionTrace``s of the per-query paths.
 Changes meant to keep behaviour must keep them; a change that moves a
-decision on purpose updates ``GOLDEN``, ``BATCH_GOLDEN`` or
-``PER_QUERY_GOLDEN`` and says why in CHANGES.md.
+decision on purpose updates ``GOLDEN``, ``BATCH_GOLDEN``,
+``PER_QUERY_GOLDEN`` or ``ESTIMATED_SIGMA_GOLDEN`` and says why in
+CHANGES.md.
 """
 import hashlib
 
@@ -26,6 +27,10 @@ BATCH_GOLDEN = "7d9f4280b3b8846a1dd324b3abcbb21f89de6a18b6b3bdd669b9c1f7c6e70fb9
 
 # ``run_cascade`` and ``run_cascade_route`` over a price ladder.
 PER_QUERY_GOLDEN = "e56b504ca516bafef7fcbec14e25d5af30fac476b2a25fca66e69b266d2aeb90"
+
+# Lattice and chain engines with sigma shaped like an estimate's, where the
+# models a row has computed hold no uncertainty.
+ESTIMATED_SIGMA_GOLDEN = "b4182e163fe781ca527375e20010b5cbff0bc8cc8c18559191cc8a78c49a27df"
 
 RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
 
@@ -56,12 +61,35 @@ def update(digest, engine, lambdas, pick) -> None:
     digest.update(repr(engine.run_metrics(lambdas, pick)).encode())
 
 
+def run_sequence(digest, t, sigma, per_step) -> None:
+    """Hash every engine's run sequence on one table: equal prices, per-step prices, then a 40-step bisection.
+
+    One lattice and one chain engine per variant; each is reused along the
+    sequence, so warm runs, delta runs and the chain's thresholds are all
+    exercised.
+    """
+    k = t.n_models
+    for chain_only in (False, True):
+        for variant in Variant:
+            engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=32, seed=k), variant, chain_only)
+            runs = [[lam] * k for lam in (0.0, 0.05, 0.2, 0.6, 2.0, LAMBDA_CAP)] + per_step
+            for lambdas in runs:
+                for pick in Pick:
+                    update(digest, engine, lambdas, pick)
+            lo, hi = 0.0, 2.0
+            budget = float(t.computed_cost.mean(axis=0)[: (k + 1) // 2].sum())
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                metrics = engine.run_metrics([mid] * k, Pick.MIN_COST)
+                digest.update(repr(metrics).encode())
+                lo, hi = (mid, hi) if metrics[1] > budget else (lo, mid)
+
+
 def engine_digest() -> str:
-    """sha256 over each engine's run sequence: equal prices, per-step prices, then a 40-step bisection.
+    """sha256 over ``run_sequence`` on plain tables with random sigma and tied tables with zero sigma.
 
     Tables of 70 rows compile price cells at k = 3 and 5; the 24-row k = 8
-    tables compile none. Engines are reused along the sequence, so warm
-    runs, delta runs and the chain's thresholds are all exercised.
+    tables compile none.
     """
     digest = hashlib.sha256()
     for k, n in ((3, 70), (5, 70), (8, 24)):
@@ -70,20 +98,31 @@ def engine_digest() -> str:
             t = table(rng, n, k, tied)
             sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
             per_step = [list(rng.choice([0.0, 0.05, 0.2, 0.6, 2.0], k)) for _ in range(4)]
-            for chain_only in (False, True):
-                for variant in Variant:
-                    engine = BatchCascadeEngine(t, sigma, MonteCarloConfig(n_samples=32, seed=k), variant, chain_only)
-                    runs = [[lam] * k for lam in (0.0, 0.05, 0.2, 0.6, 2.0, LAMBDA_CAP)] + per_step
-                    for lambdas in runs:
-                        for pick in Pick:
-                            update(digest, engine, lambdas, pick)
-                    lo, hi = 0.0, 2.0
-                    budget = float(t.computed_cost.mean(axis=0)[: (k + 1) // 2].sum())
-                    for _ in range(40):
-                        mid = 0.5 * (lo + hi)
-                        metrics = engine.run_metrics([mid] * k, Pick.MIN_COST)
-                        digest.update(repr(metrics).encode())
-                        lo, hi = (mid, hi) if metrics[1] > budget else (lo, mid)
+            run_sequence(digest, t, sigma, per_step)
+    return digest.hexdigest()
+
+
+def estimated_sigma_digest() -> str:
+    """sha256 over ``run_sequence`` with sigma shaped like an estimate's, at k = 3, 5 and 8.
+
+    An estimate stops moving once its model has run, so ``estimate_sigma``
+    gives every computed model zero std. The shaped sigma does so exactly,
+    ``sigma[i, s] = 0`` for ``s >= i + 1``, so every sampled fill row at a
+    step t >= 1 has constant members; the measured sigma, the population std
+    of each slice's distance from the final one, does so only at the final
+    slice, so its fills mix rows with constant and with varying members.
+    """
+    digest = hashlib.sha256()
+    for k, n in ((3, 70), (5, 70), (8, 24)):
+        for tied in (False, True):
+            rng = np.random.default_rng(2000 + 10 * k + tied)
+            t = table(rng, n, k, tied)
+            shaped = rng.uniform(0.05, 0.35, (k, k + 1))
+            shaped[np.arange(k + 1) >= np.arange(1, k + 1)[:, None]] = 0.0
+            measured = (t.quality_mean - t.quality_mean[:, -1:]).std(axis=0).T
+            per_step = [list(rng.choice([0.0, 0.05, 0.2, 0.6, 2.0], k)) for _ in range(4)]
+            for sigma in (shaped, measured):
+                run_sequence(digest, t, sigma, per_step)
     return digest.hexdigest()
 
 
@@ -152,6 +191,10 @@ def per_query_digest() -> str:
 
 def test_engine_outcomes_match_golden_digest():
     assert engine_digest() == GOLDEN
+
+
+def test_estimated_sigma_outcomes_match_golden_digest():
+    assert estimated_sigma_digest() == ESTIMATED_SIGMA_GOLDEN
 
 
 def test_batch_compiled_outcomes_match_golden_digest():

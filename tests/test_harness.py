@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modelselect import harness
 from modelselect._fitting import check_budget_floor
-from modelselect.cli import _build_parser, main as cli_main
+from modelselect.cli import STRATEGY_ERROR, _build_parser, main as cli_main
 from modelselect.core import EstimateTable, TrueTable
 from modelselect._engine import Variant
 from modelselect.harness import (
@@ -410,6 +411,30 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(cfg), "--output", str(out)]) == 0
         result = json.loads(out.read_text())["strategies"]["cascade-routing"]
         assert result["error"] is None and result["auc"] is not None
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_strict_sweep_exits_nonzero_on_a_strategy_error(self, tmp_path, monkeypatch, capsys, strict):
+        def broken(ctx):
+            raise RuntimeError("no fit")
+
+        monkeypatch.setitem(harness.STRATEGIES, "routing", broken)
+        cfg = write(tmp_path, "c.json", json.dumps({
+            "data": SMALL_WORKLOAD, "budget_points": 2, "strategies": ["routing", "linear-interp"],
+        }))
+        out = tmp_path / "r.json"
+        flags = ["--strict"] if strict else []
+        assert cli_main(["sweep", "--config", str(cfg), "--output", str(out), *flags]) == (STRATEGY_ERROR if strict else 0)
+        assert "strategies with errors: routing" in capsys.readouterr().err
+        strategies = json.loads(out.read_text())["strategies"]
+        assert strategies["routing"]["error"] == "RuntimeError: no fit"
+        assert strategies["linear-interp"]["error"] is None
+
+    def test_strict_sweep_without_errors_exits_zero(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", json.dumps({
+            "data": SMALL_WORKLOAD, "budget_points": 2, "strategies": ["linear-interp"],
+        }))
+        assert cli_main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "r.json"), "--strict"]) == 0
+        assert "strategies with errors" not in capsys.readouterr().err
 
     def test_missing_config_is_data_error(self, tmp_path):
         assert cli_main(["sweep", "--config", str(tmp_path / "none.json")]) == 2
