@@ -169,6 +169,25 @@ reference outcome; only the others go through the steps, written into copies
 of the reference arrays, so a run's means are taken over full arrays as
 before. When every row is kept, no step runs.
 
+Batched runs. Each step of a run costs a fixed number of numpy calls, so
+a warm run on the 1000-query bench sweeps took about 0.45 ms whether it
+re-decided 1 row or 10. The local search's proposals are therefore run
+several at a time:
+``run_many`` takes a ``(P, k)`` block of prices and a pick per row. Its
+rows are (proposal, query) pairs, pair ``p * n + q``, each with its own
+price per step and pick. The pairs to re-decide come from one ``(P, n)``
+comparison against the reference, which ``run_many`` reads and does not
+replace; each step then makes one cell lookup and one full selection over
+the re-decided pairs of every proposal, with one ``argmax_tradeoff_rows``
+call per pick present, and a (prefix, row) pair that several proposals
+reach for the first time is filled once, in first-occurrence order.
+Outcomes go into ``(P, n)`` copies of the reference arrays, and each
+proposal's means are taken over its own contiguous ``(n,)`` row, so they
+equal ``run_metrics``' to the last bit, and are memoized for it. A single
+``run`` is the same step loop with one proposal, plus its reference
+bookkeeping. The counters ``batched_passes`` and ``batched_pairs`` count
+the passes and the (prices, pick) pairs they held.
+
 Why a kept row is exact. Its cell at step 0 certifies that the full
 selection picks the same column at the new price under either pick, so the
 row runs the same next model and reaches the same prefix with the same sunk
@@ -481,6 +500,33 @@ _MIN_COMPILE_ROWS = 64
 _CELL_SAFETY = 2.0
 
 
+def _first_occurrences(ranks: np.ndarray, rows: np.ndarray, n: int):
+    """Ascending positions of the first occurrence of each distinct (prefix rank, row) pair.
+
+    Strictly ascending rows, as every row set of a single run has, are all
+    distinct; then every position is one, returned as ``slice(None)``.
+    """
+    if (rows[1:] > rows[:-1]).all():
+        return slice(None)
+    first = np.unique(ranks * n + rows, return_index=True)[1]
+    first.sort()
+    return first
+
+
+def _rows(value, idx):
+    """A per-row array at rows ``idx``; a value shared by every row as it is."""
+    return value[idx] if isinstance(value, np.ndarray) else value
+
+
+def _column(lam):
+    """Per-row prices as a column against ``(rows, columns)`` arrays; a shared price as it is.
+
+    A shared price is a float64 scalar, which numpy broadcasts faster than
+    a column of equal prices; the products are the same bits.
+    """
+    return lam[:, None] if isinstance(lam, np.ndarray) else lam
+
+
 def _compiles(rows: int, columns: int) -> bool:
     """Whether ``rows`` filled pairs without cells at a step of ``columns`` columns are compiled together.
 
@@ -708,6 +754,9 @@ class BatchCascadeEngine:
         self.fallback_rows = 0
         self.kept_rows = 0
         self.kept_row_steps = 0
+        # ``run_many`` passes of cascade routing, and the (prices, pick) pairs they held
+        self.batched_passes = 0
+        self.batched_pairs = 0
         # block-threshold rows computed again for pairs compiled without one
         self.beta_recomputes = 0
         # chain: row-steps decided by a certified threshold, and by the full selection
@@ -781,6 +830,9 @@ class BatchCascadeEngine:
         if not filled.all():
             todo = ~filled
             new_ranks, fill = ranks[todo], rows[todo]
+            # proposals of one batch may reach the same new pair
+            first = _first_occurrences(new_ranks, fill, self.table.n_queries)
+            new_ranks, fill = new_ranks[first], fill[first]
             prefixes, free = layout.prefixes[new_ranks], layout.free[new_ranks]
             quality = self._lattice_quality(t, prefixes, fill)
             tables.quality[new_ranks, fill] = quality
@@ -942,14 +994,16 @@ class BatchCascadeEngine:
     def _select(self, t, lam, pick, ranks, rows, sunk):
         """The layout column each row picks at step t, and the cell it came from; column 0 stops.
 
-        A row whose (prefix, row) pair holds a price cell containing ``lam``
-        takes the cell's column. Every other row goes through the full
-        selection, one ``argmax_tradeoff_rows`` call per step even when no
-        row needs it. Every row has computed exactly t models, so each scores
-        the same columns of the step's layout, its prefix plus each submask
-        of its free models (cascade routing only). Columns are ascending in
-        the full candidate mask, which implements the lowest-id residual
-        tie-break.
+        ``lam`` is a float64 price shared by every row or each row's price,
+        ``pick`` likewise one Pick or a per-row bool (``_full_selection``),
+        and ``sunk`` each row's sunk cost. A row whose (prefix, row) pair
+        holds a price cell containing its price takes the cell's column.
+        Every other row goes through the full selection, one
+        ``argmax_tradeoff_rows`` call per pick present even when no row needs
+        it. Every row has computed exactly t models, so each scores the same
+        columns of the step's layout, its prefix plus each submask of its
+        free models (cascade routing only). Columns are ascending in the full
+        candidate mask, which implements the lowest-id residual tie-break.
         The step's ``allowed`` columns leave out running nothing at step 0
         and, for GREEDY, every lattice column adding more than one model.
 
@@ -958,33 +1012,51 @@ class BatchCascadeEngine:
         row's cell, empty (``+inf``, ``-inf``) for rows of the full selection.
         """
         tables = self._step_tables(t, ranks, rows)
-        lam = np.float64(lam)  # a Python float would be compared in float32
         if tables.lo.shape[2] == 1:  # no fill of the step was compiled
             self.fallback_rows += rows.size
-            return argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks, rows, sunk), pick), None
+            return self._full_selection(t, lam, pick, tables, ranks, rows, sunk), None
+        # float32 bounds against float64 prices compare in float64
         lo = tables.lo[ranks, rows]
-        slot = (lo <= lam).sum(axis=1) - 1
+        slot = (lo <= _column(lam)).sum(axis=1) - 1
         cell_lo = lo[np.arange(rows.size), slot]
         cell_hi = tables.hi[ranks, rows, slot]
         choice = tables.win[ranks, rows, slot]
         miss = (cell_hi < lam).nonzero()[0]
         self.cell_hits += rows.size - miss.size
         self.fallback_rows += miss.size
-        choice[miss] = argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks[miss], rows[miss], sunk), pick)
+        choice[miss] = self._full_selection(
+            t, _rows(lam, miss), _rows(pick, miss), tables, ranks[miss], rows[miss], sunk[miss]
+        )
         cell_lo[miss] = np.inf
         cell_hi[miss] = -np.inf
         return choice, (cell_lo, cell_hi)
 
+    def _full_selection(self, t, lam, pick, tables, ranks, rows, sunk):
+        """The full selection's column for each row: one ``argmax_tradeoff_rows`` call per pick present.
+
+        ``pick`` is the Pick of every row or, in a batch that mixes picks, a
+        per-row bool array, true for ``Pick.MIN_COST``.
+        """
+        if isinstance(pick, Pick):
+            return argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks, rows, sunk), pick)
+        choice = np.empty(rows.size, dtype=np.intp)
+        for each, part in ((Pick.MIN_COST, pick), (Pick.MAX_COST, ~pick)):
+            sel = np.flatnonzero(part)
+            scores = self._full_scores(t, _rows(lam, sel), tables, ranks[sel], rows[sel], sunk[sel])
+            choice[sel] = argmax_tradeoff_rows(*scores, each)
+        return choice
+
     def _full_scores(self, t, lam, tables, ranks, rows, sunk):
         """(tau, cost, valid) of the full selection over every column, for ``argmax_tradeoff_rows``.
 
-        Quality and block thresholds are gathered from the step's tables by
-        (prefix rank, row) and a column's added cost is a product with the
-        layout's ``bits``; a candidate is pruned when ``lam > beta``, which
-        is the negative-marginal-gain rule closed over supersets. A pair
-        compiled at its own fill has no ``beta`` row at its first miss, so
-        its thresholds are computed again here, bit for bit as the fill
-        computed them, and kept.
+        ``lam`` is one price or each row's, and ``sunk`` each row's sunk cost. Quality and
+        block thresholds are gathered from the step's tables by (prefix rank,
+        row) and a column's added cost is a product with the layout's
+        ``bits``; a candidate is pruned when ``lam > beta``, which is the
+        negative-marginal-gain rule closed over supersets. A pair compiled
+        at its own fill has no ``beta`` row at its first miss, so its
+        thresholds are computed again here, bit for bit as the fill computed
+        them, and kept once per pair.
         No rows give empty arrays at once.
         """
         if rows.size == 0:
@@ -993,7 +1065,8 @@ class BatchCascadeEngine:
         layout = self._layout(t)
         quality = tables.quality[ranks, rows]
         open_cost = self._cost_open(t)[rows[:, None], layout.free[ranks]]
-        cost = sunk[rows][:, None] + open_cost @ layout.bits.T
+        cost = sunk[:, None] + open_cost @ layout.bits.T
+        lam = _column(lam)
         tau = quality - lam * cost
         if tables.beta is None:
             return tau, cost, np.broadcast_to(tables.allowed, tau.shape)
@@ -1003,8 +1076,10 @@ class BatchCascadeEngine:
             fresh = np.flatnonzero(row == 0)
             if fresh.size:
                 beta[fresh] = _block_threshold(quality[fresh], open_cost[fresh], t == 0)
-                self._keep_beta(tables, ranks[fresh], rows[fresh], beta[fresh])
-                self.beta_recomputes += fresh.size
+                # rows of several proposals may share a pair
+                first = fresh[_first_occurrences(ranks[fresh], rows[fresh], self.table.n_queries)]
+                self._keep_beta(tables, ranks[first], rows[first], beta[first])
+                self.beta_recomputes += first.size
         return tau, cost, ~(lam > beta) & tables.allowed
 
     # -- cascading runs ---------------------------------------------------------
@@ -1104,68 +1179,102 @@ class BatchCascadeEngine:
     def run(self, lambdas: Sequence[float], pick: Pick) -> RunResult:
         """Run every query through the strategy at per-step prices ``lambdas``.
 
-        Rows that still decide are tracked by their prefix rank; a row stops
-        when it picks column 0, with the answer cached for its prefix, and
-        otherwise runs the column's cached next model and moves to that
-        model's child rank. A row whose reference cells all hold the new
-        prices keeps the last run's outcome, and only the other rows take
-        the steps (module docstring, "Delta runs"). A chain engine takes one
-        pass over its thresholds instead (``_run_chain``).
+        Cascade routing takes the step loop of ``_run_lattice`` with one
+        proposal, and keeps its outcome as the reference of later runs when
+        step 0 has cells (module docstring, "Delta runs"). A chain engine
+        takes one pass over its thresholds instead (``_run_chain``).
         """
-        table = self.table
-        n, k = table.n_queries, table.n_models
+        k = self.table.n_models
         check_decision_inputs(k, lambdas=lambdas)
         lams = np.asarray(lambdas, dtype=np.float64)
         if self.chain_only:
             return self._run_chain(lams, pick)
+        answer, exec_order, sunk, n_exec, cells = self._run_lattice(lams[None], [pick], track=True)
+        if cells is not None:
+            self._reference = _Reference(answer.astype(np.int8), exec_order.astype(np.int8), sunk.copy(), *cells)
+        return RunResult(answer=answer, exec_order=exec_order, n_executed=n_exec, realized_cost=sunk)
+
+    def _run_lattice(self, lams: np.ndarray, picks: Sequence[Pick], track: bool):
+        """Run every query of every proposal through cascade routing in one step loop.
+
+        Row p of ``lams`` holds proposal p's per-step prices and ``picks[p]``
+        its pick. The loop's rows are (proposal, query) pairs, pair
+        ``p * n + q`` for query q of proposal p, and still-deciding pairs are
+        tracked by their prefix rank: a pair stops when it picks column 0,
+        with the answer cached for its prefix, and otherwise runs the
+        column's cached next model and moves to that model's child rank.
+        A pair whose reference cells all hold its proposal's prices keeps
+        the reference outcome, and only the other pairs take the steps
+        (module docstring, "Delta runs"); the reference is read, not
+        replaced.
+
+        Returns the ``(P * n,)`` answers, ``(P * n, k)`` execution orders,
+        ``(P * n,)`` realized costs and executed counts, and, with ``track``
+        (one proposal only), the float32 ``(lo, hi)`` cells of each row's
+        steps for the next reference, or None when no row could be kept.
+        """
+        table = self.table
+        n, k = table.n_queries, table.n_models
+        size = lams.shape[0] * n
         ref = self._reference
         cell_lo = cell_hi = None
         if ref is None:
-            act = np.arange(n)
-            answer = np.full(n, -1, dtype=np.int64)
-            exec_order = np.full((n, k), -1, dtype=np.int64)
-            sunk = np.zeros(n)
+            act = np.arange(size)
+            answer = np.full(size, -1, dtype=np.int64)
+            exec_order = np.full((size, k), -1, dtype=np.int64)
+            sunk = np.zeros(size)
         else:
             # float32 bounds against a float64 array compare in float64
-            redo = ((ref.lo > lams) | (lams > ref.hi)).any(axis=1)
+            redo = ((ref.lo > lams[:, None]) | (lams[:, None] > ref.hi)).any(axis=2).ravel()
             act = np.flatnonzero(redo)
-            answer = ref.answer.astype(np.int64)
-            exec_order = ref.exec_order.astype(np.int64)
-            sunk = ref.realized_cost.copy()
+            reps = lams.shape[0]
+            answer = np.concatenate([ref.answer] * reps, dtype=np.int64)
+            exec_order = np.concatenate([ref.exec_order] * reps, dtype=np.int64)
+            sunk = np.concatenate([ref.realized_cost] * reps)
             if act.size:
                 answer[act] = -1
                 exec_order[act] = -1
                 sunk[act] = 0.0
-                cell_lo, cell_hi = ref.lo.copy(), ref.hi.copy()
-                cell_lo[act] = -np.inf
-                cell_hi[act] = np.inf
-        kept = n - act.size
+                if track:
+                    cell_lo, cell_hi = ref.lo.copy(), ref.hi.copy()
+                    cell_lo[act] = -np.inf
+                    cell_hi[act] = np.inf
+        kept = size - act.size
+        # each pair's query, and its proposal; None when there is one proposal
+        query, prop = (act, None) if lams.shape[0] == 1 else (act % n, act // n)
         ranks = np.zeros(act.size, dtype=np.int64)
+        if len(set(picks)) == 1:
+            pick = picks[0]
+        else:  # per pair, true for MIN_COST (``_full_selection``)
+            pick = np.array([each is Pick.MIN_COST for each in picks])[prop]
 
         for t in range(k):
             if act.size == 0:
                 break
-            choice, cells = self._select(t, lams[t], pick, ranks, act, sunk)
-            if cell_lo is None and t == 0 and cells is not None:
-                # every row reaches step 0: without cells there, no row could be kept
-                cell_lo = np.full((n, k), -np.inf, dtype=np.float32)
-                cell_hi = np.full((n, k), np.inf, dtype=np.float32)
-            if cell_lo is not None:
-                cell_lo[act, t], cell_hi[act, t] = (np.inf, -np.inf) if cells is None else cells
+            lam = lams[0, t] if prop is None else lams[prop, t]
+            choice, cells = self._select(t, lam, pick, ranks, query, sunk[act])
+            if track:
+                if cell_lo is None and t == 0 and cells is not None:
+                    # every row reaches step 0: without cells there, no row could be kept
+                    cell_lo = np.full((n, k), -np.inf, dtype=np.float32)
+                    cell_hi = np.full((n, k), np.inf, dtype=np.float32)
+                if cell_lo is not None:
+                    cell_lo[act, t], cell_hi[act, t] = (np.inf, -np.inf) if cells is None else cells
             tables = self._step_cache[t]
             go = choice != 0
             if not go.all():
                 stop = ~go
-                answer[act[stop]] = tables.answer[ranks[stop], act[stop]]
-                act, ranks, choice = act[go], ranks[go], choice[go]
-            nxt = tables.next_model[ranks, act, choice]
+                answer[act[stop]] = tables.answer[ranks[stop], query[stop]]
+                act, query, ranks, choice = act[go], query[go], ranks[go], choice[go]
+                prop, pick = _rows(prop, go), _rows(pick, go)
+            nxt = tables.next_model[ranks, query, choice]
             exec_order[act, t] = nxt
-            sunk[act] += table.computed_cost[act, nxt]
+            sunk[act] += table.computed_cost[query, nxt]
             ranks = self._layout(t).child[ranks, nxt]
         if act.size:
             if self._full_answer is None:
                 self._full_answer = self._stop_answer(k, np.ones((n, k), dtype=bool), np.arange(n))
-            answer[act] = self._full_answer[act]
+            answer[act] = self._full_answer[query]
 
         n_exec = np.count_nonzero(exec_order >= 0, axis=1)
         if np.any(n_exec == 0):
@@ -1174,16 +1283,42 @@ class BatchCascadeEngine:
             # a row decides at steps 0..n_executed, except at step k
             self.kept_rows += kept
             self.kept_row_steps += int(np.minimum(n_exec[~redo], k - 1).sum()) + kept
-        if cell_lo is not None:
-            self._reference = _Reference(
-                answer.astype(np.int8), exec_order.astype(np.int8), sunk.copy(), cell_lo, cell_hi
-            )
-        return RunResult(
-            answer=answer,
-            exec_order=exec_order,
-            n_executed=n_exec,
-            realized_cost=sunk,
-        )
+        return answer, exec_order, sunk, n_exec, None if cell_lo is None else (cell_lo, cell_hi)
+
+    def run_many(self, lambdas, picks: Sequence[Pick]) -> list[tuple[float, float]]:
+        """Realized mean (quality, cost) of the run at each row of ``lambdas`` with its pick, in one pass.
+
+        ``lambdas`` is ``(P, k)``, one row of per-step prices per proposal,
+        and ``picks`` holds P picks. Cascade routing takes one step loop
+        over every (proposal, query) pair (``_run_lattice``; module
+        docstring, "Batched runs"), a chain engine one threshold pass per
+        proposal. Each result equals ``run_metrics``' to the last bit and is
+        memoized for it.
+        """
+        n, k = self.table.n_queries, self.table.n_models
+        lams = np.asarray(lambdas, dtype=np.float64)
+        if lams.ndim != 2 or len(picks) != lams.shape[0]:
+            raise ValueError("lambdas must be shaped (proposals, n_models), with one pick per proposal")
+        for row in lams:
+            check_decision_inputs(k, lambdas=row)
+        if self.table.true_quality is None:
+            raise ValueError("realized quality needs ground truth in the table")
+        if self.chain_only:
+            runs = [self._run_chain(row, pick) for row, pick in zip(lams, picks)]
+            answer = np.stack([run.answer for run in runs])
+            cost = np.stack([run.realized_cost for run in runs])
+        else:
+            answer, _, cost, _, _ = self._run_lattice(lams, picks, track=False)
+            answer, cost = answer.reshape(-1, n), cost.reshape(-1, n)
+            self.batched_passes += 1
+            self.batched_pairs += lams.shape[0]
+        quality = self.table.true_quality[np.arange(n), answer]
+        out = []
+        for row, pick, q, c in zip(lams, picks, quality, cost):
+            metrics = (float(q.mean()), float(c.mean()))
+            self._metrics_cache[(tuple(float(lam) for lam in row), pick)] = metrics
+            out.append(metrics)
+        return out
 
     def realized_quality(self, result: RunResult) -> np.ndarray:
         if self.table.true_quality is None:
@@ -1227,3 +1362,21 @@ class BatchCascadeEngine:
             return q_min, c_min
         q_max, c_max = self.run_metrics(params.lambdas, Pick.MAX_COST)
         return g * q_min + (1 - g) * q_max, g * c_min + (1 - g) * c_max
+
+    def params_metrics_many(self, params: Sequence[StrategyParams]) -> list[tuple[float, float]]:
+        """``params_metrics`` of each of ``params``, its runs made together.
+
+        The (prices, pick) runs that ``params_metrics`` would make and that
+        are not memoized yet go through one ``run_many``, each once; the
+        mixtures are then combined by ``params_metrics`` from the memo.
+        """
+        todo = {}
+        for p in params:
+            picks = (Pick.MAX_COST,) if p.gamma == 0.0 else (Pick.MIN_COST,) if p.gamma == 1.0 else tuple(Pick)
+            for pick in picks:
+                key = (tuple(float(lam) for lam in p.lambdas), pick)
+                if key not in self._metrics_cache:
+                    todo[key] = None
+        if todo:
+            self.run_many([key[0] for key in todo], [key[1] for key in todo])
+        return [self.params_metrics(p) for p in params]

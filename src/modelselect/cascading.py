@@ -252,7 +252,8 @@ def _fit_prices(
 
     An equal-price bisection on the engine's realized cost meets the budget,
     then the constrained local search refines the per-step prices and the
-    mixing weight from that point. ``budget`` must already be checked
+    mixing weight from that point, in batches of proposals for cascade
+    routing. ``budget`` must already be checked
     against the strategy's floor.
     """
     k = engine.table.n_models
@@ -262,7 +263,9 @@ def _fit_prices(
 
     lam_star, gamma, _, _, _ = fit_budget_mixture(cost_fn, budget)
     init = StrategyParams.equal(lam_star, k, gamma)
-    return optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init)
+    # cascade routing evaluates proposals in batches; a chain's run is one cheap pass
+    many = None if engine.chain_only else engine.params_metrics_many
+    return optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init, objective_many=many)
 
 
 # -- threshold baseline ------------------------------------------------------

@@ -4,7 +4,8 @@ Subcommands: ``generate`` (synthetic workload to CSV), ``sweep`` (the full
 budget-sweep protocol), ``fit`` (one strategy at one budget, params dumped as
 JSON), ``evaluate`` (fitted params against the test split), and ``ablate``
 (variant timing/AUC comparison). Exit codes: 0 success, 1 usage error,
-2 data error, 3 a strategy failed in ``sweep --strict``.
+2 data error, 3 a strategy failed in ``sweep --strict`` or a variant in
+``ablate --strict``.
 """
 from __future__ import annotations
 
@@ -85,9 +86,10 @@ def _build_parser() -> _Parser:
                 "--strategy", choices=list(STRATEGY_NAMES), default=None,
                 help="run a single strategy instead of the config list",
             )
+        if command in ("sweep", "ablate"):
             cmd.add_argument(
                 "--strict", action="store_true",
-                help=f"exit {STRATEGY_ERROR} when any strategy recorded an error",
+                help=f"exit {STRATEGY_ERROR} when any strategy or variant recorded an error",
             )
     return parser
 
@@ -201,7 +203,10 @@ def _cmd_ablate(args) -> int:
     if args.output:
         Path(args.output).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         print(f"ablation: {args.output}")
-    return 0
+    failures = [variant for variant, row in rows.items() if row["error"]]
+    for variant in failures:
+        print(f"variant {variant} failed: {rows[variant]['error']}", file=sys.stderr)
+    return STRATEGY_ERROR if failures and args.strict else 0
 
 
 def main(argv=None) -> int:

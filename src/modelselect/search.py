@@ -6,13 +6,32 @@ budget and strictly improves quality. Cost prices are perturbed in log space
 (they span orders of magnitude across budgets); the mixing weight is
 perturbed additively and reflected back into [0, 1]. Deterministic under the
 config seed, and the returned point is always feasible.
+
+Each proposal is split into its random draws and their application to the
+incumbent. All draws are made up front, in the order the one-at-a-time
+search makes them, and proposal i applies draw i to whatever the incumbent
+is when it is evaluated. That is exact because no draw depends on the
+incumbent: the coordinate mask, the step amplitude and the price steps are
+drawn every time, and the mixing-weight step is drawn exactly when the mask
+moves the mixing weight.
+
+An objective that evaluates several points at once (cascade routing's
+``BatchCascadeEngine.params_metrics_many``, which runs them in one engine
+pass) takes the proposals in batches of ``PROPOSAL_BATCH``: each pass applies
+the next batch's draws to the incumbent, accepts the first feasible
+improvement and starts the next pass at the proposal after it, whose draw is
+applied again to the new incumbent. The proposals after an accepted one are
+evaluated and discarded, so the accepted proposals, and the result, are
+those of the one-at-a-time search. A fit accepts few of its proposals, so
+little work is wasted. Cascading and the threshold search take one proposal
+at a time: a chain run is one cheap pass over certified thresholds.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +44,9 @@ FEASIBILITY_SLACK = 1e-9
 
 # Floor for log-space proposals so a zero price can still move.
 _LAMBDA_FLOOR = 1e-12
+
+# Proposals evaluated in one pass when the objective takes a batch.
+PROPOSAL_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -53,23 +75,38 @@ def _reflect_unit(x: float) -> float:
 
 def _local_search(
     evaluate: Callable[[np.ndarray], tuple[float, float]],
-    propose: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    evaluate_many: Optional[Callable[[list[np.ndarray]], list[tuple[float, float]]]],
+    apply: Callable[[np.ndarray, object], np.ndarray],
+    draws: Sequence[object],
     x0: np.ndarray,
     budget: float,
-    max_evals: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[int]]:
+    """The best feasible point, and the numbers of the proposals it accepted, in order.
+
+    Proposal i is ``apply(incumbent, draws[i])``. Without ``evaluate_many``
+    each is evaluated on its own; with it, each pass evaluates the next
+    ``PROPOSAL_BATCH`` proposals from the incumbent together, accepts the
+    first feasible improvement and goes on from the proposal after it
+    (module docstring).
+    """
     quality, cost = evaluate(x0)
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     if cost > limit:
         raise ValueError("initial point violates budget")
     best_x, best_q = x0, quality
-    for _ in range(max_evals):
-        cand = propose(best_x, rng)
-        q, c = evaluate(cand)
-        if c <= limit and q > best_q:
-            best_x, best_q = cand, q
-    return best_x
+    accepted = []
+    batch = 1 if evaluate_many is None else PROPOSAL_BATCH
+    i = 0
+    while i < len(draws):
+        cands = [apply(best_x, d) for d in draws[i : i + batch]]
+        results = evaluate_many(cands) if evaluate_many is not None else [evaluate(cands[0])]
+        for j, (q, c) in enumerate(results):
+            if c <= limit and q > best_q:
+                best_x, best_q = cands[j], q
+                accepted.append(i + j)
+                break
+        i += j + 1
+    return best_x, accepted
 
 
 def optimize(
@@ -77,12 +114,15 @@ def optimize(
     budget: float,
     config: SearchConfig,
     init: StrategyParams,
+    objective_many: Optional[Callable[[list[StrategyParams]], list[tuple[float, float]]]] = None,
 ) -> StrategyParams:
     """Maximize quality subject to ``cost <= budget`` near ``init``.
 
     ``objective`` maps params to ``(quality, cost)`` on the fitting data.
-    Infeasible proposals still consume evaluations. Raises if the initial
-    point itself violates the budget.
+    ``objective_many``, when given, maps a list of params to their
+    ``(quality, cost)`` pairs at once and takes the proposals in batches;
+    the result is the same. Infeasible proposals still consume evaluations.
+    Raises if the initial point itself violates the budget.
     """
     k = len(init.lambdas)
 
@@ -95,22 +135,32 @@ def optimize(
     def evaluate(x: np.ndarray) -> tuple[float, float]:
         return objective(unpack(x))
 
-    def propose(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def evaluate_many(xs: list[np.ndarray]) -> list[tuple[float, float]]:
+        return objective_many([unpack(x) for x in xs])
+
+    def draw(rng: np.random.Generator):
         # Perturb a random coordinate subset with a heavy-tailed step size:
         # most proposals fine-tune near the incumbent, occasional large moves
         # hop between modes of the piecewise-constant objective.
-        out = x.copy()
         move = rng.random(k + 1) < max(1.0 / (k + 1), float(rng.random()))
         amplitude = np.exp(rng.standard_normal())
+        z = rng.standard_normal(k)
+        return move, amplitude, z, rng.standard_normal() if move[k] else None
+
+    def apply(x: np.ndarray, d) -> np.ndarray:
+        move, amplitude, z, z_gamma = d
+        out = x.copy()
         lam = np.maximum(x[:k], _LAMBDA_FLOOR)
-        scaled = lam * np.exp(config.lambda_log_scale * amplitude * rng.standard_normal(k))
+        scaled = lam * np.exp(config.lambda_log_scale * amplitude * z)
         out[:k] = np.where(move[:k], scaled, x[:k])
         if move[k]:
-            out[k] = _reflect_unit(x[k] + config.gamma_scale * amplitude * rng.standard_normal())
+            out[k] = _reflect_unit(x[k] + config.gamma_scale * amplitude * z_gamma)
         return out
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SEARCH)))
-    best = _local_search(evaluate, propose, pack(init), budget, config.max_evals, rng)
+    draws = [draw(rng) for _ in range(config.max_evals)]
+    many = None if objective_many is None else evaluate_many
+    best, _ = _local_search(evaluate, many, apply, draws, pack(init), budget)
     return unpack(best)
 
 
@@ -120,11 +170,12 @@ def optimize_thresholds(
     init: Sequence[float],
     config: SearchConfig,
 ) -> np.ndarray:
-    """Same search, over a vector of stop thresholds perturbed additively."""
+    """Same search, over a vector of stop thresholds perturbed additively, one proposal at a time."""
     x0 = np.asarray(init, dtype=np.float64)
 
-    def propose(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return x + config.threshold_scale * rng.standard_normal(x.size)
+    def apply(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return x + config.threshold_scale * z
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SEARCH, 1)))
-    return _local_search(objective, propose, x0, budget, config.max_evals, rng)
+    draws = [rng.standard_normal(x0.size) for _ in range(config.max_evals)]
+    return _local_search(objective, None, apply, draws, x0, budget)[0]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modelselect import _engine, cascade_routing, cascading
+from modelselect import _engine, cascade_routing, cascading, search
 from modelselect._engine import BatchCascadeEngine, RunResult, Variant, _block_threshold
 from modelselect.cascade_routing import (
     CandidateSet,
@@ -1061,7 +1061,7 @@ class TestPriceCells:
             lam = float(np.nextafter(np.float64(hi.min()), np.inf))
             assert np.float32(lam) == hi.min()
             hits = engine.cell_hits
-            engine._select(0, lam, Pick.MIN_COST, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(4))
+            engine._select(0, np.array([lam]), Pick.MIN_COST, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(1))
         assert engine.cell_hits == hits
 
     def test_step_table_bytes_per_filled_pair(self):
@@ -1455,6 +1455,106 @@ class TestDeltaRuns:
         assert 9 * 1400 * 6 == 75_600
 
 
+class TestRunMany:
+    """``run_many`` runs several (prices, pick) proposals in one pass, each as ``run_metrics`` would."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(1, 6),
+        k=st.integers(1, 6),
+        tied=st.booleans(),
+        variant=st.sampled_from(list(Variant)),
+        chain_only=st.booleans(),
+        reference=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_run_many_equals_run_metrics_property(self, seed, n, k, tied, variant, chain_only, reference, data):
+        # with a reference, the engine compiles every fill and has run once,
+        # so rows may be kept; without, every pair takes every step and all
+        # proposals share their first fills at step 0
+        rng = np.random.default_rng(seed)
+        t = tied_table(rng, n, k) if tied else random_table(rng, n=n, k=k, step_varying=True)
+        sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=16, seed=seed)
+        with compiling(reference):
+            engine = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+            probe = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+            probe.run([0.0] * k, Pick.MAX_COST)
+            prices = [0.0, LAMBDA_CAP]
+            if not chain_only:
+                prices += list(TestPriceCells.step0_crossings(probe, k)) + list(TestPriceCells.cell_bounds(probe))
+            if reference:
+                engine.run([data.draw(st.sampled_from(prices))] * k, Pick.MAX_COST)
+                assert engine._reference is not None or chain_only
+            price = st.sampled_from(sorted(prices))
+            proposal = st.tuples(
+                st.one_of(price.map(lambda lam: [lam] * k), st.lists(price, min_size=k, max_size=k)),
+                st.sampled_from(list(Pick)),
+            )
+            runs = data.draw(st.lists(proposal, min_size=1, max_size=5))
+            runs += data.draw(st.lists(st.sampled_from(runs), max_size=2))  # repeated proposals
+            before = engine._reference
+            got = engine.run_many([lambdas for lambdas, _ in runs], [pick for _, pick in runs])
+            assert engine._reference is before
+            later = data.draw(st.lists(proposal, min_size=1, max_size=3))
+            after = [engine.run(lambdas, pick) for lambdas, pick in later]
+        assert len(got) == len(runs)
+        for (lambdas, pick), metrics in zip(runs, got):
+            assert metrics == BatchCascadeEngine(t, sigma, mc, variant, chain_only).run_metrics(lambdas, pick)
+            assert engine.run_metrics(lambdas, pick) == metrics  # stored
+        for (lambdas, pick), result in zip(later, after):
+            assert_same_run(result, BatchCascadeEngine(t, sigma, mc, variant, chain_only).run(lambdas, pick))
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_shared_first_fills_are_filled_once(self, rng, monkeypatch, variant):
+        k = 4
+        t = random_table(rng, n=50, k=k, step_varying=True)
+        sigma = rng.uniform(0.0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=16, seed=3)
+        fills = []
+        quality = BatchCascadeEngine._lattice_quality
+
+        def spy(engine, step, prefixes, rows):
+            fills.extend((step, int(p), int(r)) for p, r in zip(prefixes, rows))
+            return quality(engine, step, prefixes, rows)
+
+        monkeypatch.setattr(BatchCascadeEngine, "_lattice_quality", spy)
+        single = BatchCascadeEngine(t, sigma, mc, variant)
+        single.run([0.1] * k, Pick.MIN_COST)
+        once = sorted(fills)
+        fills.clear()
+        engine = BatchCascadeEngine(t, sigma, mc, variant)
+        got = engine.run_many([[0.1] * k] * 3 + [[0.1, 0.3, 0.1, 0.3]], [Pick.MIN_COST, Pick.MAX_COST] * 2)
+        assert len(set(fills)) == len(fills) and set(once) <= set(fills)
+        assert engine.batched_passes == 1 and engine.batched_pairs == 4
+        assert got[0] == got[2] == single.run_metrics([0.1] * k, Pick.MIN_COST)
+        assert engine.beta_recomputes <= engine.compiled_pairs
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_one_selection_per_pick_and_step(self, rng, monkeypatch, mixed):
+        # a 60-row table compiles no fill, so every step of every pair is a full selection
+        k = 4
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=7))
+        calls = []
+        select = _engine.argmax_tradeoff_rows
+        monkeypatch.setattr(_engine, "argmax_tradeoff_rows", lambda *a: calls.append(a[0].shape[0]) or select(*a))
+        picks = [Pick.MIN_COST, Pick.MAX_COST if mixed else Pick.MIN_COST, Pick.MIN_COST]
+        engine.run_many([[0.05] * k, [0.05] * k, [0.3] * k], picks)
+        steps = len(engine._step_cache)
+        assert len(calls) == (2 if mixed else 1) * steps and sum(calls[:1 + mixed]) == 3 * t.n_queries
+
+    def test_rejects_bad_prices(self, rng):
+        k = 3
+        engine = BatchCascadeEngine(random_table(rng, n=5, k=k), np.zeros((k, k + 1)))
+        for lambdas, picks in (([0.1] * k, [Pick.MIN_COST]), ([[0.1] * k], []), ([[0.1, -1.0, 0.1]], [Pick.MIN_COST]),
+                               ([[0.1] * (k + 1)], [Pick.MIN_COST]), ([[0.1, np.nan, 0.1]], [Pick.MIN_COST])):
+            with pytest.raises(ValueError):
+                engine.run_many(lambdas, picks)
+        assert engine._metrics_cache == {} and engine._step_cache == {}
+
+
 class TestChainThresholds:
     """A chain run reads each row's stop step off certified stop/continue thresholds."""
 
@@ -1779,6 +1879,34 @@ class TestFitCascadeRouter:
         engine = BatchCascadeEngine(t, sigma, mc)
         _, cost = engine.params_metrics(params)
         assert cost <= budget + 1e-6
+
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_search_passes_are_bounded(self, rng, monkeypatch, variant):
+        # each pass holds up to PROPOSAL_BATCH proposals and the next pass
+        # starts after an accepted one, so a fit makes at most
+        # ceil(max_evals / 8) + (accepted moves) passes
+        t = random_table(rng, n=120, k=4, step_varying=True)
+        sigma = estimate_sigma(t)
+        mc = MonteCarloConfig(n_samples=32, seed=43)
+        engine = BatchCascadeEngine(t, sigma, mc, variant)
+        budget = 1.5 * route_floor_cost(t, sigma, mc, engine=engine)
+        log = []
+        local_search = search._local_search
+        monkeypatch.setattr(search, "_local_search", lambda *a: log.append(local_search(*a)) or log[-1])
+        config = SearchConfig(max_evals=60, seed=11)
+        fit_cascade_router(t, budget, variant, sigma, mc, search_config=config, engine=engine)
+        accepted = log[0][1]
+        assert search.PROPOSAL_BATCH == 8
+        assert 0 < engine.batched_passes <= -(-config.max_evals // 8) + len(accepted)
+        assert engine.batched_pairs >= engine.batched_passes
+
+    def test_chain_fit_takes_one_proposal_at_a_time(self, rng):
+        t = random_table(rng, n=40, k=3, step_varying=True)
+        engine = BatchCascadeEngine(t, estimate_sigma(t), MonteCarloConfig(n_samples=32, seed=5), chain_only=True)
+        cascading.fit_cascade(t, 1.5 * cascading.cascade_floor_cost(t), search_config=SearchConfig(max_evals=20),
+                              engine=engine)
+        assert engine.batched_passes == engine.batched_pairs == 0
 
 
 @pytest.mark.parametrize("module", [cascading, cascade_routing])

@@ -641,6 +641,29 @@ class TestCli:
             assert row["error"] is None
             assert row["auc"] is not None
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_ablate_reports_failed_variants(self, tmp_path, monkeypatch, capsys, strict):
+        def broken(ctx):
+            raise RuntimeError("no fit")
+
+        monkeypatch.setitem(harness.STRATEGIES, "cascade-routing", broken)
+        cfg = write(tmp_path, "c.json", json.dumps({"data": SMALL_WORKLOAD, "budget_points": 2}))
+        out = tmp_path / "ab.json"
+        flags = ["--strict"] if strict else []
+        assert cli_main(["ablate", "--config", str(cfg), "--output", str(out), *flags]) == (STRATEGY_ERROR if strict else 0)
+        err = capsys.readouterr().err
+        for variant in ("default", "slow", "greedy", "no-expect"):
+            assert f"variant {variant} failed: RuntimeError: no fit" in err
+        assert all(row["error"] == "RuntimeError: no fit" for row in json.loads(out.read_text()).values())
+
+    def test_strict_ablate_without_errors_exits_zero(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.json", json.dumps({
+            "data": {"workload": {"n_queries": 60, "n_models": 2, "seed": 6}}, "budget_points": 2,
+            "search": {"max_evals": 2}, "mc_samples": 16,
+        }))
+        assert cli_main(["ablate", "--config", str(cfg), "--strict"]) == 0
+        assert "failed" not in capsys.readouterr().err
+
     def test_sweep_determinism_bytes(self, tmp_path):
         cfg = {
             "data": {"workload": {"n_queries": 90, "n_models": 2, "seed": 4}},

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modelselect.core import StrategyParams
+from modelselect import search
 from modelselect.search import SearchConfig, optimize, optimize_thresholds
 
 
@@ -94,3 +95,95 @@ class TestOptimizeThresholds:
         best = optimize_thresholds(objective, budget=0.5, init=np.zeros(2),
                                    config=SearchConfig(max_evals=200, seed=19))
         assert objective(best)[1] <= 0.5 + 1e-9
+
+
+def sequential_optimize(objective, budget, config, init):
+    """The one-proposal-at-a-time search, drawing each proposal as it goes.
+
+    Returns the best params and the numbers of the accepted proposals.
+    """
+    k = len(init.lambdas)
+    rng = np.random.default_rng(np.random.SeedSequence((config.seed, search._STREAM_SEARCH)))
+    best_x = np.array(list(init.lambdas) + [init.gamma])
+    best_q = objective(init)[0]
+    limit = budget * (1.0 + search.FEASIBILITY_SLACK)
+    accepted = []
+    for i in range(config.max_evals):
+        x = best_x
+        cand = x.copy()
+        move = rng.random(k + 1) < max(1.0 / (k + 1), float(rng.random()))
+        amplitude = np.exp(rng.standard_normal())
+        lam = np.maximum(x[:k], search._LAMBDA_FLOOR)
+        scaled = lam * np.exp(config.lambda_log_scale * amplitude * rng.standard_normal(k))
+        cand[:k] = np.where(move[:k], scaled, x[:k])
+        if move[k]:
+            cand[k] = search._reflect_unit(x[k] + config.gamma_scale * amplitude * rng.standard_normal())
+        q, c = objective(StrategyParams(lambdas=tuple(float(v) for v in cand[:k]), gamma=float(cand[k])))
+        if c <= limit and q > best_q:
+            best_x, best_q = cand, q
+            accepted.append(i)
+    return StrategyParams(lambdas=tuple(float(v) for v in best_x[:k]), gamma=float(best_x[k])), accepted
+
+
+def random_objective(seed, k):
+    """Piecewise-constant random quality and a cost that rises with the prices' sum."""
+    noise = np.random.default_rng(seed).normal(size=(97, 2))
+
+    def objective(p):
+        key = int(1e3 * (sum(p.lambdas) + 0.37 * p.gamma)) % 97
+        return float(noise[key, 0]), float(sum(p.lambdas) + 0.1 * noise[key, 1])
+
+    return objective
+
+
+class TestBatchedSearch:
+    """Evaluating proposals in batches accepts what the one-at-a-time search accepts."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batches_accept_the_sequential_proposals(self, monkeypatch, batch, seed):
+        k = 1 + seed % 3
+        objective = random_objective(seed, k)
+        init = StrategyParams(lambdas=(0.4,) * k, gamma=0.3)
+        budget = 1.5 * k
+        config = SearchConfig(max_evals=80, seed=seed)
+        want, want_accepted = sequential_optimize(objective, budget, config, init)
+        assert want_accepted  # the objective is rough enough to move
+
+        passes, log = [], []
+        local_search = search._local_search
+
+        def spy(*args):
+            best, accepted = local_search(*args)
+            log.append(accepted)
+            return best, accepted
+
+        def many(params):
+            passes.append(len(params))
+            return [objective(p) for p in params]
+
+        monkeypatch.setattr(search, "PROPOSAL_BATCH", batch)
+        monkeypatch.setattr(search, "_local_search", spy)
+        got = optimize(objective, budget, config, init, objective_many=many)
+        assert got == want and log == [want_accepted]
+        # each pass starts after the last accepted proposal, and takes at most `batch`
+        assert sum(passes) >= config.max_evals and max(passes) <= batch
+        assert len(passes) <= -(-config.max_evals // batch) + len(want_accepted)
+
+    def test_single_objective_matches_sequential(self):
+        objective = random_objective(3, 2)
+        init = StrategyParams(lambdas=(0.4, 0.4), gamma=0.3)
+        config = SearchConfig(max_evals=80, seed=3)
+        assert optimize(objective, 3.0, config, init) == sequential_optimize(objective, 3.0, config, init)[0]
+
+    def test_threshold_search_result_is_pinned(self):
+        # computed with the one-proposal-at-a-time search: a change in the
+        # order of the random draws changes it
+        target = np.array([0.3, -0.2, 0.5])
+
+        def objective(thr):
+            return -float(((thr - target) ** 2).sum()), float(np.abs(thr).sum())
+
+        best = optimize_thresholds(objective, budget=0.8, init=np.zeros(3),
+                                   config=SearchConfig(max_evals=60, seed=23))
+        assert best.tolist() == [0.22590004735516794, -0.08596317395786378, 0.4585753598733374]
