@@ -67,7 +67,7 @@ the prefix members' ``|computed_cost|``, every score a selection compares has
 ``|tau| <= Q + lam * C``, so its tie tolerance ``max(TIE_REL * |tau*|,
 TIE_ABS)`` is at most ``TIE_ABS + TIE_REL * (Q + lam * C)``. The margin is
 ``_CELL_SAFETY = 2`` times that: ``m0 = 2 * (TIE_ABS + TIE_REL * Q)`` and
-``m1 = 2 * TIE_REL * C``. The second half covers float error: each score is
+``m1 = 2 * TIE_REL * C``, computed in one place (``_margins``). The second half covers float error: each score is
 a handful of float64 operations on sums of at most k costs, so it is off by
 under ``(k + 3) * 2^-53 * (Q + lam * C)``, below 1e-14 of the bound for k up
 to 64, against ``TIE_REL = 1e-9``; the bounds of the cell are computed to the
@@ -150,43 +150,54 @@ the tall bench workload this cut a fill's time per row at steps 1, 2, 3 and
 4 by 6%, 23%, 38% and 61% for the lattice and by 4%, 14%, 45% and 64% for
 chains.
 
-``run_metrics`` keeps the realized (quality, cost) means of every
-(prices, pick) it has run, since fitting asks for the same run again.
+Metrics. Fitting asks one question of the engine, again and again: the
+realized mean (quality, cost) of a (prices, pick) pair. ``run_many``
+answers it for a ``(P, k)`` block of prices and a pick per row, and it is
+the engine's one path for it: ``run_metrics`` is ``run_many`` of one pair,
+and ``params_metrics`` is ``params_metrics_many`` of one point, whose
+mixtures read their deterministic runs from one ``run_many``. A run is
+deterministic, so ``run_many`` memoizes every pair's means, keyed by its
+prices as floats and its pick; it checks the prices of only the distinct
+pairs it has not stored and runs each of them once, so a bisection price
+asked again, or a search proposal repeated within a batch, is run once.
 
 Delta runs. Fitting runs the whole table again and again at nearby prices:
 bisection steps, search proposals, the second pick of a pair. So a
-cascade-routing ``run`` keeps its last outcome as a reference
-(``_Reference``): per row the answer, execution order and realized cost, and
-per step the row reached the float32 cell ``[lo, hi]`` its choice came
-from. A step decided by the full selection (a cell miss, or a pair without
-cells) holds the empty cell, and a step the row never reached holds
-``[-inf, +inf]``. So a row that reaches a pending pair is re-run by every
-later run until the pair's step compiles its pending pairs; from then on
-it is kept whenever its cells hold. A new run compares every row's
-cells with its prices in one ``(n, k)`` comparison, the float32 bounds
-against the prices as a float64 array. Rows whose cells all hold keep the
-reference outcome; only the others go through the steps, written into copies
-of the reference arrays, so a run's means are taken over full arrays as
-before. When every row is kept, no step runs.
+cascade-routing engine keeps the outcome of its last one-pair run as a
+reference (``_Reference``): per row the answer, execution order and
+realized cost, and per step the row reached the float32 cell ``[lo, hi]``
+its choice came from. A step decided by the full selection (a cell miss, or
+a pair without cells) holds the empty cell, and a step the row never
+reached holds ``[-inf, +inf]``. So a row that reaches a pending pair is
+re-run by every later run until the pair's step compiles its pending pairs;
+from then on it is kept whenever its cells hold. A new run compares every
+row's cells with its prices in one ``(n, k)`` comparison, the float32
+bounds against the prices as a float64 array. Rows whose cells all hold keep
+the reference outcome; only the others go through the steps, written into
+copies of the reference arrays, so a run's means are taken over full arrays
+as before. When every row is kept, no step runs.
+
+One rule, read off ``_run_lattice``'s input, says which runs replace the
+reference: a pass of one pair replaces it when its step 0 has cells, and a
+pass of several pairs only reads it. A ``run``, a bisection price, the
+floor's run and a search pass that holds one new pair are one-pair passes.
 
 Batched runs. Each step of a run costs a fixed number of numpy calls, so
 a warm run on the 1000-query bench sweeps took about 0.45 ms whether it
 re-decided 1 row or 10. The local search's proposals are therefore run
-several at a time:
-``run_many`` takes a ``(P, k)`` block of prices and a pick per row. Its
-rows are (proposal, query) pairs, pair ``p * n + q``, each with its own
-price per step and pick. The pairs to re-decide come from one ``(P, n)``
-comparison against the reference, which ``run_many`` reads and does not
-replace; each step then makes one cell lookup and one full selection over
-the re-decided pairs of every proposal, with one ``argmax_tradeoff_rows``
-call per pick present, and a (prefix, row) pair that several proposals
-reach for the first time is filled once, in first-occurrence order.
-Outcomes go into ``(P, n)`` copies of the reference arrays, and each
-proposal's means are taken over its own contiguous ``(n,)`` row, so they
-equal ``run_metrics``' to the last bit, and are memoized for it. A single
-``run`` is the same step loop with one proposal, plus its reference
-bookkeeping. The counters ``batched_passes`` and ``batched_pairs`` count
-the passes and the (prices, pick) pairs they held.
+several at a time. The step loop's rows are (pair, query) rows, row
+``p * n + q``, each with its own price per step and pick. The rows to
+re-decide come from one ``(P, n)`` comparison against the reference; each
+step then makes one cell lookup and one full selection over the re-decided
+rows of every pair, with one ``argmax_tradeoff_rows`` call per pick present,
+and a (prefix, row) pair that several pairs reach for the first time is
+filled once, in first-occurrence order. Outcomes go into ``(P, n)`` copies
+of the reference arrays, and each pair's means are taken over its own
+contiguous ``(n,)`` row, so they are a one-pair pass's to the last bit. A
+single ``run`` is the same step loop with one pair. The counters
+``batched_passes`` and ``batched_pairs`` count the passes of more than one
+pair and the pairs they held, so one-pair passes, such as the bisection's,
+are not counted.
 
 Why a kept row is exact. Its cell at step 0 certifies that the full
 selection picks the same column at the new price under either pick, so the
@@ -195,7 +206,9 @@ cost; by induction it makes the same choice at every step it reaches, with
 the same stop step, next models, cached answer and running cost sum. Its
 ``RunResult`` row is therefore identical, even when the pick changes. The
 engine's choices always equal the full selection's, so which cell a lookup
-would have found does not matter.
+would have found does not matter. Nor does which run left the reference:
+every run's outcome is exact, so a search pass of one pair leaves the
+reference a ``run`` at its prices and pick would leave.
 
 When no reference is kept. Every row reaches step 0, so a run whose step 0
 has no compiled fill could keep no row: such an engine keeps no reference,
@@ -228,7 +241,7 @@ at every price ``lam < cont_hi`` and stopping at every price
 chain c beats stopping by more than the price cells' margin,
 ``(q_c - q_0 - m0) - lam * (a_c + m1) > 0`` with ``a_c`` the cost chain c
 adds; stopping where stopping beats every longer chain by that margin. The
-margin is ``_price_cells``' (``Q = max |q|`` over the step's columns,
+margin is ``_price_cells``' (``_margins``, with ``Q = max |q|`` over the step's columns,
 ``C`` the members' summed ``|computed_cost|`` plus the largest added cost),
 so as there the tie set holds no column 0 in the first case and only
 column 0 in the second, and both picks agree with the full selection. The
@@ -562,6 +575,20 @@ def _envelope_path(quality: np.ndarray, added: np.ndarray) -> np.ndarray:
     return np.stack(path, axis=1)
 
 
+def _margins(quality: np.ndarray, added: np.ndarray, sunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's certification margin ``m0 + m1 * lam`` over the (rows, columns) it compares.
+
+    ``quality`` and ``added`` are the columns' quality and added cost, and
+    ``sunk`` a bound on each row's absolute sunk cost. Every score has
+    ``|tau| <= max|q| + lam * (|sunk| + max added)``, so the selection's tie
+    tolerance is below ``m0 + m1 * lam`` before the ``_CELL_SAFETY`` factor
+    (module docstring, "Why a cell is exact").
+    """
+    m0 = _CELL_SAFETY * (TIE_ABS + TIE_REL * np.abs(quality).max(axis=1))
+    m1 = _CELL_SAFETY * TIE_REL * (sunk + added.max(axis=1))
+    return m0, m1
+
+
 def _inward(x: np.ndarray, toward: float) -> np.ndarray:
     """float32 values strictly between ``x`` and ``toward`` (+inf or -inf), one float32 step in."""
     with np.errstate(over="ignore"):
@@ -592,10 +619,7 @@ def _price_cells(
     q, a = quality[:, cols], added[:, cols]
     cand = _envelope_path(q, a)
     n, m = cand.shape
-    # |tau*| <= max|q| + lam * (|sunk| + max added), so the tie tolerance is
-    # below m0 + m1 * lam, before the safety factor
-    m0 = _CELL_SAFETY * (TIE_ABS + TIE_REL * np.abs(q).max(axis=1))
-    m1 = _CELL_SAFETY * TIE_REL * (sunk + a.max(axis=1))
+    m0, m1 = _margins(q, a, sunk)
     # per candidate, win beats column s by more than the margin where
     # d - lam * e > 0, d = q_win - q_s - m0 and e = added_win - added_s + m1;
     # the column axis leads, so the bounds reduce over the first axis
@@ -647,10 +671,9 @@ def _chain_thresholds(
     models, and ``sunk`` a bound on each row's absolute sunk cost. The
     step's full selection continues, under either pick, at every price
     ``lam < cont_hi``, and stops at every price ``stop_lo < lam < stop_hi``.
-    The margin is ``_price_cells``'; NaN bounds certify nothing.
+    The margin is ``_price_cells``' (``_margins``); NaN bounds certify nothing.
     """
-    m0 = _CELL_SAFETY * (TIE_ABS + TIE_REL * np.abs(quality).max(axis=1, keepdims=True))
-    m1 = _CELL_SAFETY * TIE_REL * (sunk[:, None] + added.max(axis=1, keepdims=True))
+    m0, m1 = (m[:, None] for m in _margins(quality, added, sunk))
     gain, extra = quality[:, 1:] - quality[:, :1], added[:, 1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         # continue: some chain has d - lam * e > 0, where e >= 0
@@ -754,7 +777,8 @@ class BatchCascadeEngine:
         self.fallback_rows = 0
         self.kept_rows = 0
         self.kept_row_steps = 0
-        # ``run_many`` passes of cascade routing, and the (prices, pick) pairs they held
+        # ``run_many`` passes of cascade routing holding more than one
+        # (prices, pick) pair, and the pairs they held
         self.batched_passes = 0
         self.batched_pairs = 0
         # block-threshold rows computed again for pairs compiled without one
@@ -1180,42 +1204,37 @@ class BatchCascadeEngine:
         """Run every query through the strategy at per-step prices ``lambdas``.
 
         Cascade routing takes the step loop of ``_run_lattice`` with one
-        proposal, and keeps its outcome as the reference of later runs when
+        pair, which keeps its outcome as the reference of later runs when
         step 0 has cells (module docstring, "Delta runs"). A chain engine
         takes one pass over its thresholds instead (``_run_chain``).
         """
-        k = self.table.n_models
-        check_decision_inputs(k, lambdas=lambdas)
+        check_decision_inputs(self.table.n_models, lambdas=lambdas)
         lams = np.asarray(lambdas, dtype=np.float64)
         if self.chain_only:
             return self._run_chain(lams, pick)
-        answer, exec_order, sunk, n_exec, cells = self._run_lattice(lams[None], [pick], track=True)
-        if cells is not None:
-            self._reference = _Reference(answer.astype(np.int8), exec_order.astype(np.int8), sunk.copy(), *cells)
-        return RunResult(answer=answer, exec_order=exec_order, n_executed=n_exec, realized_cost=sunk)
+        return self._run_lattice(lams[None], [pick])
 
-    def _run_lattice(self, lams: np.ndarray, picks: Sequence[Pick], track: bool):
-        """Run every query of every proposal through cascade routing in one step loop.
+    def _run_lattice(self, lams: np.ndarray, picks: Sequence[Pick]) -> RunResult:
+        """Run every query of every (prices, pick) pair through cascade routing in one step loop.
 
-        Row p of ``lams`` holds proposal p's per-step prices and ``picks[p]``
-        its pick. The loop's rows are (proposal, query) pairs, pair
-        ``p * n + q`` for query q of proposal p, and still-deciding pairs are
-        tracked by their prefix rank: a pair stops when it picks column 0,
-        with the answer cached for its prefix, and otherwise runs the
-        column's cached next model and moves to that model's child rank.
-        A pair whose reference cells all hold its proposal's prices keeps
-        the reference outcome, and only the other pairs take the steps
-        (module docstring, "Delta runs"); the reference is read, not
-        replaced.
+        Row p of ``lams`` holds pair p's per-step prices and ``picks[p]``
+        its pick. The loop's rows are (pair, query) rows, row ``p * n + q``
+        for query q of pair p, and still-deciding rows are tracked by their
+        prefix rank: a row stops when it picks column 0, with the answer
+        cached for its prefix, and otherwise runs the column's cached next
+        model and moves to that model's child rank. A row whose reference
+        cells all hold its pair's prices keeps the reference outcome, and
+        only the other rows take the steps. A pass of one pair replaces the
+        reference with its outcome when step 0 has cells; a pass of several
+        pairs only reads it (module docstring, "Delta runs").
 
-        Returns the ``(P * n,)`` answers, ``(P * n, k)`` execution orders,
-        ``(P * n,)`` realized costs and executed counts, and, with ``track``
-        (one proposal only), the float32 ``(lo, hi)`` cells of each row's
-        steps for the next reference, or None when no row could be kept.
+        Returns the outcome of every row, its fields ``(P * n,)`` arrays, or
+        ``(P * n, k)`` for the execution orders.
         """
         table = self.table
         n, k = table.n_queries, table.n_models
         size = lams.shape[0] * n
+        single = lams.shape[0] == 1
         ref = self._reference
         cell_lo = cell_hi = None
         if ref is None:
@@ -1235,17 +1254,17 @@ class BatchCascadeEngine:
                 answer[act] = -1
                 exec_order[act] = -1
                 sunk[act] = 0.0
-                if track:
+                if single:
                     cell_lo, cell_hi = ref.lo.copy(), ref.hi.copy()
                     cell_lo[act] = -np.inf
                     cell_hi[act] = np.inf
         kept = size - act.size
-        # each pair's query, and its proposal; None when there is one proposal
-        query, prop = (act, None) if lams.shape[0] == 1 else (act % n, act // n)
+        # each row's query, and its pair; None when there is one pair
+        query, prop = (act, None) if single else (act % n, act // n)
         ranks = np.zeros(act.size, dtype=np.int64)
         if len(set(picks)) == 1:
             pick = picks[0]
-        else:  # per pair, true for MIN_COST (``_full_selection``)
+        else:  # per row, true for MIN_COST (``_full_selection``)
             pick = np.array([each is Pick.MIN_COST for each in picks])[prop]
 
         for t in range(k):
@@ -1253,7 +1272,7 @@ class BatchCascadeEngine:
                 break
             lam = lams[0, t] if prop is None else lams[prop, t]
             choice, cells = self._select(t, lam, pick, ranks, query, sunk[act])
-            if track:
+            if single:
                 if cell_lo is None and t == 0 and cells is not None:
                     # every row reaches step 0: without cells there, no row could be kept
                     cell_lo = np.full((n, k), -np.inf, dtype=np.float32)
@@ -1283,100 +1302,80 @@ class BatchCascadeEngine:
             # a row decides at steps 0..n_executed, except at step k
             self.kept_rows += kept
             self.kept_row_steps += int(np.minimum(n_exec[~redo], k - 1).sum()) + kept
-        return answer, exec_order, sunk, n_exec, None if cell_lo is None else (cell_lo, cell_hi)
+        if cell_lo is not None:
+            self._reference = _Reference(
+                answer.astype(np.int8), exec_order.astype(np.int8), sunk.copy(), cell_lo, cell_hi
+            )
+        return RunResult(answer=answer, exec_order=exec_order, n_executed=n_exec, realized_cost=sunk)
 
     def run_many(self, lambdas, picks: Sequence[Pick]) -> list[tuple[float, float]]:
-        """Realized mean (quality, cost) of the run at each row of ``lambdas`` with its pick, in one pass.
+        """Realized mean (quality, cost) of the run at each row of ``lambdas`` with its pick.
 
-        ``lambdas`` is ``(P, k)``, one row of per-step prices per proposal,
-        and ``picks`` holds P picks. Cascade routing takes one step loop
-        over every (proposal, query) pair (``_run_lattice``; module
-        docstring, "Batched runs"), a chain engine one threshold pass per
-        proposal. Each result equals ``run_metrics``' to the last bit and is
-        memoized for it.
+        ``lambdas`` is ``(P, k)``, one row of per-step prices per pair, and
+        ``picks`` holds P picks. This is the engine's one metrics path. A
+        run is deterministic, so the means of every (prices, pick) are
+        memoized; only the distinct pairs not stored yet have their prices
+        checked and are run, each once: cascade routing in one step loop over
+        their (pair, query) rows (``_run_lattice``; module docstring,
+        "Batched runs"), a chain engine in one threshold pass per pair. Each
+        pair's means are taken over its own contiguous ``(n,)`` row, and no
+        ``RunResult`` is kept.
         """
         n, k = self.table.n_queries, self.table.n_models
         lams = np.asarray(lambdas, dtype=np.float64)
-        if lams.ndim != 2 or len(picks) != lams.shape[0]:
-            raise ValueError("lambdas must be shaped (proposals, n_models), with one pick per proposal")
-        for row in lams:
-            check_decision_inputs(k, lambdas=row)
+        if lams.shape[1:] != (k,) or len(picks) != len(lams):
+            raise ValueError("lambdas must have one entry per model, and a row per pick")
         if self.table.true_quality is None:
             raise ValueError("realized quality needs ground truth in the table")
-        if self.chain_only:
-            runs = [self._run_chain(row, pick) for row, pick in zip(lams, picks)]
-            answer = np.stack([run.answer for run in runs])
-            cost = np.stack([run.realized_cost for run in runs])
-        else:
-            answer, _, cost, _, _ = self._run_lattice(lams, picks, track=False)
-            answer, cost = answer.reshape(-1, n), cost.reshape(-1, n)
-            self.batched_passes += 1
-            self.batched_pairs += lams.shape[0]
-        quality = self.table.true_quality[np.arange(n), answer]
-        out = []
-        for row, pick, q, c in zip(lams, picks, quality, cost):
-            metrics = (float(q.mean()), float(c.mean()))
-            self._metrics_cache[(tuple(float(lam) for lam in row), pick)] = metrics
-            out.append(metrics)
-        return out
-
-    def realized_quality(self, result: RunResult) -> np.ndarray:
-        if self.table.true_quality is None:
-            raise ValueError("realized quality needs ground truth in the table")
-        return self.table.true_quality[np.arange(self.table.n_queries), result.answer]
+        keys = list(zip(map(tuple, lams.tolist()), picks))
+        todo = [key for key in dict.fromkeys(keys) if key not in self._metrics_cache]
+        if todo:
+            for prices, _ in todo:
+                check_decision_inputs(k, lambdas=prices)
+            rows = lams if len(todo) == len(keys) else np.array([prices for prices, _ in todo])
+            if self.chain_only:
+                runs = [self._run_chain(row, pick) for row, (_, pick) in zip(rows, todo)]
+                answer, cost = [run.answer for run in runs], [run.realized_cost for run in runs]
+            else:
+                run = self._run_lattice(rows, [pick for _, pick in todo])
+                answer, cost = run.answer.reshape(-1, n), run.realized_cost.reshape(-1, n)
+                if len(todo) > 1:
+                    self.batched_passes += 1
+                    self.batched_pairs += len(todo)
+            quality = [self.table.true_quality[np.arange(n), a] for a in answer]
+            for key, q, c in zip(todo, quality, cost):
+                # the sum and the division of ``np.mean``, without its per-call overhead
+                self._metrics_cache[key] = (float(np.add.reduce(q) / n), float(np.add.reduce(c) / n))
+        return [self._metrics_cache[key] for key in keys]
 
     def run_metrics(self, lambdas: Sequence[float], pick: Pick) -> tuple[float, float]:
-        """Realized mean (quality, cost) of one run, memoized per (prices, pick).
-
-        A run is deterministic, so a repeated call returns the stored pair of
-        floats without running again; no ``RunResult`` is kept. Prices are
-        checked once, by ``run``: only prices it accepted are stored, and
-        prices that are not a sequence of numbers make no key and go
-        straight to it.
-        """
-        try:
-            key = (tuple(float(lam) for lam in lambdas), pick)
-        except TypeError:
-            key = None
-        metrics = self._metrics_cache.get(key)
-        if metrics is None:
-            result = self.run(lambdas, pick)
-            metrics = (
-                float(self.realized_quality(result).mean()),
-                float(result.realized_cost.mean()),
-            )
-            self._metrics_cache[key] = metrics
-        return metrics
+        """Realized mean (quality, cost) of one run: ``run_many`` of one pair."""
+        return self.run_many([lambdas], [pick])[0]
 
     def params_metrics(self, params: StrategyParams) -> tuple[float, float]:
-        """Realized (quality, cost) of the mixed strategy, exact in gamma.
-
-        The mixing coin is flipped once per query, so the mixture's averages
-        are the gamma-weighted averages of the two deterministic runs.
-        """
-        g = params.gamma
-        if g == 0.0:
-            return self.run_metrics(params.lambdas, Pick.MAX_COST)
-        q_min, c_min = self.run_metrics(params.lambdas, Pick.MIN_COST)
-        if g == 1.0:
-            return q_min, c_min
-        q_max, c_max = self.run_metrics(params.lambdas, Pick.MAX_COST)
-        return g * q_min + (1 - g) * q_max, g * c_min + (1 - g) * c_max
+        """Realized (quality, cost) of one mixed strategy: ``params_metrics_many`` of one point."""
+        return self.params_metrics_many([params])[0]
 
     def params_metrics_many(self, params: Sequence[StrategyParams]) -> list[tuple[float, float]]:
-        """``params_metrics`` of each of ``params``, its runs made together.
+        """Realized (quality, cost) of each mixed strategy, exact in gamma, from one ``run_many``.
 
-        The (prices, pick) runs that ``params_metrics`` would make and that
-        are not memoized yet go through one ``run_many``, each once; the
-        mixtures are then combined by ``params_metrics`` from the memo.
+        The mixing coin is flipped once per query, so a mixture's averages
+        are the gamma-weighted averages of its deterministic runs, the
+        pairs ``_mixture_picks`` names.
         """
-        todo = {}
-        for p in params:
-            picks = (Pick.MAX_COST,) if p.gamma == 0.0 else (Pick.MIN_COST,) if p.gamma == 1.0 else tuple(Pick)
-            for pick in picks:
-                key = (tuple(float(lam) for lam in p.lambdas), pick)
-                if key not in self._metrics_cache:
-                    todo[key] = None
-        if todo:
-            self.run_many([key[0] for key in todo], [key[1] for key in todo])
-        return [self.params_metrics(p) for p in params]
+        picks = [_mixture_picks(p.gamma) for p in params]
+        pairs = [(p.lambdas, pick) for p, each in zip(params, picks) for pick in each]
+        metrics = iter(self.run_many([prices for prices, _ in pairs], [pick for _, pick in pairs]))
+        out = []
+        for p, each in zip(params, picks):
+            q, c = next(metrics)
+            if len(each) == 2:  # the cheap run first, which the coin takes with probability gamma
+                (q_max, c_max), g = next(metrics), p.gamma
+                q, c = g * q + (1 - g) * q_max, g * c + (1 - g) * c_max
+            out.append((q, c))
+        return out
+
+
+def _mixture_picks(gamma: float) -> tuple[Pick, ...]:
+    """The deterministic runs a mixture with weight ``gamma`` on the cheap pick needs, cheap first."""
+    return (Pick.MAX_COST,) if gamma == 0.0 else (Pick.MIN_COST,) if gamma == 1.0 else tuple(Pick)

@@ -16,6 +16,11 @@ from .core import Pick
 
 LAMBDA_CAP = 2.0**64
 
+# The relative cost tolerance of every budget check: a budget may sit this
+# far below the floor (``check_budget_floor``), and a search point's cost
+# this far above the budget (``search._local_search``).
+FEASIBILITY_SLACK = 1e-9
+
 # Bracketing leaves the two deterministic strategies straddling a breakpoint
 # price; the expensive side may only be visible just below it.
 _BISECT_REL_WIDTH = 1e-9
@@ -25,14 +30,14 @@ def check_budget_floor(budget: float, floor: float, infeasible_msg: str) -> floa
     """The budget to fit against: ``max(budget, floor)``.
 
     Raises ``ValueError(infeasible_msg)`` when the budget is below the floor
-    by more than a relative 1e-9; a budget within that tolerance is raised
+    by more than a relative ``FEASIBILITY_SLACK``; a budget within it is raised
     to the floor, so rounding in the floor cannot reject a budget set to it.
     The tolerance scales with the floor, so it holds at any cost unit. A
     NaN or infinite budget raises ``ValueError``.
     """
     if not math.isfinite(budget):
         raise ValueError(f"budget must be finite, got {budget}")
-    if budget < floor - 1e-9 * floor:
+    if budget < floor - FEASIBILITY_SLACK * floor:
         raise ValueError(infeasible_msg)
     return max(budget, floor)
 

@@ -10,6 +10,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -23,6 +24,12 @@ ModelId = int
 # maximizers must both be recognized there despite float rounding.
 TIE_REL = 1e-9
 TIE_ABS = 1e-12
+
+
+def check_integer(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class Pick(Enum):

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import time
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,7 +33,7 @@ from .cascading import (
     threshold_metrics,
 )
 from .cascade_routing import fit_cascade_router, route_floor_cost, run_cascade_route
-from .core import EstimateTable, Pick, StrategyParams, TrueTable
+from .core import EstimateTable, Pick, StrategyParams, TrueTable, check_integer
 from .estimators import (
     NOISE_PRESETS,
     NoiseSpec,
@@ -529,6 +530,16 @@ class BenchmarkConfig:
     output: Optional[str] = None
 
     def __post_init__(self) -> None:
+        for name in ("budget_points", "seed", "mc_samples"):
+            check_integer(name, getattr(self, name))
+        if not isinstance(self.data, Mapping):
+            raise ValueError(f"data must be a mapping, got {self.data!r}")
+        if not isinstance(self.noise, (str, Mapping, NoiseSpec)):
+            raise ValueError(f"noise must be a preset name or a mapping, got {self.noise!r}")
+        if not isinstance(self.output, (str, type(None))):
+            raise ValueError(f"output must be a path or null, got {self.output!r}")
+        if not isinstance(self.strategies, (list, tuple)):
+            raise ValueError(f"strategies must be a list of strategy names, got {self.strategies!r}")
         if self.budget_points < 2:
             raise ValueError("budget grid needs at least 2 points")
         unknown = set(self.strategies) - set(STRATEGY_NAMES)

@@ -31,6 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import check_integer
+
 _STREAM_MC = 0x4D
 _STREAM_COIN = 0x47
 
@@ -150,6 +152,7 @@ class MonteCarloConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integer("n_samples", self.n_samples)
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2")
 

@@ -15,16 +15,20 @@ incumbent: the coordinate mask, the step amplitude and the price steps are
 drawn every time, and the mixing-weight step is drawn exactly when the mask
 moves the mixing weight.
 
-An objective that evaluates several points at once (cascade routing's
+The search has one evaluation loop over a batch evaluator. An objective
+that evaluates several points at once (cascade routing's
 ``BatchCascadeEngine.params_metrics_many``, which runs them in one engine
-pass) takes the proposals in batches of ``PROPOSAL_BATCH``: each pass applies
-the next batch's draws to the incumbent, accepts the first feasible
-improvement and starts the next pass at the proposal after it, whose draw is
-applied again to the new incumbent. The proposals after an accepted one are
-evaluated and discarded, so the accepted proposals, and the result, are
-those of the one-at-a-time search. A fit accepts few of its proposals, so
-little work is wasted. Cascading and the threshold search take one proposal
-at a time: a chain run is one cheap pass over certified thresholds.
+pass) takes the proposals in batches of ``PROPOSAL_BATCH``, any other in
+batches of 1: each pass applies the next batch's draws to the incumbent,
+accepts the first feasible improvement and starts the next pass at the
+proposal after it, whose draw is applied again to the new incumbent. The
+proposals after an accepted one are evaluated and discarded, so the
+accepted proposals, and the result, are those of the one-at-a-time search.
+A fit accepts few of its proposals, so little work is wasted. Cascading and
+the threshold search take one proposal at a time: a chain run is one cheap
+pass over certified thresholds. A point is feasible when its cost is at
+most ``budget * (1 + FEASIBILITY_SLACK)``, the relative tolerance that
+``_fitting.check_budget_floor`` also allows below a floor.
 """
 from __future__ import annotations
 
@@ -35,12 +39,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import StrategyParams
+from ._fitting import FEASIBILITY_SLACK
+from .core import StrategyParams, check_integer
 
 _STREAM_SEARCH = 0x53
-
-# A point is feasible when its cost is at most budget * (1 + FEASIBILITY_SLACK).
-FEASIBILITY_SLACK = 1e-9
 
 # Floor for log-space proposals so a zero price can still move.
 _LAMBDA_FLOOR = 1e-12
@@ -58,8 +60,7 @@ class SearchConfig:
     threshold_scale: float = 0.1
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_evals, bool) or not isinstance(self.max_evals, numbers.Integral):
-            raise ValueError(f"max_evals must be an integer, got {self.max_evals!r}")
+        check_integer("max_evals", self.max_evals)
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         for name in ("lambda_log_scale", "gamma_scale", "threshold_scale"):
@@ -74,33 +75,32 @@ def _reflect_unit(x: float) -> float:
 
 
 def _local_search(
-    evaluate: Callable[[np.ndarray], tuple[float, float]],
-    evaluate_many: Optional[Callable[[list[np.ndarray]], list[tuple[float, float]]]],
+    evaluate_many: Callable[[list[np.ndarray]], list[tuple[float, float]]],
+    batch: int,
     apply: Callable[[np.ndarray, object], np.ndarray],
     draws: Sequence[object],
     x0: np.ndarray,
+    start: tuple[float, float],
     budget: float,
 ) -> tuple[np.ndarray, list[int]]:
     """The best feasible point, and the numbers of the proposals it accepted, in order.
 
-    Proposal i is ``apply(incumbent, draws[i])``. Without ``evaluate_many``
-    each is evaluated on its own; with it, each pass evaluates the next
-    ``PROPOSAL_BATCH`` proposals from the incumbent together, accepts the
-    first feasible improvement and goes on from the proposal after it
-    (module docstring).
+    ``start`` is the (quality, cost) of ``x0``. Proposal i is
+    ``apply(incumbent, draws[i])``. Each pass evaluates the next ``batch``
+    proposals from the incumbent together, accepts the first feasible
+    improvement and goes on from the proposal after it (module docstring);
+    a batch of 1 is the one-at-a-time search.
     """
-    quality, cost = evaluate(x0)
+    quality, cost = start
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     if cost > limit:
         raise ValueError("initial point violates budget")
     best_x, best_q = x0, quality
     accepted = []
-    batch = 1 if evaluate_many is None else PROPOSAL_BATCH
     i = 0
     while i < len(draws):
         cands = [apply(best_x, d) for d in draws[i : i + batch]]
-        results = evaluate_many(cands) if evaluate_many is not None else [evaluate(cands[0])]
-        for j, (q, c) in enumerate(results):
+        for j, (q, c) in enumerate(evaluate_many(cands)):
             if c <= limit and q > best_q:
                 best_x, best_q = cands[j], q
                 accepted.append(i + j)
@@ -132,11 +132,10 @@ def optimize(
     def unpack(x: np.ndarray) -> StrategyParams:
         return StrategyParams(lambdas=tuple(float(v) for v in x[:k]), gamma=float(x[k]))
 
-    def evaluate(x: np.ndarray) -> tuple[float, float]:
-        return objective(unpack(x))
+    many = objective_many or (lambda points: [objective(p) for p in points])
 
     def evaluate_many(xs: list[np.ndarray]) -> list[tuple[float, float]]:
-        return objective_many([unpack(x) for x in xs])
+        return many([unpack(x) for x in xs])
 
     def draw(rng: np.random.Generator):
         # Perturb a random coordinate subset with a heavy-tailed step size:
@@ -159,8 +158,8 @@ def optimize(
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SEARCH)))
     draws = [draw(rng) for _ in range(config.max_evals)]
-    many = None if objective_many is None else evaluate_many
-    best, _ = _local_search(evaluate, many, apply, draws, pack(init), budget)
+    batch = 1 if objective_many is None else PROPOSAL_BATCH
+    best, _ = _local_search(evaluate_many, batch, apply, draws, pack(init), objective(init), budget)
     return unpack(best)
 
 
@@ -178,4 +177,4 @@ def optimize_thresholds(
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SEARCH, 1)))
     draws = [rng.standard_normal(x0.size) for _ in range(config.max_evals)]
-    return _local_search(objective, None, apply, draws, x0, budget)[0]
+    return _local_search(lambda xs: [objective(x) for x in xs], 1, apply, draws, x0, objective(x0), budget)[0]

@@ -498,8 +498,8 @@ class TestRunCascadeRoute:
         t = random_table(rng, n=20, k=k, step_varying=True)
         engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=64, seed=61))
         runs = []
-        run = engine.run
-        monkeypatch.setattr(engine, "run", lambda lams, pick: runs.append(1) or run(lams, pick))
+        run = engine._run_lattice
+        monkeypatch.setattr(engine, "_run_lattice", lambda lams, picks: runs.extend(picks) or run(lams, picks))
         first = [engine.run_metrics([lam] * k, pick) for lam in PRICE_LADDER for pick in Pick]
         again = [engine.run_metrics(np.full(k, lam), pick) for lam in PRICE_LADDER for pick in Pick]
         assert again == first and len(runs) == len(first)
@@ -1456,7 +1456,39 @@ class TestDeltaRuns:
 
 
 class TestRunMany:
-    """``run_many`` runs several (prices, pick) proposals in one pass, each as ``run_metrics`` would."""
+    """``run_many`` is the engine's one metrics path: each distinct (prices, pick) pair runs once."""
+
+    @staticmethod
+    def run_log(engine):
+        """Record every (prices, pick) pair the engine runs from now on, in order."""
+        log = []
+        run_lattice, run_chain = engine._run_lattice, engine._run_chain
+
+        def lattice(lams, picks):
+            log.extend(zip(map(tuple, lams.tolist()), picks))
+            return run_lattice(lams, picks)
+
+        def chain(lams, pick):
+            log.append((tuple(lams.tolist()), pick))
+            return run_chain(lams, pick)
+
+        engine._run_lattice, engine._run_chain = lattice, chain
+        return log
+
+    @staticmethod
+    def means(engine, lambdas, pick):
+        """The realized (quality, cost) means of ``run``, which memoizes nothing."""
+        result = engine.run(lambdas, pick)
+        quality = engine.table.true_quality[np.arange(engine.table.n_queries), result.answer]
+        return float(quality.mean()), float(result.realized_cost.mean())
+
+    @staticmethod
+    def assert_same_reference(got, want):
+        assert (got is None) == (want is None)
+        if got is not None:
+            for name, value in vars(want).items():
+                assert getattr(got, name).dtype == value.dtype
+                np.testing.assert_array_equal(getattr(got, name), value)
 
     @given(
         seed=st.integers(0, 2**16),
@@ -1472,39 +1504,61 @@ class TestRunMany:
     def test_run_many_equals_run_metrics_property(self, seed, n, k, tied, variant, chain_only, reference, data):
         # with a reference, the engine compiles every fill and has run once,
         # so rows may be kept; without, every pair takes every step and all
-        # proposals share their first fills at step 0
+        # pairs share their first fills at step 0
         rng = np.random.default_rng(seed)
         t = tied_table(rng, n, k) if tied else random_table(rng, n=n, k=k, step_varying=True)
         sigma = np.zeros((k, k + 1)) if tied else rng.uniform(0.0, 0.35, (k, k + 1))
         mc = MonteCarloConfig(n_samples=16, seed=seed)
+
+        def new_engine():
+            return BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+
         with compiling(reference):
-            engine = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
-            probe = BatchCascadeEngine(t, sigma, mc, variant, chain_only)
+            engine, twin, probe = new_engine(), new_engine(), new_engine()
             probe.run([0.0] * k, Pick.MAX_COST)
             prices = [0.0, LAMBDA_CAP]
             if not chain_only:
                 prices += list(TestPriceCells.step0_crossings(probe, k)) + list(TestPriceCells.cell_bounds(probe))
             if reference:
-                engine.run([data.draw(st.sampled_from(prices))] * k, Pick.MAX_COST)
+                first = [data.draw(st.sampled_from(prices))] * k
+                for each in (engine, twin):
+                    each.run(first, Pick.MAX_COST)
                 assert engine._reference is not None or chain_only
             price = st.sampled_from(sorted(prices))
-            proposal = st.tuples(
-                st.one_of(price.map(lambda lam: [lam] * k), st.lists(price, min_size=k, max_size=k)),
-                st.sampled_from(list(Pick)),
-            )
+            price_rows = st.one_of(price.map(lambda lam: [lam] * k), st.lists(price, min_size=k, max_size=k))
+            proposal = st.tuples(price_rows, st.sampled_from(list(Pick)))
             runs = data.draw(st.lists(proposal, min_size=1, max_size=5))
-            runs += data.draw(st.lists(st.sampled_from(runs), max_size=2))  # repeated proposals
+            runs += data.draw(st.lists(st.sampled_from(runs), max_size=2))  # repeated pairs
+            points = data.draw(st.lists(
+                st.builds(StrategyParams, price_rows.map(tuple), st.sampled_from([0.0, 1.0, 0.25, 0.5])),
+                min_size=1, max_size=4,
+            ))
+            log = self.run_log(engine)
             before = engine._reference
             got = engine.run_many([lambdas for lambdas, _ in runs], [pick for _, pick in runs])
-            assert engine._reference is before
+            distinct = {(tuple(map(float, lambdas)), pick) for lambdas, pick in runs}
+            if len(distinct) == 1:  # a one-pair pass leaves what ``run`` leaves
+                twin.run(*runs[0])
+                self.assert_same_reference(engine._reference, twin._reference)
+            else:
+                assert engine._reference is before
+            singles = [engine.run_metrics(lambdas, pick) for lambdas, pick in runs]
+            mixed = engine.params_metrics_many(points)
+            mixed_singly = [engine.params_metrics(p) for p in points]
+            assert len(set(log)) == len(log)  # each pair ran once across every call
             later = data.draw(st.lists(proposal, min_size=1, max_size=3))
             after = [engine.run(lambdas, pick) for lambdas, pick in later]
-        assert len(got) == len(runs)
+        assert got == singles
         for (lambdas, pick), metrics in zip(runs, got):
-            assert metrics == BatchCascadeEngine(t, sigma, mc, variant, chain_only).run_metrics(lambdas, pick)
-            assert engine.run_metrics(lambdas, pick) == metrics  # stored
+            assert metrics == self.means(new_engine(), lambdas, pick)
+        for p, metrics, single in zip(points, mixed, mixed_singly):
+            g = p.gamma
+            (q_min, c_min), (q_max, c_max) = (self.means(new_engine(), p.lambdas, pick) for pick in Pick)
+            want = (q_max, c_max) if g == 0.0 else (q_min, c_min) if g == 1.0 else (
+                g * q_min + (1 - g) * q_max, g * c_min + (1 - g) * c_max)
+            assert metrics == single == want
         for (lambdas, pick), result in zip(later, after):
-            assert_same_run(result, BatchCascadeEngine(t, sigma, mc, variant, chain_only).run(lambdas, pick))
+            assert_same_run(result, new_engine().run(lambdas, pick))
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_shared_first_fills_are_filled_once(self, rng, monkeypatch, variant):
@@ -1527,7 +1581,7 @@ class TestRunMany:
         engine = BatchCascadeEngine(t, sigma, mc, variant)
         got = engine.run_many([[0.1] * k] * 3 + [[0.1, 0.3, 0.1, 0.3]], [Pick.MIN_COST, Pick.MAX_COST] * 2)
         assert len(set(fills)) == len(fills) and set(once) <= set(fills)
-        assert engine.batched_passes == 1 and engine.batched_pairs == 4
+        assert engine.batched_passes == 1 and engine.batched_pairs == 3  # the repeated pair runs once
         assert got[0] == got[2] == single.run_metrics([0.1] * k, Pick.MIN_COST)
         assert engine.beta_recomputes <= engine.compiled_pairs
 
@@ -1543,7 +1597,8 @@ class TestRunMany:
         picks = [Pick.MIN_COST, Pick.MAX_COST if mixed else Pick.MIN_COST, Pick.MIN_COST]
         engine.run_many([[0.05] * k, [0.05] * k, [0.3] * k], picks)
         steps = len(engine._step_cache)
-        assert len(calls) == (2 if mixed else 1) * steps and sum(calls[:1 + mixed]) == 3 * t.n_queries
+        pairs = 3 if mixed else 2  # unmixed, the first two pairs are one, run once
+        assert len(calls) == (2 if mixed else 1) * steps and sum(calls[:1 + mixed]) == pairs * t.n_queries
 
     def test_rejects_bad_prices(self, rng):
         k = 3
@@ -1899,7 +1954,7 @@ class TestFitCascadeRouter:
         accepted = log[0][1]
         assert search.PROPOSAL_BATCH == 8
         assert 0 < engine.batched_passes <= -(-config.max_evals // 8) + len(accepted)
-        assert engine.batched_pairs >= engine.batched_passes
+        assert engine.batched_pairs >= 2 * engine.batched_passes  # only passes of several pairs count
 
     def test_chain_fit_takes_one_proposal_at_a_time(self, rng):
         t = random_table(rng, n=40, k=3, step_varying=True)

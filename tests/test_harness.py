@@ -32,6 +32,20 @@ from modelselect.harness import (
 from modelselect.search import SearchConfig
 
 
+# Config entries of the wrong type; each would otherwise fail later, with a
+# traceback, at set-up or one sweep point after another.
+WRONG_TYPES = [
+    {"mc_samples": "512"},
+    {"mc_samples": 100.5},
+    {"budget_points": 3.5},
+    {"seed": 1.5},
+    {"seed": True},
+    {"noise": 5},
+    {"output": 5},
+    {"data": 5},
+    {"strategies": "routing"},
+]
+
 # Config entries that would only fail inside a fit, one sweep point after another.
 BAD_ENTRIES = [
     {"variant": "fast"},
@@ -43,7 +57,7 @@ BAD_ENTRIES = [
     {"search": {"max_evals": 2.5}},
     {"search": {"gamma_scale": float("nan")}},
     {"search": [["max_evals", 3]]},
-]
+] + WRONG_TYPES
 
 # Every SearchConfig field a config may set; the seed is derived per sweep point.
 VALID_SEARCH = {"max_evals": 3, "lambda_log_scale": 0.5, "gamma_scale": 0.1, "threshold_scale": 0.2}
@@ -358,8 +372,13 @@ class TestRunSweep:
     @pytest.mark.parametrize("entry", BAD_ENTRIES, ids=repr)
     def test_bad_variant_or_search_entry_rejected(self, entry):
         with pytest.raises(ValueError):
-            BenchmarkConfig(data={}, **entry)
+            BenchmarkConfig(**{"data": {}, **entry})
         with pytest.raises(ValueError):
+            BenchmarkConfig.from_dict({"data": {}, **entry})
+
+    @pytest.mark.parametrize("entry", WRONG_TYPES, ids=repr)
+    def test_wrong_type_names_its_field(self, entry):
+        with pytest.raises(ValueError, match=f"^{next(iter(entry))} must be"):
             BenchmarkConfig.from_dict({"data": {}, **entry})
 
     def test_valid_variant_and_search_entries_accepted(self):

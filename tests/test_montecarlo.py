@@ -56,6 +56,11 @@ class TestDraws:
         with pytest.raises(ValueError):
             MonteCarloConfig(n_samples=1)
 
+    @pytest.mark.parametrize("n_samples", [100.5, "512", True, None])
+    def test_non_integer_sample_count_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            MonteCarloConfig(n_samples=n_samples)
+
 
 class TestBatchSeeding:
     """One vectorized pass seeds every query exactly as its own SeedSequence would."""
