@@ -25,9 +25,8 @@ rank (the prefix's position in the layout), table row and column:
   marginal gain, so pruning at price ``lam`` is the single test
   ``lam > beta``; it removes each candidate with a negative marginal gain
   together with all its supersets. It is packed one ``(columns,)`` row per
-  pair in the order pairs get one, and found through a ``(prefixes, n)``
-  row index. A pair compiled into price cells (below) at its own fill gets
-  its row only when the full selection first needs it;
+  filled pair, in fill order, and found through a ``(prefixes, n)`` row
+  index;
 - the model each column runs next: the cheapest added model by open cost,
   lowest id on ties;
 - per (prefix, row), the answer of a query that stops there:
@@ -112,16 +111,15 @@ cascade-routing engine runs of 8 bench sweeps about 10% slower (median of
 8 alternating runs, 7 of them slower) and kept no row. A step none of whose
 pairs was compiled skips the lookup.
 
-Block thresholds follow one rule: once a pair has a ``beta`` row, it keeps
-it. A pending pair's row survives its batch compile. A pair compiled at its
-own fill has none until a full selection first takes it (a cell miss), which
-computes its thresholds, bit for bit as the fill computed them, and stores
-them (counted by ``beta_recomputes``). So each pair's thresholds are
-computed at most twice, and no row is ever released. The worst case is one
-row per filled pair, ``8 * columns`` bytes each, the size before price
-cells: ``8 * n * (3^k - 1)`` bytes if every pair of every step were filled.
-The rows in use are those of pairs filled by small fills, plus those of
-pairs compiled at their own fill that missed once.
+Block thresholds follow one rule: every filled pair of a pruning step
+keeps the ``beta`` row its fill computed, whether it is compiled with its
+fill, waits, or is compiled in a batch. A compile reads the rows back from
+the step's tables, with the pairs' quality and open cost, so
+``_block_threshold`` runs once per pair, in its fill, and no row is ever
+released. A row is ``8 * 2^(k - t)`` bytes at step t, so a step holds
+``8 * 2^(k - t)`` bytes per filled pair, and its packed table, which
+doubles when full, at most as much again in spare capacity: at most
+``8 * n * (3^k - 1)`` bytes in use if every pair of every step were filled.
 
 A step's tables are allocated when the step is first reached, and a
 (prefix, row) pair is filled the first time its query reaches the prefix, so
@@ -403,7 +401,7 @@ class _StepTables:
 
     quality: np.ndarray  # (P, n, columns) expected-max quality of each candidate
     beta: Optional[np.ndarray]  # (rows, columns) packed block thresholds; None when not pruning
-    beta_row: np.ndarray  # (P, n) int32: 1 + the pair's row of ``beta``, 0 for none
+    beta_row: np.ndarray  # (P, n) int32: 1 + the pair's row of ``beta``, 0 where unfilled or not pruning
     beta_used: int  # rows of ``beta`` in use; the rest is spare capacity
     next_model: np.ndarray  # (P, n, columns) int8 model each column runs next; -1 in column 0
     answer: np.ndarray  # (P, n) int8 answer of a query that stops here; -1 at t = 0
@@ -781,8 +779,6 @@ class BatchCascadeEngine:
         # (prices, pick) pair, and the pairs they held
         self.batched_passes = 0
         self.batched_pairs = 0
-        # block-threshold rows computed again for pairs compiled without one
-        self.beta_recomputes = 0
         # chain: row-steps decided by a certified threshold, and by the full selection
         self.threshold_row_steps = 0
         self.exact_selections = 0
@@ -829,14 +825,13 @@ class BatchCascadeEngine:
         tables = self._step_cache.get(t)
         if tables is None:
             shape = (layout.prefixes.size, self.table.n_queries, layout.bits.shape[0])
-            prunes = self.variant is not Variant.SLOW
             allowed = np.ones(shape[2], dtype=bool)
             allowed[0] = t > 0  # running nothing is never a candidate
             if self.variant is Variant.GREEDY:
                 allowed &= _lattice_tables(layout.free.shape[1]).popcount <= 1
             tables = _StepTables(
                 quality=np.empty(shape),
-                beta=np.empty((1, shape[2])) if prunes else None,
+                beta=None if self.variant is Variant.SLOW else np.empty((1, shape[2])),
                 beta_row=np.zeros(shape[:2], dtype=np.int32),
                 beta_used=0,
                 next_model=np.empty(shape, dtype=np.int8),
@@ -861,31 +856,28 @@ class BatchCascadeEngine:
             quality = self._lattice_quality(t, prefixes, fill)
             tables.quality[new_ranks, fill] = quality
             cost = self._cost_open(t)[fill[:, None], free]
-            beta = None if tables.beta is None else _block_threshold(quality, cost, t == 0)
-            self._compile(t, tables, new_ranks, fill, quality, cost, beta)
+            if tables.beta is not None:
+                self._keep_beta(tables, new_ranks, fill, _block_threshold(quality, cost, t == 0))
+            self._compile(t, tables, new_ranks, fill)
             computed = (prefixes[:, None] >> np.arange(self.table.n_models)) & 1 == 1
             tables.next_model[new_ranks, fill] = _cheapest_added(cost, free)
             tables.answer[new_ranks, fill] = self._stop_answer(t, computed, fill)
             tables.filled[new_ranks, fill] = True
         return tables
 
-    def _compile(self, t, tables, ranks, rows, quality, cost, beta) -> None:
+    def _compile(self, t, tables, ranks, rows) -> None:
         """Compile a fill's new pairs, with the step's pending pairs, once they are enough; else hold them.
 
-        ``quality``, ``cost`` (open cost of each free model) and ``beta`` are
-        the new pairs'. When the new and pending pairs together meet
-        ``_compiles``, they all get price cells from one ``_price_cells`` call,
-        the pending pairs' inputs read back from the step's tables; the
-        pending pairs keep their block-threshold rows. Otherwise the new pairs
-        keep their block thresholds and hold no cell; they join the pending
-        pairs only when step 0 has cells (module docstring, "Which fills are
-        compiled").
+        When the new and pending pairs together meet ``_compiles``, they all
+        get price cells from one ``_price_cells`` call, pending pairs first,
+        every pair's quality, open cost and block thresholds read back from
+        the step's tables. Otherwise the new pairs hold no cell; they join
+        the pending pairs only when step 0 has cells (module docstring,
+        "Which fills are compiled").
         """
         layout = self._layout(t)
         count = rows.size + tables.pending_count
         if not _compiles(count, tables.allowed.size):
-            if beta is not None:
-                self._keep_beta(tables, ranks, rows, beta)
             if tables.lo.shape[2] > 1:  # width 1 is the allocated sentinel
                 tables.lo[ranks, rows, 0] = -np.inf
                 tables.hi[ranks, rows, 0] = -np.inf
@@ -898,12 +890,11 @@ class BatchCascadeEngine:
         if tables.pending_count:
             old_ranks, old_rows = tables.pending.nonzero()
             ranks, rows = np.concatenate([old_ranks, ranks]), np.concatenate([old_rows, rows])
-            quality = np.concatenate([tables.quality[old_ranks, old_rows], quality])
-            cost = np.concatenate([self._cost_open(t)[old_rows[:, None], layout.free[old_ranks]], cost])
-            if beta is not None:
-                beta = np.concatenate([tables.beta[tables.beta_row[old_ranks, old_rows] - 1], beta])
             tables.pending[old_ranks, old_rows] = False
             tables.pending_count = 0
+        quality = tables.quality[ranks, rows]
+        cost = self._cost_open(t)[rows[:, None], layout.free[ranks]]
+        beta = None if tables.beta is None else tables.beta[tables.beta_row[ranks, rows] - 1]
         computed = (layout.prefixes[ranks][:, None] >> np.arange(self.table.n_models)) & 1 == 1
         sunk = np.abs(np.where(computed, self.table.computed_cost[rows], 0.0)).sum(axis=1)
         cells = _price_cells(quality, cost @ layout.bits.T, beta, tables.allowed, sunk)
@@ -914,8 +905,8 @@ class BatchCascadeEngine:
     def _keep_beta(tables: _StepTables, ranks: np.ndarray, rows: np.ndarray, beta: np.ndarray) -> None:
         """Append new pairs' block thresholds to the step's ``beta`` rows, doubling its capacity as needed.
 
-        Rows are packed in the order pairs get them, so memory grows with
-        those pairs and not with the ``(P, n, columns)`` extent.
+        Rows are packed in the order pairs are filled, so memory grows with
+        the filled pairs and not with the ``(P, n, columns)`` extent.
         """
         start, stop = tables.beta_used, tables.beta_used + rows.size
         if stop > tables.beta.shape[0]:
@@ -1077,34 +1068,19 @@ class BatchCascadeEngine:
         block thresholds are gathered from the step's tables by (prefix rank,
         row) and a column's added cost is a product with the layout's
         ``bits``; a candidate is pruned when ``lam > beta``, which is the
-        negative-marginal-gain rule closed over supersets. A pair compiled
-        at its own fill has no ``beta`` row at its first miss, so its
-        thresholds are computed again here, bit for bit as the fill computed
-        them, and kept once per pair.
+        negative-marginal-gain rule closed over supersets.
         No rows give empty arrays at once.
         """
         if rows.size == 0:
             tau = np.empty((0, tables.allowed.size))
             return tau, tau, np.empty(tau.shape, dtype=bool)
         layout = self._layout(t)
-        quality = tables.quality[ranks, rows]
-        open_cost = self._cost_open(t)[rows[:, None], layout.free[ranks]]
-        cost = sunk[:, None] + open_cost @ layout.bits.T
+        cost = sunk[:, None] + self._cost_open(t)[rows[:, None], layout.free[ranks]] @ layout.bits.T
         lam = _column(lam)
-        tau = quality - lam * cost
+        tau = tables.quality[ranks, rows] - lam * cost
         if tables.beta is None:
             return tau, cost, np.broadcast_to(tables.allowed, tau.shape)
-        row = tables.beta_row[ranks, rows]
-        beta = tables.beta[row - 1]
-        if tables.lo.shape[2] > 1:  # some fill of the step was compiled
-            fresh = np.flatnonzero(row == 0)
-            if fresh.size:
-                beta[fresh] = _block_threshold(quality[fresh], open_cost[fresh], t == 0)
-                # rows of several proposals may share a pair
-                first = fresh[_first_occurrences(ranks[fresh], rows[fresh], self.table.n_queries)]
-                self._keep_beta(tables, ranks[first], rows[first], beta[first])
-                self.beta_recomputes += first.size
-        return tau, cost, ~(lam > beta) & tables.allowed
+        return tau, cost, ~(lam > tables.beta[tables.beta_row[ranks, rows] - 1]) & tables.allowed
 
     # -- cascading runs ---------------------------------------------------------
 
@@ -1314,25 +1290,28 @@ class BatchCascadeEngine:
         ``lambdas`` is ``(P, k)``, one row of per-step prices per pair, and
         ``picks`` holds P picks. This is the engine's one metrics path. A
         run is deterministic, so the means of every (prices, pick) are
-        memoized; only the distinct pairs not stored yet have their prices
-        checked and are run, each once: cascade routing in one step loop over
+        memoized, keyed by the prices as floats and the pick. The keys are
+        built before any array is, so a stored pair costs a lookup; only the
+        distinct pairs not stored yet have their prices checked and are run,
+        each once: cascade routing in one step loop over
         their (pair, query) rows (``_run_lattice``; module docstring,
         "Batched runs"), a chain engine in one threshold pass per pair. Each
         pair's means are taken over its own contiguous ``(n,)`` row, and no
         ``RunResult`` is kept.
         """
         n, k = self.table.n_queries, self.table.n_models
-        lams = np.asarray(lambdas, dtype=np.float64)
-        if lams.shape[1:] != (k,) or len(picks) != len(lams):
-            raise ValueError("lambdas must have one entry per model, and a row per pick")
         if self.table.true_quality is None:
             raise ValueError("realized quality needs ground truth in the table")
-        keys = list(zip(map(tuple, lams.tolist()), picks))
-        todo = [key for key in dict.fromkeys(keys) if key not in self._metrics_cache]
-        if todo:
+        try:
+            keys = [(tuple(map(float, prices)), pick) for prices, pick in zip(lambdas, picks, strict=True)]
+        except (TypeError, ValueError):
+            raise ValueError("lambdas must have one entry per model, and a row per pick") from None
+        metrics = [self._metrics_cache.get(key) for key in keys]
+        if None in metrics:
+            todo = list(dict.fromkeys(key for key, stored in zip(keys, metrics) if stored is None))
             for prices, _ in todo:
                 check_decision_inputs(k, lambdas=prices)
-            rows = lams if len(todo) == len(keys) else np.array([prices for prices, _ in todo])
+            rows = np.array([prices for prices, _ in todo])
             if self.chain_only:
                 runs = [self._run_chain(row, pick) for row, (_, pick) in zip(rows, todo)]
                 answer, cost = [run.answer for run in runs], [run.realized_cost for run in runs]
@@ -1346,7 +1325,8 @@ class BatchCascadeEngine:
             for key, q, c in zip(todo, quality, cost):
                 # the sum and the division of ``np.mean``, without its per-call overhead
                 self._metrics_cache[key] = (float(np.add.reduce(q) / n), float(np.add.reduce(c) / n))
-        return [self._metrics_cache[key] for key in keys]
+            metrics = [self._metrics_cache[key] for key in keys]
+        return metrics
 
     def run_metrics(self, lambdas: Sequence[float], pick: Pick) -> tuple[float, float]:
         """Realized mean (quality, cost) of one run: ``run_many`` of one pair."""

@@ -49,6 +49,26 @@ def mixing_weight(cost_min: float, cost_max: float, budget: float) -> float:
     return float(np.clip((cost_max - budget) / (cost_max - cost_min), 0.0, 1.0))
 
 
+def halve_bracket(
+    affordable: Callable[[float], bool], good: float, bad: float, width: Callable[[float], float]
+) -> tuple[float, float]:
+    """Halve the bracket between an affordable end ``good`` and an unaffordable end ``bad``.
+
+    Either end may be the lower one. Each step replaces ``good`` with the
+    midpoint when ``affordable`` holds there and ``bad`` otherwise, until
+    the bracket is no wider than ``width(good)``. The price bisection of
+    ``fit_budget_mixture`` and the threshold bisection of
+    ``cascading.fit_threshold_cascade`` both take it. Returns ``(good, bad)``.
+    """
+    while abs(bad - good) > width(good):
+        mid = 0.5 * (good + bad)
+        if affordable(mid):
+            good = mid
+        else:
+            bad = mid
+    return good, bad
+
+
 def fit_budget_mixture(
     cost_fn: Callable[[float, Pick], float],
     budget: float,
@@ -77,12 +97,9 @@ def fit_budget_mixture(
             hi *= 2.0
             if hi > LAMBDA_CAP:
                 raise ValueError("budget below cheapest strategy")
-        while hi - lo > _BISECT_REL_WIDTH * (1.0 + hi):
-            mid = 0.5 * (lo + hi)
-            if cost_fn(mid, Pick.MIN_COST) <= budget:
-                hi = mid
-            else:
-                lo = mid
+        hi, lo = halve_bracket(
+            lambda lam: cost_fn(lam, Pick.MIN_COST) <= budget, hi, lo, lambda good: _BISECT_REL_WIDTH * (1.0 + good)
+        )
         lam = hi
         cost_min = cost_fn(hi, Pick.MIN_COST)
         cost_max = cost_fn(hi, Pick.MAX_COST)

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._engine import BatchCascadeEngine, Variant, check_decision_inputs
-from ._fitting import check_budget_floor, fit_budget_mixture
+from ._fitting import check_budget_floor, fit_budget_mixture, halve_bracket
 from .core import (
     DecisionTrace,
     EstimateTable,
@@ -348,12 +348,7 @@ def fit_threshold_cascade(
         init = np.full(k, hi)
     else:
         scale = max(1.0, abs(hi), abs(lo))
-        while hi - lo > 1e-9 * scale:
-            mid = 0.5 * (lo + hi)
-            if cost_at(mid) <= budget:
-                lo = mid
-            else:
-                hi = mid
+        lo, _ = halve_bracket(lambda tau: cost_at(tau) <= budget, lo, hi, lambda _: 1e-9 * scale)
         init = np.full(k, lo)
 
     def objective(thr: np.ndarray) -> tuple[float, float]:

@@ -95,19 +95,15 @@ def _build_parser() -> _Parser:
 
 
 def _load_config(args) -> BenchmarkConfig:
+    """The config file with the command line's overrides, checked as one mapping."""
     raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    config = BenchmarkConfig.from_dict(raw)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.output is not None:
-        config.output = args.output
-    if args.budget_points is not None:
-        config.budget_points = args.budget_points
-    if args.variant is not None:
-        config.variant = args.variant
-    if getattr(args, "strategy", None) and args.command == "sweep":
-        config.strategies = (args.strategy,)
-    return config
+    if not isinstance(raw, dict):
+        raise DataFormatError(f"{args.config}: config must be a JSON object")
+    overrides = {"seed": args.seed, "output": args.output, "budget_points": args.budget_points, "variant": args.variant}
+    if args.command == "sweep" and args.strategy:
+        overrides["strategies"] = [args.strategy]
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
+    return BenchmarkConfig.from_dict(raw)
 
 
 def _cmd_generate(args) -> int:
@@ -184,11 +180,8 @@ def _cmd_ablate(args) -> int:
     config = _load_config(args)
     rows = {}
     for variant in map(_variant_name, Variant):
-        cfg = BenchmarkConfig.from_dict(config.to_dict())
-        cfg.variant = variant
-        cfg.strategies = ("cascade-routing",)
-        cfg.output = None
-        report = run_sweep(cfg)
+        cfg = {**config.to_dict(), "variant": variant, "strategies": ["cascade-routing"], "output": None}
+        report = run_sweep(BenchmarkConfig.from_dict(cfg))
         res = report.strategies["cascade-routing"]
         rows[variant] = {
             "auc": res.auc,

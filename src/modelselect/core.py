@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -30,6 +31,29 @@ def check_integer(name: str, value) -> None:
     """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_number(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
+def from_mapping(cls, entries, what: str):
+    """``cls(**entries)`` for a dataclass ``cls``, or a ``ValueError`` naming a bad, unknown or missing entry.
+
+    ``what`` names the mapping in the message; ``cls`` checks each value.
+    """
+    if not isinstance(entries, Mapping):
+        raise ValueError(f"{what} must be a mapping, got {entries!r}")
+    unknown = set(entries) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(map(str, unknown))}")
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    missing = [name for name in required if name not in entries]
+    if missing:
+        raise ValueError(f"{what} requires {', '.join(missing)}")
+    return cls(**entries)
 
 
 class Pick(Enum):

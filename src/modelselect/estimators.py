@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import EstimateTable, TrueTable
+from .core import EstimateTable, TrueTable, check_integer, check_number
 
 _STREAM_WORKLOAD = 0x57
 _STREAM_NOISE = 0x4E
@@ -37,6 +37,7 @@ class NoiseSpec:
             "cost_sigma_before",
             "cost_sigma_after",
         ):
+            check_number(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if (
@@ -85,10 +86,22 @@ class WorkloadSpec:
     cost_spread: float = 0.25
 
     def __post_init__(self) -> None:
+        for name in ("n_queries", "n_models", "seed", "n_specialties"):
+            check_integer(name, getattr(self, name))
+        for name in ("expertise_bonus", "difficulty_weight", "cost_spread"):
+            check_number(name, getattr(self, name))
+        for name in ("base_costs", "base_skills"):  # null, or one number per model
+            values = getattr(self, name)
+            for value in () if values is None else np.ravel(np.array(values, dtype=object)):
+                check_number(name, value)
+        if not isinstance(self.binary_quality, bool):
+            raise ValueError(f"binary_quality must be true or false, got {self.binary_quality!r}")
         if self.n_queries < 1 or self.n_models < 1:
             raise ValueError("workload needs n_queries >= 1 and n_models >= 1")
         if self.n_specialties < 1:
             raise ValueError("n_specialties must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_base_costs(self) -> np.ndarray:
         if self.base_costs is not None:

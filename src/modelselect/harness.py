@@ -16,7 +16,7 @@ import hashlib
 import json
 import time
 from collections.abc import Mapping
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,7 +33,7 @@ from .cascading import (
     threshold_metrics,
 )
 from .cascade_routing import fit_cascade_router, route_floor_cost, run_cascade_route
-from .core import EstimateTable, Pick, StrategyParams, TrueTable, check_integer
+from .core import EstimateTable, Pick, StrategyParams, TrueTable, check_integer, from_mapping
 from .estimators import (
     NOISE_PRESETS,
     NoiseSpec,
@@ -534,14 +534,14 @@ class BenchmarkConfig:
             check_integer(name, getattr(self, name))
         if not isinstance(self.data, Mapping):
             raise ValueError(f"data must be a mapping, got {self.data!r}")
-        if not isinstance(self.noise, (str, Mapping, NoiseSpec)):
-            raise ValueError(f"noise must be a preset name or a mapping, got {self.noise!r}")
         if not isinstance(self.output, (str, type(None))):
             raise ValueError(f"output must be a path or null, got {self.output!r}")
         if not isinstance(self.strategies, (list, tuple)):
             raise ValueError(f"strategies must be a list of strategy names, got {self.strategies!r}")
         if self.budget_points < 2:
-            raise ValueError("budget grid needs at least 2 points")
+            raise ValueError(f"budget_points must be >= 2, got {self.budget_points}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         unknown = set(self.strategies) - set(STRATEGY_NAMES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
@@ -551,13 +551,12 @@ class BenchmarkConfig:
             self.variant_enum()
         except (AttributeError, ValueError):
             raise ValueError(f"unknown variant {self.variant!r}") from None
-        if not isinstance(self.search, dict):
-            raise ValueError("search must be a mapping of SearchConfig fields")
-        # no seed: each fit's seed is derived per sweep point (``_search_seed``)
-        unknown = set(self.search) - ({f.name for f in fields(SearchConfig)} - {"seed"})
-        if unknown:
-            raise ValueError(f"unknown search keys: {sorted(unknown)}")
-        self.search_config(0)  # raises on a bad value
+        # each raises on a bad value
+        self.search_config(0)
+        self.noise_spec()
+        self.workload_spec()
+        if "seed" in self.search:  # each fit's seed is derived per sweep point (``_search_seed``)
+            raise ValueError("search must not set a seed: each sweep point derives its own")
 
     def noise_spec(self) -> NoiseSpec:
         if isinstance(self.noise, NoiseSpec):
@@ -567,18 +566,18 @@ class BenchmarkConfig:
                 return NOISE_PRESETS[self.noise]
             except KeyError:
                 raise ValueError(f"unknown noise preset {self.noise!r}") from None
-        return NoiseSpec(**self.noise)
+        return from_mapping(NoiseSpec, self.noise, "noise")
 
     def workload_spec(self) -> Optional[WorkloadSpec]:
         wl = self.data.get("workload")
         if wl is None:
             return None
         if wl == "default":
-            wl = dict(DEFAULT_WORKLOAD)
-        return WorkloadSpec(**wl)
+            wl = DEFAULT_WORKLOAD
+        return from_mapping(WorkloadSpec, wl, "data.workload")
 
     def search_config(self, seed: int) -> SearchConfig:
-        return SearchConfig(seed=seed, **self.search)
+        return replace(from_mapping(SearchConfig, self.search, "search"), seed=seed)
 
     def variant_enum(self) -> Variant:
         return Variant(self.variant.replace("-", "_"))
@@ -592,12 +591,7 @@ class BenchmarkConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "BenchmarkConfig":
-        unknown = set(d) - {f.name for f in fields(BenchmarkConfig)}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "data" not in d:
-            raise ValueError("config requires a data entry")
-        return BenchmarkConfig(**d)
+        return from_mapping(BenchmarkConfig, d, "config")
 
 
 # -- report ----------------------------------------------------------------------

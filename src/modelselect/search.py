@@ -32,15 +32,13 @@ most ``budget * (1 + FEASIBILITY_SLACK)``, the relative tolerance that
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ._fitting import FEASIBILITY_SLACK
-from .core import StrategyParams, check_integer
+from .core import StrategyParams, check_integer, check_number
 
 _STREAM_SEARCH = 0x53
 
@@ -64,9 +62,7 @@ class SearchConfig:
         if self.max_evals < 1:
             raise ValueError("max_evals must be >= 1")
         for name in ("lambda_log_scale", "gamma_scale", "threshold_scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            check_number(name, getattr(self, name))
 
 
 def _reflect_unit(x: float) -> float:

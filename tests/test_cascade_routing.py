@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import gc
 import itertools
+import sys
 from unittest import mock
 
 import numpy as np
@@ -1029,17 +1030,15 @@ class TestPriceCells:
                 result = engine.run([lam] * k, pick)
                 row_steps += int(np.minimum(result.n_executed + 1, k).sum())
         # every filled pair is compiled or waits for its step's next batch
-        # compile; a pair keeps the block-threshold row it has, pending pairs
-        # have one, and a pair compiled at its own fill gets one at its first
-        # miss, so no pair's thresholds are recomputed more than once
+        # compile, and every filled pair keeps the block-threshold row its
+        # fill computed, one row each
         kept = sum(tables.beta_used for tables in engine._step_cache.values())
         pending = sum(tables.pending_count for tables in engine._step_cache.values())
         filled = sum(int(tables.filled.sum()) for tables in engine._step_cache.values())
-        assert engine.compiled_pairs == filled - pending > 0 and pending <= kept <= filled
+        assert engine.compiled_pairs == filled - pending > 0 and kept == filled
         for tables in engine._step_cache.values():
             assert tables.pending_count == tables.pending.sum()
-            assert tables.beta_used == (tables.beta_row > 0).sum() and (tables.beta_row[tables.pending] > 0).all()
-        assert engine.beta_recomputes <= engine.compiled_pairs
+            assert tables.beta_used == (tables.beta_row > 0).sum() and (tables.beta_row[tables.filled] > 0).all()
         assert engine.cell_hits + engine.fallback_rows + engine.kept_row_steps == row_steps
         # a kept row-step is a cell hit at the run that decided it
         assert engine.cell_hits + engine.kept_row_steps > engine.fallback_rows
@@ -1068,9 +1067,9 @@ class TestPriceCells:
         # by arithmetic on the table layout, without allocating a large engine:
         # every pair holds 8-byte qualities and 1-byte next models per
         # column, 9 bytes per cell slot, a 4-byte block-threshold row index
-        # and 3 bytes for the filled and pending flags and the answer; a pair
-        # with a block-threshold row (a pair filled without cells, or a
-        # compiled pair after its first miss) adds 8 bytes per column
+        # and 3 bytes for the filled and pending flags and the answer; at a
+        # pruning step every filled pair adds its block-threshold row, 8
+        # bytes per column
         k = 5
         t = random_table(np.random.default_rng(5), n=70, k=k, step_varying=True)
         engine = BatchCascadeEngine(t, np.zeros((k, k + 1)), MonteCarloConfig(n_samples=8, seed=1))
@@ -1093,8 +1092,9 @@ class TestPriceCells:
             assert tables.beta.itemsize * tables.beta.shape[1] == 8 * columns
             assert tables.beta_used == int((tables.beta_row > 0).sum())
         # at k = 8 the empty prefix's 256 columns and a 22-slot envelope take
-        # 2.5 KB per compiled pair, 4.6 KB once it has a block-threshold row,
-        # against 4.4 KB for a pair without cells
+        # 4.6 KB per compiled pair of a pruning step and 2.5 KB under SLOW,
+        # which keeps no block thresholds, against 4.4 KB for a pruning
+        # step's pair without cells
         assert 9 * 256 + 7 + 9 * 22 == 2509 and 17 * 256 + 7 + 9 * 22 == 4557 and 17 * 256 + 7 + 9 == 4368
 
 
@@ -1216,25 +1216,45 @@ class TestBatchCompiles:
                     assert (tables.beta_row[rank, row] > 0) == (tables.beta is not None)
 
     @pytest.mark.parametrize("variant", [Variant.DEFAULT, Variant.GREEDY, Variant.NO_EXPECT])
-    def test_block_thresholds_are_computed_again_at_most_once_per_pair(self, rng, variant):
-        # a pair compiled at its own fill computes its block thresholds again
-        # at its first miss and keeps them, so the same runs again recompute
-        # none; NO_EXPECT cells cover few prices, so its pairs miss often
+    def test_every_filled_pair_keeps_the_block_thresholds_its_fill_computed(self, rng, monkeypatch, variant):
+        # compiled at its own fill, compiled in a batch or pending, every
+        # filled pair of a pruning step holds the block thresholds of its
+        # stored quality and open cost, computed once, by its fill; running
+        # the same prices again with no reference computes none. NO_EXPECT
+        # cells cover few prices, so its pairs miss often
+        callers = []
+        block_threshold = _engine._block_threshold
+
+        def spy(quality, cost, empty_prefix):
+            callers.append((sys._getframe(1).f_code.co_name, quality.shape[0]))
+            return block_threshold(quality, cost, empty_prefix)
+
+        monkeypatch.setattr(_engine, "_block_threshold", spy)
         k = 5
         t = random_table(rng, n=112, k=k, step_varying=True)
         engine = BatchCascadeEngine(t, rng.uniform(0.0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=16, seed=5), variant)
+        _, batches = self.spy_compiles(engine)
         runs = self.fit_like_runs(TestPriceCells.step0_crossings(engine, k), k, rng)
         for lambdas in runs:
             for pick in Pick:
                 engine.run(lambdas, pick)
-        recomputed = engine.beta_recomputes
+        assert batches and engine.fallback_rows > 0
         filled = sum(int(tables.filled.sum()) for tables in engine._step_cache.values())
-        assert 0 < recomputed <= filled
+        assert {name for name, _ in callers} == {"_step_tables"} and sum(rows for _, rows in callers) == filled
+        for step, tables in engine._step_cache.items():
+            assert tables.beta_used == int(tables.filled.sum()) == int((tables.beta_row > 0).sum())
+            ranks, rows = tables.filled.nonzero()
+            layout = engine._layout(step)
+            open_cost = engine._cost_open(step)[rows[:, None], layout.free[ranks]]
+            want = block_threshold(tables.quality[ranks, rows], open_cost, step == 0)
+            got = tables.beta[tables.beta_row[ranks, rows] - 1]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), step
+        calls = len(callers)
         engine._reference = None  # every row takes its steps again
         for lambdas in runs:
             for pick in Pick:
                 engine.run(lambdas, pick)
-        assert engine.beta_recomputes == recomputed
+        assert len(callers) == calls
 
     def test_no_batches_without_cells_at_step_0(self, rng):
         # a 60-row table compiles no fill, step 0's included, so its small
@@ -1583,7 +1603,8 @@ class TestRunMany:
         assert len(set(fills)) == len(fills) and set(once) <= set(fills)
         assert engine.batched_passes == 1 and engine.batched_pairs == 3  # the repeated pair runs once
         assert got[0] == got[2] == single.run_metrics([0.1] * k, Pick.MIN_COST)
-        assert engine.beta_recomputes <= engine.compiled_pairs
+        for tables in engine._step_cache.values():  # one block-threshold row per filled pair
+            assert tables.beta is None or tables.beta_used == int(tables.filled.sum())
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_one_selection_per_pick_and_step(self, rng, monkeypatch, mixed):

@@ -1,22 +1,25 @@
-"""Pinned digests of batch-engine and per-query outcomes.
+"""Pinned digests of batch-engine, per-query and sweep outcomes.
 
 Every field of every ``RunResult`` (with its dtype) and every ``run_metrics``
 pair over a fixed matrix of engines and prices is hashed into one sha256,
-and so is every field of the ``DecisionTrace``s of the per-query paths.
-Changes meant to keep behaviour must keep them; a change that moves a
-decision on purpose updates ``GOLDEN``, ``BATCH_GOLDEN``,
-``PER_QUERY_GOLDEN`` or ``ESTIMATED_SIGMA_GOLDEN`` and says why in
-CHANGES.md.
+and so is every field of the ``DecisionTrace``s of the per-query paths, and
+the fingerprint of two small sweeps of every strategy. Changes meant to keep
+behaviour must keep them; a change that moves a decision on purpose updates
+``GOLDEN``, ``BATCH_GOLDEN``, ``PER_QUERY_GOLDEN``,
+``ESTIMATED_SIGMA_GOLDEN`` or ``SWEEP_GOLDEN`` and says why in CHANGES.md.
 """
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from modelselect._engine import BatchCascadeEngine, Variant
 from modelselect._fitting import LAMBDA_CAP
 from modelselect.cascade_routing import run_cascade_route
 from modelselect.cascading import run_cascade
 from modelselect.core import EstimateTable, Pick, StrategyParams
+from modelselect.harness import BenchmarkConfig, run_sweep
 from modelselect.montecarlo import MonteCarloConfig
 
 GOLDEN = "1cf9fc35ae46991262f411eb467f1c0b89050a4dbb67be26d619d87342bfece2"
@@ -31,6 +34,14 @@ PER_QUERY_GOLDEN = "e56b504ca516bafef7fcbec14e25d5af30fac476b2a25fca66e69b266d2a
 # Lattice and chain engines with sigma shaped like an estimate's, where the
 # models a row has computed hold no uncertainty.
 ESTIMATED_SIGMA_GOLDEN = "b4182e163fe781ca527375e20010b5cbff0bc8cc8c18559191cc8a78c49a27df"
+
+# ``SweepReport.fingerprint()`` of a low-noise sweep of every strategy, 4
+# budgets, 20 search evaluations and 128 Monte Carlo samples, per (queries,
+# models) of its synthetic workload.
+SWEEP_GOLDEN = {
+    (300, 5): "79dbc40acc6e748f0b9a212fb6fadff1d7746e7931079c04593538817f938494",
+    (200, 8): "4f555a560fd7f1f41e6ac6a1b6779be27107d145a35e831fde747ddef2fe3944",
+}
 
 RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
 
@@ -203,3 +214,21 @@ def test_batch_compiled_outcomes_match_golden_digest():
 
 def test_per_query_decisions_match_golden_digest():
     assert per_query_digest() == PER_QUERY_GOLDEN
+
+
+def sweep_digest(n_queries: int, n_models: int) -> str:
+    """sha256 of ``json.dumps`` of the fingerprint of one small sweep, keys sorted."""
+    config = BenchmarkConfig(
+        data={"workload": {"n_queries": n_queries, "n_models": n_models, "seed": 7}},
+        budget_points=4,
+        search={"max_evals": 20},
+        mc_samples=128,
+    )
+    report = run_sweep(config)
+    assert all(result.error is None for result in report.strategies.values())
+    return hashlib.sha256(json.dumps(report.fingerprint(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", list(SWEEP_GOLDEN))
+def test_sweep_fingerprint_matches_golden_digest(shape):
+    assert sweep_digest(*shape) == SWEEP_GOLDEN[shape]

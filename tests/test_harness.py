@@ -57,7 +57,29 @@ BAD_ENTRIES = [
     {"search": {"max_evals": 2.5}},
     {"search": {"gamma_scale": float("nan")}},
     {"search": [["max_evals", 3]]},
+    {"seed": -1},
 ] + WRONG_TYPES
+
+LOW_NOISE = {"quality_sigma_before": 0.6, "quality_sigma_after": 0.3, "cost_sigma_before": 2e-4, "cost_sigma_after": 5e-5}
+
+# Noise and workload entries that would otherwise fail at set-up with a
+# traceback, or later as another field; each with the field its message names.
+BAD_SPEC_ENTRIES = [
+    ({"noise": {**LOW_NOISE, "quality_sigma_before": "0.6"}}, "quality_sigma_before"),
+    ({"noise": {**LOW_NOISE, "quality_sigma_before": float("nan")}}, "quality_sigma_before"),
+    ({"noise": {**LOW_NOISE, "cost_sigma_after": True}}, "cost_sigma_after"),
+    ({"noise": {**LOW_NOISE, "quality_sigma_befor": 0.6}}, "quality_sigma_befor"),
+    ({"noise": {**LOW_NOISE, "bogus": 1}}, "bogus"),
+    ({"noise": {"quality_sigma_before": 0.6}}, "quality_sigma_after"),
+    ({"data": {"workload": {"n_queries": "60", "n_models": 3, "seed": 4}}}, "n_queries"),
+    ({"data": {"workload": {"n_queries": 60, "n_models": 3, "seed": -4}}}, "seed"),
+    ({"data": {"workload": {"n_queries": 60, "n_models": 3, "bogus": 1}}}, "bogus"),
+    ({"data": {"workload": {"n_queries": 60, "n_models": 3, "cost_spread": float("inf")}}}, "cost_spread"),
+    ({"data": {"workload": {"n_queries": 60, "n_models": 3, "binary_quality": 1}}}, "binary_quality"),
+    ({"data": {"workload": {"n_queries": 60, "n_models": 3, "base_costs": [1.0, "2", 3.0]}}}, "base_costs"),
+    ({"data": {"workload": "tall"}}, "data.workload"),
+]
+BAD_ENTRIES += [entry for entry, _ in BAD_SPEC_ENTRIES]
 
 # Every SearchConfig field a config may set; the seed is derived per sweep point.
 VALID_SEARCH = {"max_evals": 3, "lambda_log_scale": 0.5, "gamma_scale": 0.1, "threshold_scale": 0.2}
@@ -381,6 +403,11 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"^{next(iter(entry))} must be"):
             BenchmarkConfig.from_dict({"data": {}, **entry})
 
+    @pytest.mark.parametrize("entry, name", BAD_SPEC_ENTRIES, ids=repr)
+    def test_bad_noise_or_workload_entry_names_its_field(self, entry, name):
+        with pytest.raises(ValueError, match=name):
+            BenchmarkConfig.from_dict({"data": {}, **entry})
+
     def test_valid_variant_and_search_entries_accepted(self):
         for name, variant in (("default", Variant.DEFAULT), ("slow", Variant.SLOW), ("greedy", Variant.GREEDY),
                               ("no-expect", Variant.NO_EXPECT), ("no_expect", Variant.NO_EXPECT)):
@@ -420,6 +447,17 @@ class TestCli:
     def test_bad_variant_or_search_entry_exits_two(self, tmp_path, entry):
         cfg = write(tmp_path, "c.json", json.dumps({"data": SMALL_WORKLOAD, "budget_points": 2, **entry}))
         assert cli_main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--budget-points", "1"], "budget_points"),
+        (["--budget-points", "0"], "budget_points"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_bad_override_exits_two(self, tmp_path, capsys, flags, name):
+        # an override is checked as the config file's own entry would be
+        cfg = write(tmp_path, "c.json", json.dumps({"data": SMALL_WORKLOAD, "budget_points": 2}))
+        assert cli_main(["sweep", "--config", str(cfg), "--strategy", "linear-interp", *flags]) == 2
+        assert f"error: {name} must be" in capsys.readouterr().err
 
     def test_hyphenated_variant_and_every_search_key_sweep(self, tmp_path):
         cfg = write(tmp_path, "c.json", json.dumps({
