@@ -8,12 +8,20 @@ validation split and report realized (true) cost and quality on the test
 split. Curves are summarized by trapezoidal AUC normalized to the cost
 range. Estimates drive decisions only; realized metrics always come from
 ground truth.
+
+``run_sweep`` runs each strategy in two stages. The fit stage finds the
+floor and fits every budget point on the validation split. The test stage
+evaluates every fitted point on the test split and times decisions, with a
+fresh runner, once the fitting runner and its validation engine are freed.
+So a sweep holds one split's engine at a time, and a strategy that fails
+while fitting reports its error with no points.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -184,6 +192,21 @@ def write_csv(path, table: TrueTable, model_names: Optional[Sequence[str]] = Non
 # -- splits, grid, metrics -------------------------------------------------------
 
 
+def _split_fractions(fractions) -> tuple[float, float, float]:
+    """``fractions`` as three floats, or a ``ValueError`` naming ``splits``.
+
+    They must be three positive numbers summing to at most 1.
+    """
+    values = tuple(fractions) if isinstance(fractions, (list, tuple, np.ndarray)) else ()
+    if (
+        len(values) != 3
+        or not all(isinstance(f, numbers.Real) and not isinstance(f, bool) and f > 0 for f in values)
+        or sum(values) > 1.0 + 1e-9
+    ):
+        raise ValueError(f"splits must be three positive fractions summing to at most 1, got {fractions!r}")
+    return tuple(float(f) for f in values)
+
+
 def split_dataset(table, fractions: Sequence[float], seed: int):
     """Seeded shuffle then contiguous slicing into three index arrays.
 
@@ -192,11 +215,7 @@ def split_dataset(table, fractions: Sequence[float], seed: int):
     seed: estimator-train, hyperparameter-validation, test.
     """
     n_queries = table if isinstance(table, int) else table.n_queries
-    fracs = tuple(float(f) for f in fractions)
-    if len(fracs) != 3 or any(f <= 0 for f in fracs):
-        raise ValueError("need three positive split fractions")
-    if sum(fracs) > 1.0 + 1e-9:
-        raise ValueError("split fractions must sum to at most 1")
+    fracs = _split_fractions(fractions)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_SPLIT)))
     order = rng.permutation(n_queries)
     b1 = int(np.floor(n_queries * fracs[0]))
@@ -542,10 +561,12 @@ class BenchmarkConfig:
             raise ValueError(f"budget_points must be >= 2, got {self.budget_points}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.mc_samples < 2:
+            raise ValueError(f"mc_samples must be >= 2, got {self.mc_samples}")
         unknown = set(self.strategies) - set(STRATEGY_NAMES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
-        self.splits = tuple(float(f) for f in self.splits)
+        self.splits = _split_fractions(self.splits)
         self.strategies = tuple(self.strategies)
         try:
             self.variant_enum()
@@ -659,14 +680,15 @@ def write_report(report: SweepReport, output) -> tuple[Path, Path]:
 
 @dataclass
 class RunContext:
-    """Prepared data shared by every strategy in one sweep."""
+    """Prepared data shared by every strategy in one sweep.
+
+    It holds the validation and test splits' tables, not the full estimate
+    table or the split indices, so the full table is freed once
+    ``prepare_run`` returns.
+    """
 
     config: BenchmarkConfig
-    table: EstimateTable
     model_order: list
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-    test_idx: np.ndarray
     val_table: EstimateTable
     test_table: EstimateTable
     sigma: np.ndarray
@@ -707,16 +729,12 @@ def prepare_run(config: BenchmarkConfig, estimates: Optional[EstimateTable] = No
         else:
             parts = split_dataset(truth.n_queries, config.splits, config.seed)
         table = simulate_estimates(truth, config.noise_spec(), config.seed, fit_indices=parts[0])
-    train_idx, val_idx, test_idx = parts
+    _, val_idx, test_idx = parts
     sigma = estimate_sigma(table, val_idx)
     budgets = budget_grid(table, config.budget_points, indices=val_idx)
     return RunContext(
         config=config,
-        table=table,
         model_order=perm,
-        train_idx=train_idx,
-        val_idx=val_idx,
-        test_idx=test_idx,
         val_table=table.subset(val_idx),
         test_table=table.subset(test_idx),
         sigma=sigma,
@@ -750,19 +768,23 @@ def run_sweep(
     for name in config.strategies:
         result = StrategyResult(name=name)
         try:
+            # fit stage: the floor and every budget point on the validation split
             runner = STRATEGIES[name](ctx)
             floor = runner.floor()
-            timing_fits = {}
-            for bi, budget in enumerate(ctx.budgets):
+            fits = []
+            for bi in range(n_budgets):
                 eff, clamped = runner.grid_budget(bi, floor)
                 result.clamped_budgets += clamped
-                fitted = runner.fit(eff, bi)
+                fits.append((eff, runner.fit(eff, bi)))
+            # test stage: a fresh runner, whose engines allocate nothing until
+            # first run, so the fitting runner's validation engine is freed here
+            runner = STRATEGIES[name](ctx)
+            for budget, (eff, fitted) in zip(ctx.budgets, fits):
                 cost, quality = runner.evaluate(fitted, eff)
                 result.points.append(
                     {"budget": float(budget), "cost": cost, "quality": quality}
                 )
-                if bi in timing_budgets and fitted is not None:
-                    timing_fits[bi] = fitted
+            timing_fits = {bi: fits[bi][1] for bi in timing_budgets if fits[bi][1] is not None}
             if len(ctx.budgets) >= 2:
                 try:
                     result.auc = auc([(p["cost"], p["quality"]) for p in result.points])

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import weakref
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from modelselect._engine import Variant
 from modelselect.harness import (
     STRATEGIES,
     STRATEGY_NAMES,
+    TIMING_FIELDS,
     BenchmarkConfig,
     DataFormatError,
     SweepReport,
@@ -62,8 +65,9 @@ BAD_ENTRIES = [
 
 LOW_NOISE = {"quality_sigma_before": 0.6, "quality_sigma_after": 0.3, "cost_sigma_before": 2e-4, "cost_sigma_after": 5e-5}
 
-# Noise and workload entries that would otherwise fail at set-up with a
-# traceback, or later as another field; each with the field its message names.
+# Noise, workload, mc_samples and splits entries that would otherwise fail at
+# set-up, with a traceback or a message naming no field, or later as another
+# field; each with the field its message names.
 BAD_SPEC_ENTRIES = [
     ({"noise": {**LOW_NOISE, "quality_sigma_before": "0.6"}}, "quality_sigma_before"),
     ({"noise": {**LOW_NOISE, "quality_sigma_before": float("nan")}}, "quality_sigma_before"),
@@ -78,6 +82,9 @@ BAD_SPEC_ENTRIES = [
     ({"data": {"workload": {"n_queries": 60, "n_models": 3, "binary_quality": 1}}}, "binary_quality"),
     ({"data": {"workload": {"n_queries": 60, "n_models": 3, "base_costs": [1.0, "2", 3.0]}}}, "base_costs"),
     ({"data": {"workload": "tall"}}, "data.workload"),
+    ({"mc_samples": 1}, "mc_samples"),
+    ({"splits": ["a", 1, 1]}, "splits"),
+    ({"splits": [0.5, 0.5]}, "splits"),
 ]
 BAD_ENTRIES += [entry for entry, _ in BAD_SPEC_ENTRIES]
 
@@ -342,6 +349,55 @@ class TestRunSweep:
         assert report.strategies["cascade"].error is not None
         assert report.strategies["linear-interp"].error is None
         assert len(report.strategies["linear-interp"].points) == 4
+
+    def test_failure_while_fitting_reports_no_points(self, monkeypatch):
+        fit = harness._StrategyRunner.fit
+
+        def fit_failing_at_second_budget(self, budget, budget_index):
+            if budget_index == 1:
+                raise RuntimeError("no fit")
+            return fit(self, budget, budget_index)
+
+        monkeypatch.setattr(harness._StrategyRunner, "fit", fit_failing_at_second_budget)
+        res = run_sweep(small_config(strategies=("threshold",))).strategies["threshold"]
+        assert res.error == "RuntimeError: no fit"
+        assert res.points == [] and res.auc is None and res.mean_decision_ms is None
+
+    @pytest.mark.parametrize("strategy", ["cascade", "cascade-routing"])
+    def test_validation_engine_is_freed_before_the_test_split_runs(self, monkeypatch, strategy):
+        fit, evaluate = harness._StrategyRunner.fit, harness._EngineStrategy.evaluate
+        fitting_engines, freed_at_first_evaluate = set(), []
+
+        def spy_fit(self, budget, budget_index):
+            fitting_engines.add(weakref.ref(self.val_engine))
+            return fit(self, budget, budget_index)
+
+        def spy_evaluate(self, fitted, budget):
+            if not freed_at_first_evaluate:
+                freed_at_first_evaluate.append(all(ref() is None for ref in fitting_engines))
+            return evaluate(self, fitted, budget)
+
+        monkeypatch.setattr(harness._StrategyRunner, "fit", spy_fit)
+        monkeypatch.setattr(harness._EngineStrategy, "evaluate", spy_evaluate)
+        res = run_sweep(small_config(strategies=(strategy,))).strategies[strategy]
+        assert res.error is None and len(res.points) == 4
+        assert len(fitting_engines) == 1
+        assert freed_at_first_evaluate == [True]
+
+    def test_one_strategy_sweeps_reproduce_the_all_strategy_sweep(self):
+        def results(config):
+            out = {}
+            for name, res in run_sweep(config).strategies.items():
+                out[name] = asdict(res)
+                for fieldname in TIMING_FIELDS:
+                    out[name].pop(fieldname)
+            return out
+
+        data = {"workload": {"n_queries": 300, "n_models": 5, "seed": 7}}
+        together = results(small_config(data=data))
+        assert list(together) == list(STRATEGY_NAMES)
+        for name in STRATEGY_NAMES:
+            assert results(small_config(data=data, strategies=(name,))) == {name: together[name]}
 
     def test_infeasible_budgets_clamped_and_recorded(self, rng):
         # inflated cost estimates push the routing feasibility floor above
