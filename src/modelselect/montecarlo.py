@@ -186,20 +186,24 @@ def half_normals(config: MonteCarloConfig, query_ids, n_models: int) -> np.ndarr
     return out
 
 
-def antithetic_samples(means: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+def antithetic_samples(means: np.ndarray, scaled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``(..., k, 2 * half)`` samples: ``means + scaled``, then ``means - scaled``.
 
     ``scaled`` is ``(..., k, half)``, the first antithetic half of the draws
     times each model's std, with each model's samples along the last axis,
     and ``means`` is ``(..., k)``. Equal to the full antithetic draws scaled
     as ``z * stds + means`` to the last bit, because IEEE negation is exact:
-    ``(-z) * s == -(z * s)`` and ``m + -(x) == m - x``.
+    ``(-z) * s == -(z * s)`` and ``m + -(x) == m - x``. The samples are
+    written into ``out`` when given, a ``(..., k, 2 * half)`` array the
+    caller reuses, and into a new array otherwise. The second half is
+    written first, so ``scaled`` may be the first half of ``out``.
     """
     half = scaled.shape[-1]
     mu = means[..., None]
-    out = np.empty(scaled.shape[:-1] + (2 * half,))
-    np.add(mu, scaled, out=out[..., :half])
+    if out is None:
+        out = np.empty(scaled.shape[:-1] + (2 * half,))
     np.subtract(mu, scaled, out=out[..., half:])
+    np.add(mu, scaled, out=out[..., :half])
     return out
 
 

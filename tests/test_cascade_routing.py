@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelselect import _engine, cascade_routing, cascading, search
-from modelselect._engine import BatchCascadeEngine, RunResult, Variant, _block_threshold
+from modelselect._engine import BatchCascadeEngine, RunResult, Variant, _block_threshold, _cheapest_added
 from modelselect.cascade_routing import (
     CandidateSet,
     enumerate_candidates,
@@ -416,6 +416,22 @@ class TestRunCascadeRoute:
                             want = min(want, dq / c if c > 0 else (-np.inf if dq < 0 else np.inf))
                     assert beta[row, cand] == want
 
+    def test_cheapest_added_matches_brute_force(self, rng):
+        # coarse open costs tie often; a tie goes to the lowest model id
+        k, f, n = 7, 4, 60
+        free = np.sort(np.array([rng.choice(k, f, replace=False) for _ in range(n)]), axis=1).astype(np.int8)
+        cost = rng.integers(0, 3, (n, f)) / 2
+        got = _cheapest_added(cost, free)
+        assert got.shape == (n, 1 << f) and got.dtype == np.int8
+        assert (got[:, 0] == -1).all()
+        ties = 0
+        for row in range(n):
+            for col in range(1, 1 << f):
+                added = [(cost[row, j], int(free[row, j])) for j in range(f) if col >> j & 1]
+                ties += sum(c == min(added)[0] for c, _ in added) > 1
+                assert got[row, col] == min(added)[1]
+        assert ties > n  # the ties this test is about do occur
+
     def test_warm_lattice_run_selects_once_per_step(self, rng, monkeypatch):
         k = 6
         t = random_table(rng, n=60, k=k, step_varying=True)
@@ -774,7 +790,85 @@ class TestEngineMatchesScalarExactly:
                 with mock.patch.object(_engine, "antithetic_samples", wraps=_engine.antithetic_samples) as spy:
                     engine._lattice_quality(step, masks, rows)
                 drawn = {call.args[1].shape[:2] for call in spy.call_args_list}
-                assert drawn == {(rows.size, k - step if shaped else k)}, (shaped, step)
+                assert drawn == {(k - step if shaped else k, rows.size)}, (shaped, step)
+
+    @pytest.mark.parametrize("chain_only", [False, True])
+    def test_fill_across_row_chunks(self, rng, chain_only):
+        # 4096 samples make 8-row chunks, so each sampled group of 19 rows
+        # spans chunks of 8, 8 and 3 rows. At step 2 of k = 4, model 0 keeps
+        # a std as a member and models 0 and 1 none as free models: a
+        # lattice fill then holds rows with a varying member (prefixes with
+        # model 0), constant members ({1, 2}, {1, 3}) and no sampling at all
+        # ({2, 3}) in one call. A chain fill's rows share the prefix {0, 1},
+        # so one group per call: varying, constant, then unsampled members.
+        k, step, group_rows = 4, 2, 19
+        mc = MonteCarloConfig(n_samples=4096, seed=67)
+        chunk = _engine._CHUNK_CELLS // (2 * mc.half)
+        assert chunk == 8 and group_rows % chunk and group_rows > 2 * chunk
+        sigma = uncertainty(rng, k, shaped=True)
+        sigma[0, 2] = 0.2
+        sigma[0, 0] = sigma[1, 1] = 0.0
+        if chain_only:
+            sigmas = [uncertainty(rng, k, shaped=False), uncertainty(rng, k, shaped=True), np.zeros((k, k + 1))]
+            held = [[(0, 1)] * group_rows] * 3
+            blocks = [[k] * 3, [k - step] * 3, []]
+        else:
+            sigmas = [sigma]
+            blocks = [[k] * 3 + [k - step] * 3]
+            varying, constant = [(0, 1), (0, 2), (0, 3)], [(1, 2), (1, 3)]
+            held = [[varying[q % 3] for q in range(group_rows)] + [constant[q % 2] for q in range(group_rows)]
+                    + [(2, 3)] * 5]
+            rng.shuffle(held[0])
+        for sig, held_rows, models in zip(sigmas, held, blocks):
+            t = random_table(rng, n=len(held_rows), k=k, step_varying=True)
+            rows = np.arange(t.n_queries)
+            masks = np.array([sum(1 << m for m in p) for p in held_rows], dtype=np.int64)
+            engine = BatchCascadeEngine(t, sig, mc, chain_only=chain_only)
+            with mock.patch.object(_engine, "antithetic_samples", wraps=_engine.antithetic_samples) as spy:
+                got = engine._lattice_quality(step, masks, rows)
+            # each sampled group, k models drawn or only the f free ones, fills chunks of 8, 8 and 3 rows
+            sampled = sorted(call.args[1].shape[:2] for call in spy.call_args_list)
+            assert sampled == sorted(zip(models, [chunk, chunk, group_rows % chunk] * 2))
+            exact_rows = 0
+            for q, members_q in enumerate(held_rows):
+                est = StepEstimates.from_table(t, q, step, sig, list(members_q))
+                ev = scalar_evaluator(t, q, step, sig, list(members_q), mc)
+                free = [m for m in range(k) if m not in members_q]
+                exact = not est.quality_std.any()
+                exact_rows += exact
+                subs = range(1 << len(free)) if not chain_only else [(1 << j) - 1 for j in range(len(free) + 1)]
+                for col, sub in enumerate(subs):
+                    cand = list(members_q) + [m for j, m in enumerate(free) if sub >> j & 1]
+                    want = est.quality_mean[cand].max() if exact else ev.expected_max(cand)
+                    assert got[q, col if chain_only else sub] == want, (q, members_q, sub)
+            assert exact_rows == t.n_queries - group_rows * len(models) // 3
+
+    def test_fill_workspace_is_one_chunk_whatever_n(self, rng):
+        # every sample block the fill builds goes into one workspace per
+        # group, at most (models drawn, _CHUNK_CELLS // S, S), for any row count
+        k = 5
+        mc = MonteCarloConfig(n_samples=512, seed=71)
+        n_samples = 2 * mc.half
+        chunk = _engine._CHUNK_CELLS // n_samples
+        for n in (3 * chunk + 5, 7 * chunk + 1):
+            t = random_table(rng, n=n, k=k, step_varying=True)
+            rows = np.arange(n)
+            for shaped in (True, False):
+                engine = BatchCascadeEngine(t, uncertainty(rng, k, shaped), mc)
+                for step in range(k):
+                    prefixes = engine._layout(step).prefixes
+                    with mock.patch.object(_engine, "antithetic_samples", wraps=_engine.antithetic_samples) as spy:
+                        engine._lattice_quality(step, prefixes[rows % prefixes.size], rows)
+                    outs = [call.kwargs["out"] for call in spy.call_args_list]
+                    assert sum(out.shape[1] for out in outs) == n  # every row sampled once
+                    models = k - step if shaped and step else k
+                    workspaces = {id(out.base): out.base for out in outs}
+                    assert len(workspaces) == 1  # one group: every row has the same kind of members
+                    for ws in workspaces.values():
+                        assert ws.shape == (models, chunk, n_samples)
+                        assert ws.nbytes == models * _engine._CHUNK_CELLS * 8
+                    for out in outs:
+                        assert out.shape[0] == models and out.shape[1] <= chunk and out.shape[2] == n_samples
 
 
 class TestEngineStepCache:

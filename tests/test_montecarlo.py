@@ -19,6 +19,7 @@ from modelselect.montecarlo import (
     MonteCarloConfig,
     _seed_words,
     antithetic_normals,
+    antithetic_samples,
     expected_max,
     half_normals,
     mixing_uniform,
@@ -37,6 +38,21 @@ class TestDraws:
         z = antithetic_normals(cfg, (3,), 4)
         assert z.shape == (64, 4)
         np.testing.assert_array_equal(z[32:], -z[:32])
+
+    def test_antithetic_samples_equal_scaled_draws_in_any_buffer(self, rng):
+        # a new array, a reused one, and one whose first half holds ``scaled``
+        cfg = MonteCarloConfig(n_samples=16, seed=5)
+        means, stds = rng.uniform(-1, 1, (3, 4)), rng.uniform(0, 0.5, (3, 4))
+        z = np.stack([antithetic_normals(cfg, (q,), 4).T for q in range(3)])  # (3, 4, 16)
+        want = z * stds[..., None] + means[..., None]
+        scaled = z[..., : cfg.half] * stds[..., None]
+        out = np.full(want.shape, np.nan)
+        aliased = np.full(want.shape, np.nan)
+        aliased[..., : cfg.half] = scaled
+        for got in (antithetic_samples(means, scaled), antithetic_samples(means, scaled, out=out),
+                    antithetic_samples(means, aliased[..., : cfg.half], out=aliased)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(out, want) and np.array_equal(aliased, want)
 
     def test_query_streams_deterministic_and_distinct(self):
         cfg = MonteCarloConfig(seed=9)
