@@ -163,6 +163,10 @@ deterministic, so ``run_many`` memoizes every pair's means, keyed by its
 prices as floats and its pick; it checks the prices of only the distinct
 pairs it has not stored and runs each of them once, so a bisection price
 asked again, or a search proposal repeated within a batch, is run once.
+The pairs it runs go to the engine's one runner (``_run``), which takes
+the same ``(P, k)`` prices and P picks for either engine kind: the step
+loop of ``_run_lattice`` for cascade routing and the threshold pass of
+``_run_chain`` for a chain. ``run`` is a pass of one pair.
 
 Delta runs. Fitting runs the whole table again and again at nearby prices:
 bisection steps, search proposals, the second pick of a pair. So a
@@ -188,19 +192,20 @@ floor's run and a search pass that holds one new pair are one-pair passes.
 Batched runs. Each step of a run costs a fixed number of numpy calls, so
 a warm run on the 1000-query bench sweeps took about 0.45 ms whether it
 re-decided 1 row or 10. The local search's proposals are therefore run
-several at a time. The step loop's rows are (pair, query) rows, row
-``p * n + q``, each with its own price per step and pick. The rows to
-re-decide come from one ``(P, n)`` comparison against the reference; each
-step then makes one cell lookup and one full selection over the re-decided
-rows of every pair, with one ``argmax_tradeoff_rows`` call per pick present,
-and a (prefix, row) pair that several pairs reach for the first time is
-filled once, in first-occurrence order. Outcomes go into ``(P, n)`` copies
-of the reference arrays, and each pair's means are taken over its own
-contiguous ``(n,)`` row, so they are a one-pair pass's to the last bit. A
-single ``run`` is the same step loop with one pair. The counters
+several at a time, by either runner. The step loop's rows are (pair,
+query) rows, row ``p * n + q``, each with its own price per step and pick.
+The rows to re-decide come from one ``(P, n)`` comparison against the
+reference; each step then makes one cell lookup and one full selection
+over the re-decided rows of every pair, with one ``argmax_tradeoff_rows``
+call per pick present (``_argmax_by_pick``), and a (prefix, row) pair that
+several pairs reach for the first time is filled once, in
+first-occurrence order. Outcomes go into ``(P, n)`` copies of the
+reference arrays, and each pair's means are taken over its own contiguous
+``(n,)`` row, so they are a one-pair pass's to the last bit. A single
+``run`` is the same step loop with one pair. The counters
 ``batched_passes`` and ``batched_pairs`` count the passes of more than one
-pair and the pairs they held, so one-pair passes, such as the bisection's,
-are not counted.
+pair, of either engine kind, and the pairs they held, so one-pair passes,
+such as the bisection's, are not counted.
 
 Why a kept row is exact. Its cell at step 0 certifies that the full
 selection picks the same column at the new price under either pick, so the
@@ -250,16 +255,21 @@ so as there the tie set holds no column 0 in the first case and only
 column 0 in the second, and both picks agree with the full selection. The
 comparisons are strict and in float64; an unfilled pair certifies nothing.
 
-A run compares the price vector with the ``(k + 1, n)`` ``cont_hi`` table
-in one pass, whose step 0 always continues and whose step k always stops,
-and takes each row's first step that is not a certified continue. A row
-that certainly stops there is done. The others take the full selection at
-that step (one ``argmax_tradeoff_rows`` call over the same ``(tau, cost,
-valid)`` arrays as the step loop), the lowest such step first, filling the
-pairs reached for the first time, so each step is filled at most once per
-run; those that continue move on to their next such step. Counters:
-``threshold_row_steps`` and ``exact_selections`` count the row-steps
-decided each way (a row decides at steps 1..s, except at step k).
+A pass's rows are (pair, query) rows, row ``p * n + q``, as in the step
+loop. It compares every pair's prices with the ``(k + 1, n)`` ``cont_hi``
+table in one ``(k + 1, P, n)`` comparison, whose step 0 always continues
+and whose step k always stops, and takes each row's first step that is not
+a certified continue. A row that certainly stops there is done. The others
+take the full selection at that step, the lowest such step first: one
+``_chain_continues`` call per step over the rows of every pair at that
+step, each with its pair's price and pick, over the same ``(tau, cost,
+valid)`` arrays as the step loop (one ``argmax_tradeoff_rows`` call per
+pick present). It fills the (step, row) pairs reached for the first time,
+each once however many pairs reach it, so each step is filled at most once
+per pass; the rows that continue move on to their next such step. A row's outcome depends only on its step, its table row and its
+pair's prices, so every pair's outcome is its one-pair pass's, bit for bit.
+Counters: ``threshold_row_steps`` and ``exact_selections`` count the
+row-steps decided each way (a row decides at steps 1..s, except at step k).
 
 Memory: per (step, row) over steps 0..k, three float64 thresholds and a
 fill flag, plus the ``(k + 1, n)`` running costs, and per filled step t an
@@ -558,6 +568,30 @@ def _column(lam):
     return lam[:, None] if isinstance(lam, np.ndarray) else lam
 
 
+def _pair_picks(picks: Sequence[Pick]):
+    """The Pick every pair of a pass shares; for mixed picks, a per-pair bool, true for ``Pick.MIN_COST``."""
+    return picks[0] if len(set(picks)) == 1 else np.array([each is Pick.MIN_COST for each in picks])
+
+
+def _argmax_by_pick(scores, pick, size: int) -> np.ndarray:
+    """``argmax_tradeoff_rows`` of each of ``size`` rows under its pick: one call per pick present.
+
+    ``pick`` is the Pick of every row or, in a pass that mixes picks, a
+    per-row bool array, true for ``Pick.MIN_COST``. ``scores(sel)`` gives
+    the ``(tau, cost, valid)`` of rows ``sel``, a slice of every row or an
+    index array, so a mixed pass builds each pick's scores for its own rows
+    only. Rows are independent, so splitting them by pick changes no row's
+    column.
+    """
+    if isinstance(pick, Pick):
+        return argmax_tradeoff_rows(*scores(slice(None)), pick)
+    choice = np.empty(size, dtype=np.intp)
+    for each, part in ((Pick.MIN_COST, pick), (Pick.MAX_COST, ~pick)):
+        sel = np.flatnonzero(part)
+        choice[sel] = argmax_tradeoff_rows(*scores(sel), each)
+    return choice
+
+
 def _compiles(rows: int, columns: int) -> bool:
     """Whether ``rows`` filled pairs without cells at a step of ``columns`` columns are compiled together.
 
@@ -795,8 +829,8 @@ class BatchCascadeEngine:
         self.fallback_rows = 0
         self.kept_rows = 0
         self.kept_row_steps = 0
-        # ``run_many`` passes of cascade routing holding more than one
-        # (prices, pick) pair, and the pairs they held
+        # ``run_many`` passes holding more than one (prices, pick) pair, and
+        # the pairs they held
         self.batched_passes = 0
         self.batched_pairs = 0
         # chain: row-steps decided by a certified threshold, and by the full selection
@@ -1038,7 +1072,7 @@ class BatchCascadeEngine:
         """The layout column each row picks at step t, and the cell it came from; column 0 stops.
 
         ``lam`` is a float64 price shared by every row or each row's price,
-        ``pick`` likewise one Pick or a per-row bool (``_full_selection``),
+        ``pick`` likewise one Pick or a per-row bool (``_argmax_by_pick``),
         and ``sunk`` each row's sunk cost. A row whose (prefix, row) pair
         holds a price cell containing its price takes the cell's column.
         Every other row goes through the full selection, one
@@ -1075,19 +1109,10 @@ class BatchCascadeEngine:
         return choice, (cell_lo, cell_hi)
 
     def _full_selection(self, t, lam, pick, tables, ranks, rows, sunk):
-        """The full selection's column for each row: one ``argmax_tradeoff_rows`` call per pick present.
-
-        ``pick`` is the Pick of every row or, in a batch that mixes picks, a
-        per-row bool array, true for ``Pick.MIN_COST``.
-        """
-        if isinstance(pick, Pick):
-            return argmax_tradeoff_rows(*self._full_scores(t, lam, tables, ranks, rows, sunk), pick)
-        choice = np.empty(rows.size, dtype=np.intp)
-        for each, part in ((Pick.MIN_COST, pick), (Pick.MAX_COST, ~pick)):
-            sel = np.flatnonzero(part)
-            scores = self._full_scores(t, _rows(lam, sel), tables, ranks[sel], rows[sel], sunk[sel])
-            choice[sel] = argmax_tradeoff_rows(*scores, each)
-        return choice
+        """The full selection's column for each row under its pick (``_argmax_by_pick``)."""
+        return _argmax_by_pick(
+            lambda sel: self._full_scores(t, _rows(lam, sel), tables, ranks[sel], rows[sel], sunk[sel]), pick, rows.size
+        )
 
     def _full_scores(self, t, lam, tables, ranks, rows, sunk):
         """(tau, cost, valid) of the full selection over every column, for ``argmax_tradeoff_rows``.
@@ -1130,12 +1155,20 @@ class BatchCascadeEngine:
         return self._chain_tables
 
     def _chain_quality(self, t: int, rows: np.ndarray) -> np.ndarray:
-        """(rows, f + 1) chain quality at step t >= 1, filling the rows' pairs and thresholds first."""
+        """(rows, f + 1) chain quality at step t >= 1, filling the rows' pairs and thresholds first.
+
+        ``rows`` may repeat a table row, as the (pair, query) rows of a pass
+        do; each unfilled one is filled once, in ascending order. A flag per
+        table row finds them: in numpy 2.4 ``np.unique`` imports ``numpy.ma``
+        on its first call, 1.6 MB of peak RSS.
+        """
         chain = self._chain()
         quality = chain.quality.get(t)
         if quality is None:
             quality = chain.quality[t] = np.empty((self.table.n_queries, self.table.n_models - t + 1))
-        fill = rows[~chain.filled[t, rows]]
+        reached = np.zeros(self.table.n_queries, dtype=bool)
+        reached[rows] = True
+        fill = np.flatnonzero(reached & ~chain.filled[t])
         if fill.size:
             fresh = self._lattice_quality(t, np.full(fill.size, (1 << t) - 1, dtype=np.int64), fill)
             quality[fill] = fresh
@@ -1150,33 +1183,46 @@ class BatchCascadeEngine:
         layout = self._layout(t)
         return self._cost_open(t)[rows[:, None], layout.free[0]] @ layout.bits.T
 
-    def _chain_continues(self, t: int, lam: np.float64, pick: Pick, rows: np.ndarray) -> np.ndarray:
-        """Whether each row's full selection at chain step t >= 1 runs model t: one ``argmax_tradeoff_rows`` call."""
+    def _chain_continues(self, t: int, lam: np.ndarray, pick, rows: np.ndarray) -> np.ndarray:
+        """Whether each row's full selection at chain step t >= 1 runs model t.
+
+        ``rows`` are table rows, ``lam`` each row's price and ``pick`` one
+        Pick or each row's (``_argmax_by_pick``).
+        """
         quality = self._chain_quality(t, rows)
         cost = self._chain().cost[t, rows][:, None] + self._added_cost(t, rows)
-        tau = quality - lam * cost
-        return argmax_tradeoff_rows(tau, cost, np.broadcast_to(True, tau.shape), pick) != 0
+        tau = quality - _column(lam) * cost
+        valid = np.broadcast_to(True, tau.shape)
+        return _argmax_by_pick(lambda sel: (tau[sel], cost[sel], valid[sel]), pick, rows.size) != 0
 
     def _first_open_step(self, cont, prices, rows, start):
-        """Per row, its first step from ``start`` on that is no certified continue, and whether it is a certified stop."""
+        """Per (pair, query) row, its first step from ``start`` on that is no certified continue, and whether it is a certified stop."""
         chain = self._chain()
+        pair, query = np.divmod(rows, self.table.n_queries)
         step = cont[start:, rows].argmin(axis=0) + start
-        lam = prices[step, 0]
-        return step, (chain.stop_lo[step, rows] < lam) & (lam < chain.stop_hi[step, rows])
+        lam = prices[step, pair]
+        return step, (chain.stop_lo[step, query] < lam) & (lam < chain.stop_hi[step, query])
 
-    def _run_chain(self, lams: np.ndarray, pick: Pick) -> RunResult:
-        """Run every query through the cascade in one pass over the certified thresholds.
+    def _run_chain(self, lams: np.ndarray, picks: Sequence[Pick]) -> RunResult:
+        """Run every query of every (prices, pick) pair through the cascade in one pass over the certified thresholds.
 
-        Each row's stop step is its first step that is not a certified
-        continue, when that step is a certified stop. The other rows take the
-        full selection at that step, lowest step first, and move on to their
-        next such step if they continue (module docstring, "Cascading runs").
+        Row p of ``lams`` holds pair p's per-step prices and ``picks[p]``
+        its pick; rows are (pair, query) rows, row ``p * n + q``, as in
+        ``_run_lattice``. One comparison of every pair's prices with
+        ``cont_hi`` finds each row's first step that is not a certified
+        continue, and a row stops there when that step is a certified stop.
+        The other rows take the full selection at that step, lowest step
+        first, in one ``_chain_continues`` call per step over every pair,
+        and move on to their next such step if they continue (module
+        docstring, "Cascading runs").
         """
         chain = self._chain()
         n, k = self.table.n_queries, self.table.n_models
-        prices = np.append(lams, 0.0)[:, None]  # step k stops at any price
-        cont = prices < chain.cont_hi
-        rows = np.arange(n)
+        size = lams.shape[0] * n
+        prices = np.append(lams, np.zeros((lams.shape[0], 1)), axis=1).T  # (k + 1, P); step k stops at any price
+        cont = (prices[:, :, None] < chain.cont_hi[:, None]).reshape(k + 1, size)
+        pick = _pair_picks(picks)
+        rows = np.arange(size)
         stop_step, certain = self._first_open_step(cont, prices, rows, 1)
         pending = np.flatnonzero(~certain)
         steps = stop_step[pending]
@@ -1186,7 +1232,8 @@ class BatchCascadeEngine:
             here = steps == t
             at = pending[here]
             exact += at.size
-            moved = at[self._chain_continues(t, lams[t], pick, at)]
+            pair, query = np.divmod(at, n)
+            moved = at[self._chain_continues(t, prices[t, pair], _rows(pick, pair), query)]
             step, certain = self._first_open_step(cont, prices, moved, t + 1)
             stop_step[moved] = step
             pending = np.concatenate([pending[~here], moved[~certain]])
@@ -1199,7 +1246,7 @@ class BatchCascadeEngine:
             answer=stop_step - 1,
             exec_order=np.where(order < stop_step[:, None], order, -1),
             n_executed=stop_step,
-            realized_cost=chain.cost[stop_step, rows],
+            realized_cost=chain.cost[stop_step, rows % n],
         )
 
     # -- full run ---------------------------------------------------------------
@@ -1207,16 +1254,17 @@ class BatchCascadeEngine:
     def run(self, lambdas: Sequence[float], pick: Pick) -> RunResult:
         """Run every query through the strategy at per-step prices ``lambdas``.
 
-        Cascade routing takes the step loop of ``_run_lattice`` with one
-        pair, which keeps its outcome as the reference of later runs when
-        step 0 has cells (module docstring, "Delta runs"). A chain engine
-        takes one pass over its thresholds instead (``_run_chain``).
+        A pass of one pair through the engine's runner: cascade routing's
+        step loop (``_run_lattice``), which keeps its outcome as the
+        reference of later runs when step 0 has cells (module docstring,
+        "Delta runs"), or a chain's threshold pass (``_run_chain``).
         """
         check_decision_inputs(self.table.n_models, lambdas=lambdas)
-        lams = np.asarray(lambdas, dtype=np.float64)
-        if self.chain_only:
-            return self._run_chain(lams, pick)
-        return self._run_lattice(lams[None], [pick])
+        return self._run(np.asarray(lambdas, dtype=np.float64)[None], [pick])
+
+    def _run(self, lams: np.ndarray, picks: Sequence[Pick]) -> RunResult:
+        """The engine's one runner of ``(P, k)`` prices and P picks: a chain's threshold pass or the step loop."""
+        return self._run_chain(lams, picks) if self.chain_only else self._run_lattice(lams, picks)
 
     def _run_lattice(self, lams: np.ndarray, picks: Sequence[Pick]) -> RunResult:
         """Run every query of every (prices, pick) pair through cascade routing in one step loop.
@@ -1266,10 +1314,7 @@ class BatchCascadeEngine:
         # each row's query, and its pair; None when there is one pair
         query, prop = (act, None) if single else (act % n, act // n)
         ranks = np.zeros(act.size, dtype=np.int64)
-        if len(set(picks)) == 1:
-            pick = picks[0]
-        else:  # per row, true for MIN_COST (``_full_selection``)
-            pick = np.array([each is Pick.MIN_COST for each in picks])[prop]
+        pick = _rows(_pair_picks(picks), prop)
 
         for t in range(k):
             if act.size == 0:
@@ -1321,11 +1366,10 @@ class BatchCascadeEngine:
         memoized, keyed by the prices as floats and the pick. The keys are
         built before any array is, so a stored pair costs a lookup; only the
         distinct pairs not stored yet have their prices checked and are run,
-        each once: cascade routing in one step loop over
-        their (pair, query) rows (``_run_lattice``; module docstring,
-        "Batched runs"), a chain engine in one threshold pass per pair. Each
-        pair's means are taken over its own contiguous ``(n,)`` row, and no
-        ``RunResult`` is kept.
+        each once, in one pass of the engine's runner over their (pair,
+        query) rows (``_run``; module docstring, "Batched runs" and
+        "Cascading runs"). Each pair's means are taken over its own
+        contiguous ``(n,)`` row, and no ``RunResult`` is kept.
         """
         n, k = self.table.n_queries, self.table.n_models
         if self.table.true_quality is None:
@@ -1339,16 +1383,11 @@ class BatchCascadeEngine:
             todo = list(dict.fromkeys(key for key, stored in zip(keys, metrics) if stored is None))
             for prices, _ in todo:
                 check_decision_inputs(k, lambdas=prices)
-            rows = np.array([prices for prices, _ in todo])
-            if self.chain_only:
-                runs = [self._run_chain(row, pick) for row, (_, pick) in zip(rows, todo)]
-                answer, cost = [run.answer for run in runs], [run.realized_cost for run in runs]
-            else:
-                run = self._run_lattice(rows, [pick for _, pick in todo])
-                answer, cost = run.answer.reshape(-1, n), run.realized_cost.reshape(-1, n)
-                if len(todo) > 1:
-                    self.batched_passes += 1
-                    self.batched_pairs += len(todo)
+            run = self._run(np.array([prices for prices, _ in todo]), [pick for _, pick in todo])
+            answer, cost = run.answer.reshape(-1, n), run.realized_cost.reshape(-1, n)
+            if len(todo) > 1:
+                self.batched_passes += 1
+                self.batched_pairs += len(todo)
             quality = [self.table.true_quality[np.arange(n), a] for a in answer]
             for key, q, c in zip(todo, quality, cost):
                 # the sum and the division of ``np.mean``, without its per-call overhead

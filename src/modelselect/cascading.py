@@ -43,7 +43,8 @@ from .montecarlo import (
     mixing_uniform,
     query_normals,
 )
-from .search import SearchConfig, optimize, optimize_thresholds
+from . import search
+from .search import SearchConfig
 
 __all__ = [
     "FittedCascade",
@@ -252,9 +253,9 @@ def _fit_prices(
 
     An equal-price bisection on the engine's realized cost meets the budget,
     then the constrained local search refines the per-step prices and the
-    mixing weight from that point, in batches of proposals for cascade
-    routing. ``budget`` must already be checked
-    against the strategy's floor.
+    mixing weight from that point, its proposals run in batches through
+    ``engine.params_metrics_many`` for either engine kind. ``budget`` must
+    already be checked against the strategy's floor.
     """
     k = engine.table.n_models
 
@@ -263,9 +264,7 @@ def _fit_prices(
 
     lam_star, gamma, _, _, _ = fit_budget_mixture(cost_fn, budget)
     init = StrategyParams.equal(lam_star, k, gamma)
-    # cascade routing evaluates proposals in batches; a chain's run is one cheap pass
-    many = None if engine.chain_only else engine.params_metrics_many
-    return optimize(engine.params_metrics, budget, search_config or SearchConfig(), init=init, objective_many=many)
+    return search.optimize(engine.params_metrics_many, budget, search_config or SearchConfig(), init)
 
 
 # -- threshold baseline ------------------------------------------------------
@@ -298,31 +297,31 @@ def threshold_cascade(table: EstimateTable, q: int, thresholds: Sequence[float])
     return decision_trace(table, q, executed, executed[-1])
 
 
-def _threshold_batch(table: EstimateTable, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(answer, realized cost) per query of the threshold cascade on the whole table."""
-    n = table.n_queries
-    known = table.computed_cost
-    last = np.zeros(n, dtype=np.int64)
-    sunk = known[:, 0].copy()
-    active = np.ones(n, dtype=bool)
-    for t in range(1, table.n_models):
-        est = table.quality_mean[np.arange(n), t, last]
-        active &= ~(est >= thresholds[t])
-        go = np.flatnonzero(active)
-        if go.size == 0:
-            break
-        last[go] = t
-        sunk[go] += known[go, t]
-    return last, sunk
+def _threshold_batch(table: EstimateTable, thresholds: np.ndarray) -> list[tuple[float, float]]:
+    """Realized (quality, cost) of the threshold cascade at each row of the ``(P, k)`` thresholds.
+
+    A query still running at step t has run models 0..t - 1, so it stops
+    there when its estimate of model t - 1 clears ``thresholds[:, t]``: one
+    ``(P, n, k - 1)`` comparison gives every row's stop step, and its cost
+    is the running sum of the chain's costs in chain order. Each vector's
+    means are taken over its own contiguous ``(n,)`` row, so they equal a
+    one-vector batch's to the last bit.
+    """
+    if table.true_quality is None:
+        raise ValueError("realized quality needs ground truth in the table")
+    n, k = table.n_queries, table.n_models
+    rows = np.arange(n)
+    est = table.quality_mean[:, np.arange(1, k), np.arange(k - 1)]  # (n, k - 1): model t - 1 at step t
+    stops = np.concatenate([est >= thresholds[:, None, 1:], np.ones((len(thresholds), n, 1), dtype=bool)], axis=2)
+    answer = stops.argmax(axis=2)  # the first step that stops, less one
+    quality = table.true_quality[rows, answer]
+    cost = np.cumsum(table.computed_cost, axis=1)[rows, answer]
+    return [(float(q.mean()), float(c.mean())) for q, c in zip(quality, cost)]
 
 
 def threshold_metrics(table: EstimateTable, thresholds) -> tuple[float, float]:
-    """Realized (quality, cost) of a threshold cascade on the whole table."""
-    if table.true_quality is None:
-        raise ValueError("realized quality needs ground truth in the table")
-    answer, cost = _threshold_batch(table, _check_thresholds(table, thresholds))
-    quality = table.true_quality[np.arange(table.n_queries), answer]
-    return float(quality.mean()), float(cost.mean())
+    """Realized (quality, cost) of a threshold cascade on the whole table: a batch of one vector."""
+    return _threshold_batch(table, _check_thresholds(table, thresholds)[None])[0]
 
 
 def fit_threshold_cascade(
@@ -333,7 +332,8 @@ def fit_threshold_cascade(
     """Equal-threshold bisection on cost, then per-step local search.
 
     Cost rises with the threshold (higher bars mean more continuing), so the
-    bisection finds the largest shared threshold still within budget.
+    bisection finds the largest shared threshold still within budget. The
+    search hands its proposals to ``_threshold_batch`` a batch at a time.
     """
     k = table.n_models
     floor = cascade_floor_cost(table)
@@ -351,7 +351,7 @@ def fit_threshold_cascade(
         lo, _ = halve_bracket(lambda tau: cost_at(tau) <= budget, lo, hi, lambda _: 1e-9 * scale)
         init = np.full(k, lo)
 
-    def objective(thr: np.ndarray) -> tuple[float, float]:
-        return threshold_metrics(table, thr)
+    def objective(points: list[np.ndarray]) -> list[tuple[float, float]]:
+        return _threshold_batch(table, np.array(points))
 
-    return optimize_thresholds(objective, budget, init, search_config or SearchConfig())
+    return search.optimize_thresholds(objective, budget, init, search_config or SearchConfig())

@@ -15,25 +15,25 @@ incumbent: the coordinate mask, the step amplitude and the price steps are
 drawn every time, and the mixing-weight step is drawn exactly when the mask
 moves the mixing weight.
 
-The search has one evaluation loop over a batch evaluator. An objective
-that evaluates several points at once (cascade routing's
-``BatchCascadeEngine.params_metrics_many``, which runs them in one engine
-pass) takes the proposals in batches of ``PROPOSAL_BATCH``, any other in
-batches of 1: each pass applies the next batch's draws to the incumbent,
-accepts the first feasible improvement and starts the next pass at the
-proposal after it, whose draw is applied again to the new incumbent. The
-proposals after an accepted one are evaluated and discarded, so the
-accepted proposals, and the result, are those of the one-at-a-time search.
-A fit accepts few of its proposals, so little work is wasted. Cascading and
-the threshold search take one proposal at a time: a chain run is one cheap
-pass over certified thresholds. A point is feasible when its cost is at
-most ``budget * (1 + FEASIBILITY_SLACK)``, the relative tolerance that
+The search has one evaluation loop over one batch objective: every
+objective maps a list of points to their ``(quality, cost)`` pairs, and the
+search hands it ``PROPOSAL_BATCH`` proposals at a time (the engine runs them
+in one pass, ``BatchCascadeEngine.params_metrics_many``, for cascading and
+cascade routing alike; the threshold search runs them as one ``(P, k)``
+array). The start point goes through the same objective, alone. Each pass
+applies the next batch's draws to the incumbent, accepts the first feasible
+improvement and starts the next pass at the proposal after it, whose draw
+is applied again to the new incumbent. The proposals after an accepted one
+are evaluated and discarded, so the accepted proposals, and the result, are
+those of the one-at-a-time search. A fit accepts few of its proposals, so
+little work is wasted. A point is feasible when its cost is at most
+``budget * (1 + FEASIBILITY_SLACK)``, the relative tolerance that
 ``_fitting.check_budget_floor`` also allows below a floor.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,8 +45,11 @@ _STREAM_SEARCH = 0x53
 # Floor for log-space proposals so a zero price can still move.
 _LAMBDA_FLOOR = 1e-12
 
-# Proposals evaluated in one pass when the objective takes a batch.
+# Proposals evaluated in one pass of the objective.
 PROPOSAL_BATCH = 8
+
+# Every objective maps a list of points to their (quality, cost) pairs.
+Objective = Callable[[list], list[tuple[float, float]]]
 
 
 @dataclass(frozen=True)
@@ -71,23 +74,22 @@ def _reflect_unit(x: float) -> float:
 
 
 def _local_search(
-    evaluate_many: Callable[[list[np.ndarray]], list[tuple[float, float]]],
-    batch: int,
+    evaluate: Objective,
     apply: Callable[[np.ndarray, object], np.ndarray],
     draws: Sequence[object],
     x0: np.ndarray,
-    start: tuple[float, float],
     budget: float,
 ) -> tuple[np.ndarray, list[int]]:
     """The best feasible point, and the numbers of the proposals it accepted, in order.
 
-    ``start`` is the (quality, cost) of ``x0``. Proposal i is
-    ``apply(incumbent, draws[i])``. Each pass evaluates the next ``batch``
-    proposals from the incumbent together, accepts the first feasible
-    improvement and goes on from the proposal after it (module docstring);
-    a batch of 1 is the one-at-a-time search.
+    ``evaluate`` maps a list of points to their (quality, cost) pairs; the
+    start point ``x0`` is its first pass. Proposal i is
+    ``apply(incumbent, draws[i])``. Each later pass evaluates the next
+    ``PROPOSAL_BATCH`` proposals from the incumbent together, accepts the
+    first feasible improvement and goes on from the proposal after it
+    (module docstring).
     """
-    quality, cost = start
+    ((quality, cost),) = evaluate([x0])
     limit = budget * (1.0 + FEASIBILITY_SLACK)
     if cost > limit:
         raise ValueError("initial point violates budget")
@@ -95,8 +97,8 @@ def _local_search(
     accepted = []
     i = 0
     while i < len(draws):
-        cands = [apply(best_x, d) for d in draws[i : i + batch]]
-        for j, (q, c) in enumerate(evaluate_many(cands)):
+        cands = [apply(best_x, d) for d in draws[i : i + PROPOSAL_BATCH]]
+        for j, (q, c) in enumerate(evaluate(cands)):
             if c <= limit and q > best_q:
                 best_x, best_q = cands[j], q
                 accepted.append(i + j)
@@ -105,20 +107,13 @@ def _local_search(
     return best_x, accepted
 
 
-def optimize(
-    objective: Callable[[StrategyParams], tuple[float, float]],
-    budget: float,
-    config: SearchConfig,
-    init: StrategyParams,
-    objective_many: Optional[Callable[[list[StrategyParams]], list[tuple[float, float]]]] = None,
-) -> StrategyParams:
+def optimize(objective: Objective, budget: float, config: SearchConfig, init: StrategyParams) -> StrategyParams:
     """Maximize quality subject to ``cost <= budget`` near ``init``.
 
-    ``objective`` maps params to ``(quality, cost)`` on the fitting data.
-    ``objective_many``, when given, maps a list of params to their
-    ``(quality, cost)`` pairs at once and takes the proposals in batches;
-    the result is the same. Infeasible proposals still consume evaluations.
-    Raises if the initial point itself violates the budget.
+    ``objective`` maps a list of params to their ``(quality, cost)`` pairs
+    on the fitting data, and is handed up to ``PROPOSAL_BATCH`` of them at
+    once. Infeasible proposals still consume evaluations. Raises if the
+    initial point itself violates the budget.
     """
     k = len(init.lambdas)
 
@@ -127,11 +122,6 @@ def optimize(
 
     def unpack(x: np.ndarray) -> StrategyParams:
         return StrategyParams(lambdas=tuple(float(v) for v in x[:k]), gamma=float(x[k]))
-
-    many = objective_many or (lambda points: [objective(p) for p in points])
-
-    def evaluate_many(xs: list[np.ndarray]) -> list[tuple[float, float]]:
-        return many([unpack(x) for x in xs])
 
     def draw(rng: np.random.Generator):
         # Perturb a random coordinate subset with a heavy-tailed step size:
@@ -154,18 +144,16 @@ def optimize(
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SEARCH)))
     draws = [draw(rng) for _ in range(config.max_evals)]
-    batch = 1 if objective_many is None else PROPOSAL_BATCH
-    best, _ = _local_search(evaluate_many, batch, apply, draws, pack(init), objective(init), budget)
+    best, _ = _local_search(lambda xs: objective([unpack(x) for x in xs]), apply, draws, pack(init), budget)
     return unpack(best)
 
 
-def optimize_thresholds(
-    objective: Callable[[np.ndarray], tuple[float, float]],
-    budget: float,
-    init: Sequence[float],
-    config: SearchConfig,
-) -> np.ndarray:
-    """Same search, over a vector of stop thresholds perturbed additively, one proposal at a time."""
+def optimize_thresholds(objective: Objective, budget: float, init: Sequence[float], config: SearchConfig) -> np.ndarray:
+    """Same search, over a vector of stop thresholds perturbed additively.
+
+    ``objective`` maps a list of ``(k,)`` threshold arrays to their
+    ``(quality, cost)`` pairs.
+    """
     x0 = np.asarray(init, dtype=np.float64)
 
     def apply(x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -173,4 +161,4 @@ def optimize_thresholds(
 
     rng = np.random.default_rng(np.random.SeedSequence((config.seed, _STREAM_SEARCH, 1)))
     draws = [rng.standard_normal(x0.size) for _ in range(config.max_evals)]
-    return _local_search(lambda xs: [objective(x) for x in xs], 1, apply, draws, x0, objective(x0), budget)[0]
+    return _local_search(objective, apply, draws, x0, budget)[0]

@@ -1576,17 +1576,13 @@ class TestRunMany:
     def run_log(engine):
         """Record every (prices, pick) pair the engine runs from now on, in order."""
         log = []
-        run_lattice, run_chain = engine._run_lattice, engine._run_chain
+        run = engine._run  # either engine kind's one runner of (P, k) prices and P picks
 
-        def lattice(lams, picks):
+        def spy(lams, picks):
             log.extend(zip(map(tuple, lams.tolist()), picks))
-            return run_lattice(lams, picks)
+            return run(lams, picks)
 
-        def chain(lams, pick):
-            log.append((tuple(lams.tolist()), pick))
-            return run_chain(lams, pick)
-
-        engine._run_lattice, engine._run_chain = lattice, chain
+        engine._run = spy
         return log
 
     @staticmethod
@@ -1847,6 +1843,66 @@ class TestChainThresholds:
             widest = max(widest, len(steps))
         assert widest > 1
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_pairs_in_one_pass_equal_one_pair_runs(self, rng, warm):
+        # P (prices, pick) pairs through one ``_run_chain`` pass equal P
+        # one-pair runs from the same engine state, bit for bit and counters
+        # included, and a (step, row) that several pairs reach unfilled is
+        # filled once. Warm, rows stop certified, continue certified and take
+        # the full selection; cold, every row-step is a full selection.
+        k = 5
+        t = random_table(rng, n=40, k=k, step_varying=True)
+        sigma = rng.uniform(0, 0.35, (k, k + 1))
+        mc = MonteCarloConfig(n_samples=32, seed=17)
+
+        def new_engine():
+            engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+            if warm:
+                engine.run([0.05] * k, Pick.MAX_COST)
+            fills = []
+            fill = engine._lattice_quality
+            engine._lattice_quality = lambda step, masks, rows: fills.extend(
+                (step, int(r)) for r in rows) or fill(step, masks, rows)
+            return engine, fills, (engine.threshold_row_steps, engine.exact_selections)
+
+        probe = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+        probe.run([0.0] * k, Pick.MAX_COST)
+        bounds = chain_bounds(probe)
+        pairs = [
+            ([0.0] * k, Pick.MIN_COST), ([0.0] * k, Pick.MAX_COST),  # one price vector, both picks
+            ([0.05] * k, Pick.MAX_COST), ([0.05] * k, Pick.MAX_COST),  # a repeated pair
+            ([0.05] * k, Pick.MIN_COST),
+            (list(rng.choice(bounds, k)), Pick.MIN_COST), (list(rng.choice(bounds, k)), Pick.MAX_COST),
+            ([0.2] * k, Pick.MIN_COST), ([LAMBDA_CAP] * k, Pick.MAX_COST),
+        ]
+        lams, picks = np.array([lambdas for lambdas, _ in pairs]), [pick for _, pick in pairs]
+        engine, fills, before = new_engine()
+        got = engine._run_chain(lams, picks)
+        n = t.n_queries
+        one_fills, counters = [], np.zeros(2, dtype=np.int64)
+        for p, (lambdas, pick) in enumerate(pairs):
+            one, seen, start = new_engine()
+            want = one._run_chain(lams[p : p + 1], [pick])
+            for field in RUN_FIELDS:
+                a, b = getattr(got, field)[p * n : (p + 1) * n], getattr(want, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (p, field)
+            one_fills.append(list(seen))
+            assert_same_run(want, chain_reference_run(one, lambdas, pick))
+            counters += np.subtract((one.threshold_row_steps, one.exact_selections), start)
+        threshold, exact = np.subtract((engine.threshold_row_steps, engine.exact_selections), before)
+        assert [threshold, exact] == counters.tolist()
+        assert threshold + exact == int(np.minimum(got.n_executed, k - 1).sum())
+        assert len(fills) == len(set(fills)) and set(fills) == set().union(*one_fills)
+        assert sum(map(len, one_fills)) > len(fills)  # several pairs reached the same new (step, row)
+        if warm:
+            chain, stop = engine._chain(), got.n_executed
+            prices = np.append(lams, np.zeros((len(pairs), 1)), axis=1)  # step k stops at any price
+            query, price = np.tile(np.arange(n), len(pairs)), prices[np.arange(stop.size) // n, stop]
+            certified = (stop < k) & (chain.stop_lo[stop, query] < price) & (price < chain.stop_hi[stop, query])
+            assert certified.any() and threshold > certified.sum() and exact > 0
+        else:
+            assert threshold == 0 and exact > 0
+
     def test_zero_costs(self, rng):
         # with no cost at all the bounds have no slope: a better longer chain
         # continues and a better stop stops at every price, and a tie
@@ -2051,32 +2107,30 @@ class TestFitCascadeRouter:
         assert cost <= budget + 1e-6
 
 
-    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("variant", list(Variant) + ["chain"])
     def test_search_passes_are_bounded(self, rng, monkeypatch, variant):
         # each pass holds up to PROPOSAL_BATCH proposals and the next pass
         # starts after an accepted one, so a fit makes at most
-        # ceil(max_evals / 8) + (accepted moves) passes
+        # ceil(max_evals / 8) + (accepted moves) passes; a chain engine
+        # (cascading) takes its proposals in the same batches
         t = random_table(rng, n=120, k=4, step_varying=True)
         sigma = estimate_sigma(t)
         mc = MonteCarloConfig(n_samples=32, seed=43)
-        engine = BatchCascadeEngine(t, sigma, mc, variant)
-        budget = 1.5 * route_floor_cost(t, sigma, mc, engine=engine)
         log = []
         local_search = search._local_search
         monkeypatch.setattr(search, "_local_search", lambda *a: log.append(local_search(*a)) or log[-1])
         config = SearchConfig(max_evals=60, seed=11)
-        fit_cascade_router(t, budget, variant, sigma, mc, search_config=config, engine=engine)
+        if variant == "chain":
+            engine = BatchCascadeEngine(t, sigma, mc, chain_only=True)
+            cascading.fit_cascade(t, 1.5 * cascading.cascade_floor_cost(t), sigma, mc, config, engine)
+        else:
+            engine = BatchCascadeEngine(t, sigma, mc, variant)
+            budget = 1.5 * route_floor_cost(t, sigma, mc, engine=engine)
+            fit_cascade_router(t, budget, variant, sigma, mc, search_config=config, engine=engine)
         accepted = log[0][1]
         assert search.PROPOSAL_BATCH == 8
         assert 0 < engine.batched_passes <= -(-config.max_evals // 8) + len(accepted)
         assert engine.batched_pairs >= 2 * engine.batched_passes  # only passes of several pairs count
-
-    def test_chain_fit_takes_one_proposal_at_a_time(self, rng):
-        t = random_table(rng, n=40, k=3, step_varying=True)
-        engine = BatchCascadeEngine(t, estimate_sigma(t), MonteCarloConfig(n_samples=32, seed=5), chain_only=True)
-        cascading.fit_cascade(t, 1.5 * cascading.cascade_floor_cost(t), search_config=SearchConfig(max_evals=20),
-                              engine=engine)
-        assert engine.batched_passes == engine.batched_pairs == 0
 
 
 @pytest.mark.parametrize("module", [cascading, cascade_routing])

@@ -219,6 +219,48 @@ class TestThresholdCascade:
             )
 
 
+def loop_threshold_metrics(table, thresholds):
+    """The threshold cascade's (quality, cost) means from a step loop over every query still running."""
+    n = table.n_queries
+    last = np.zeros(n, dtype=np.int64)
+    sunk = table.computed_cost[:, 0].copy()
+    active = np.ones(n, dtype=bool)
+    for t in range(1, table.n_models):
+        active &= ~(table.quality_mean[np.arange(n), t, last] >= thresholds[t])
+        go = np.flatnonzero(active)
+        last[go] = t
+        sunk[go] += table.computed_cost[go, t]
+    return float(table.true_quality[np.arange(n), last].mean()), float(sunk.mean())
+
+
+class TestThresholdBatch:
+    """``_threshold_batch`` runs P threshold vectors in one pass; ``threshold_metrics`` is its one-vector case."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_each_vector_equals_its_one_vector_run(self, rng, k):
+        t = random_table(rng, n=50, k=k, step_varying=True)
+        t.quality_mean[:] = np.round(t.quality_mean * 4) / 4  # estimates exactly at a threshold
+        pool = np.array([-np.inf, np.inf, 0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
+        thresholds = np.concatenate([rng.choice(pool, (12, k)), rng.uniform(-0.2, 1.2, (12, k))])
+        thresholds[3] = thresholds[5]  # a repeated vector
+        got = cascading._threshold_batch(t, thresholds)
+        assert len(got) == len(thresholds)
+        for thr, metrics in zip(thresholds, got):
+            assert metrics == threshold_metrics(t, thr) == loop_threshold_metrics(t, thr)
+            answers = [threshold_cascade(t, q, thr).answer_model for q in range(t.n_queries)]
+            assert metrics[0] == float(t.true_quality[np.arange(t.n_queries), answers].mean())
+        assert k == 1 or len(set(got)) > 4  # the vectors stop queries at different steps
+
+    def test_one_vector_keeps_its_checks(self, rng):
+        t = random_table(rng, n=5, k=3)
+        for bad in ([0.0, np.nan, 0.5], [0.0, 0.5], [[0.0, 0.5, 0.5]]):
+            with pytest.raises(ValueError, match="thresholds must"):
+                threshold_metrics(t, bad)
+        blind = random_table(rng, n=5, k=3, with_truth=False)
+        with pytest.raises(ValueError, match="ground truth"):
+            threshold_metrics(blind, [0.0, 0.5, 0.5])
+
+
 class TestFitThresholdCascade:
     def test_tight_budget_stops_at_first(self, rng):
         t = random_table(rng, n=40, k=3)

@@ -6,7 +6,8 @@ and so is every field of the ``DecisionTrace``s of the per-query paths, and
 the fingerprint of two small sweeps of every strategy. Changes meant to keep
 behaviour must keep them; a change that moves a decision on purpose updates
 ``GOLDEN``, ``BATCH_GOLDEN``, ``PER_QUERY_GOLDEN``,
-``ESTIMATED_SIGMA_GOLDEN`` or ``SWEEP_GOLDEN`` and says why in CHANGES.md.
+``ESTIMATED_SIGMA_GOLDEN``, ``SWEEP_GOLDEN`` or ``DEFAULT_SUITE_GOLDEN``
+and says why in CHANGES.md.
 """
 import hashlib
 import json
@@ -41,6 +42,14 @@ ESTIMATED_SIGMA_GOLDEN = "b4182e163fe781ca527375e20010b5cbff0bc8cc8c18559191cc8a
 SWEEP_GOLDEN = {
     (300, 5): "79dbc40acc6e748f0b9a212fb6fadff1d7746e7931079c04593538817f938494",
     (200, 8): "4f555a560fd7f1f41e6ac6a1b6779be27107d145a35e831fde747ddef2fe3944",
+}
+
+# The same digest of the default suite (1000 queries, 5 models, 20 budgets,
+# 200 search evaluations, every strategy) per seed: the ROADMAP's identity
+# gate for changes meant to keep behaviour.
+DEFAULT_SUITE_GOLDEN = {
+    0: "4c454356b7edf5114b4f9c38306f8ecdb9dc9bcb804581c222a7d275b49d535a",
+    3: "6ad0df0c3f6b1fce1872cdb17bebcd3b224c910f51f49a1de4ad18673a30a151",
 }
 
 RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
@@ -216,19 +225,29 @@ def test_per_query_decisions_match_golden_digest():
     assert per_query_digest() == PER_QUERY_GOLDEN
 
 
-def sweep_digest(n_queries: int, n_models: int) -> str:
-    """sha256 of ``json.dumps`` of the fingerprint of one small sweep, keys sorted."""
-    config = BenchmarkConfig(
-        data={"workload": {"n_queries": n_queries, "n_models": n_models, "seed": 7}},
-        budget_points=4,
-        search={"max_evals": 20},
-        mc_samples=128,
-    )
+def report_digest(config: BenchmarkConfig) -> str:
+    """sha256 of ``json.dumps`` of the fingerprint of one sweep, keys sorted."""
     report = run_sweep(config)
     assert all(result.error is None for result in report.strategies.values())
     return hashlib.sha256(json.dumps(report.fingerprint(), sort_keys=True).encode()).hexdigest()
 
 
+def sweep_digest(n_queries: int, n_models: int) -> str:
+    """The digest of one small sweep."""
+    return report_digest(BenchmarkConfig(
+        data={"workload": {"n_queries": n_queries, "n_models": n_models, "seed": 7}},
+        budget_points=4,
+        search={"max_evals": 20},
+        mc_samples=128,
+    ))
+
+
 @pytest.mark.parametrize("shape", list(SWEEP_GOLDEN))
 def test_sweep_fingerprint_matches_golden_digest(shape):
     assert sweep_digest(*shape) == SWEEP_GOLDEN[shape]
+
+
+@pytest.mark.parametrize("seed", list(DEFAULT_SUITE_GOLDEN))
+def test_default_suite_fingerprint_matches_golden_digest(seed):
+    config = BenchmarkConfig(data={"workload": "default"}, seed=seed)
+    assert report_digest(config) == DEFAULT_SUITE_GOLDEN[seed]

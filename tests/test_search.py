@@ -6,6 +6,11 @@ from modelselect import search
 from modelselect.search import SearchConfig, optimize, optimize_thresholds
 
 
+def batched(objective):
+    """The batch objective the search takes, from a one-point objective."""
+    return lambda points: [objective(p) for p in points]
+
+
 def quad_objective(center, budget_slope=1.0):
     """Concave 1-D quality in lambda with cost proportional to lambda."""
 
@@ -19,14 +24,14 @@ def quad_objective(center, budget_slope=1.0):
 class TestOptimize:
     def test_constant_objective_returns_init(self):
         init = StrategyParams(lambdas=(0.5, 2.0), gamma=0.25)
-        best = optimize(lambda p: (1.0, 0.0), budget=10.0, config=SearchConfig(seed=1), init=init)
+        best = optimize(batched(lambda p: (1.0, 0.0)), budget=10.0, config=SearchConfig(seed=1), init=init)
         assert best == init
 
     def test_concave_objective_near_grid_optimum(self):
         center = 0.37
         objective = quad_objective(center, budget_slope=0.0)
         init = StrategyParams(lambdas=(3.0,), gamma=0.5)
-        best = optimize(objective, budget=1.0, config=SearchConfig(max_evals=200, seed=3), init=init)
+        best = optimize(batched(objective), budget=1.0, config=SearchConfig(max_evals=200, seed=3), init=init)
         grid = 10 ** np.linspace(-3, 1, 2000)
         grid_best = max(objective(StrategyParams(lambdas=(g,), gamma=0.5))[0] for g in grid)
         found = objective(best)[0]
@@ -43,7 +48,7 @@ class TestOptimize:
 
             init = StrategyParams(lambdas=(0.8,), gamma=0.1)
             q0 = objective(init)[0]
-            best = optimize(objective, budget=5.0, config=SearchConfig(max_evals=40, seed=seed), init=init)
+            best = optimize(batched(objective), budget=5.0, config=SearchConfig(max_evals=40, seed=seed), init=init)
             assert objective(best)[0] >= q0
 
     def test_result_always_feasible(self):
@@ -51,21 +56,21 @@ class TestOptimize:
             return p.lambdas[0], p.lambdas[0]  # quality rises with cost
 
         init = StrategyParams(lambdas=(0.5,), gamma=0.0)
-        best = optimize(objective, budget=1.0, config=SearchConfig(max_evals=300, seed=7), init=init)
+        best = optimize(batched(objective), budget=1.0, config=SearchConfig(max_evals=300, seed=7), init=init)
         assert objective(best)[1] <= 1.0 + 1e-9
 
     def test_infeasible_init_raises(self):
         init = StrategyParams(lambdas=(5.0,), gamma=0.0)
         with pytest.raises(ValueError, match="initial point violates budget"):
-            optimize(lambda p: (0.0, p.lambdas[0]), budget=1.0,
+            optimize(batched(lambda p: (0.0, p.lambdas[0])), budget=1.0,
                      config=SearchConfig(seed=1), init=init)
 
     def test_deterministic_under_seed(self):
         objective = quad_objective(0.2)
         init = StrategyParams(lambdas=(1.0,), gamma=0.5)
         cfg = SearchConfig(max_evals=60, seed=11)
-        a = optimize(objective, 10.0, cfg, init=init)
-        b = optimize(objective, 10.0, cfg, init=init)
+        a = optimize(batched(objective), 10.0, cfg, init=init)
+        b = optimize(batched(objective), 10.0, cfg, init=init)
         assert a == b
 
     def test_gamma_stays_in_unit_interval(self):
@@ -73,7 +78,7 @@ class TestOptimize:
             return p.gamma, 0.0
 
         init = StrategyParams(lambdas=(1.0,), gamma=0.95)
-        best = optimize(objective, 1.0, SearchConfig(max_evals=200, seed=13), init=init)
+        best = optimize(batched(objective), 1.0, SearchConfig(max_evals=200, seed=13), init=init)
         assert 0.0 <= best.gamma <= 1.0
 
 
@@ -84,7 +89,7 @@ class TestOptimizeThresholds:
         def objective(thr):
             return -float(((thr - target) ** 2).sum()), 0.0
 
-        best = optimize_thresholds(objective, budget=1.0, init=np.zeros(3),
+        best = optimize_thresholds(batched(objective), budget=1.0, init=np.zeros(3),
                                    config=SearchConfig(max_evals=300, seed=17))
         assert objective(best)[0] > objective(np.zeros(3))[0]
 
@@ -92,7 +97,7 @@ class TestOptimizeThresholds:
         def objective(thr):
             return float(thr.sum()), float(thr.sum())
 
-        best = optimize_thresholds(objective, budget=0.5, init=np.zeros(2),
+        best = optimize_thresholds(batched(objective), budget=0.5, init=np.zeros(2),
                                    config=SearchConfig(max_evals=200, seed=19))
         assert objective(best)[1] <= 0.5 + 1e-9
 
@@ -164,17 +169,12 @@ class TestBatchedSearch:
 
         monkeypatch.setattr(search, "PROPOSAL_BATCH", batch)
         monkeypatch.setattr(search, "_local_search", spy)
-        got = optimize(objective, budget, config, init, objective_many=many)
+        got = optimize(many, budget, config, init)
         assert got == want and log == [want_accepted]
-        # each pass starts after the last accepted proposal, and takes at most `batch`
-        assert sum(passes) >= config.max_evals and max(passes) <= batch
-        assert len(passes) <= -(-config.max_evals // batch) + len(want_accepted)
-
-    def test_single_objective_matches_sequential(self):
-        objective = random_objective(3, 2)
-        init = StrategyParams(lambdas=(0.4, 0.4), gamma=0.3)
-        config = SearchConfig(max_evals=80, seed=3)
-        assert optimize(objective, 3.0, config, init) == sequential_optimize(objective, 3.0, config, init)[0]
+        # the start point is a pass of its own; each later pass starts after
+        # the last accepted proposal, and takes at most `batch`
+        assert passes[0] == 1 and sum(passes) >= 1 + config.max_evals and max(passes) <= batch
+        assert len(passes) <= 1 + -(-config.max_evals // batch) + len(want_accepted)
 
     def test_threshold_search_result_is_pinned(self):
         # computed with the one-proposal-at-a-time search: a change in the
@@ -184,6 +184,6 @@ class TestBatchedSearch:
         def objective(thr):
             return -float(((thr - target) ** 2).sum()), float(np.abs(thr).sum())
 
-        best = optimize_thresholds(objective, budget=0.8, init=np.zeros(3),
+        best = optimize_thresholds(batched(objective), budget=0.8, init=np.zeros(3),
                                    config=SearchConfig(max_evals=60, seed=23))
         assert best.tolist() == [0.22590004735516794, -0.08596317395786378, 0.4585753598733374]
