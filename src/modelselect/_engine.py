@@ -53,9 +53,10 @@ price 0 up (``_envelope_path``), and each piece becomes a certified cell
 either pick, at every price in it (``_price_cells``). A step then looks up,
 per row, the cell holding its price: one gather of the pair's ``lo`` slots,
 one count and two gathers. Only rows that hit no cell (near a breakpoint,
-in a guard band, or where columns tie) and rows of pairs without cells go
-through the full selection over every column, still one
-``argmax_tradeoff_rows`` call per step, with no rows when every row hit.
+in a guard band, or where columns tie) go through the full selection over
+every column, still one ``argmax_tradeoff_rows`` call per step, with no
+rows when every row hit; in a step that compiles no fill, every row
+does.
 
 Why a cell is exact. A cell certifies ``win`` only where ``tau_win`` beats
 every other allowed column ``s`` by more than ``m0 + m1 * lam``, i.e. where
@@ -81,42 +82,45 @@ ascending, ``lo`` is made non-decreasing over the slots (which can only
 shrink a cell), and slot 0 is a sentinel no price hits, so the slot of the
 last ``lo <= lam`` is the one cell that can hold ``lam``.
 
-Which fills are compiled. A step compiles the filled pairs it holds
-without cells by one rule: once ``rows >= max(columns, 64)`` of them wait
-at a step of ``columns`` columns (``_compiles``), they all get cells from one
-``_price_cells`` call. The walk costs about ten numpy calls per envelope
-piece and the bounds one pass over ``(pieces, columns)`` per row, once per
-compile; a lookup saves the full selection's passes over ``(rows,
-columns)`` on every later visit. A fill that meets the rule on its own,
-like a table's first fill at step 0, is compiled at once. Smaller fills,
-like the handful of pairs a bisection run or a search proposal reaches for
-the first time, are bound by the count of numpy calls and never pay back a
-compile of their own: on 41-row, 8-model validation tables compiling every
-fill with as many rows as columns made cascade-routing engine runs 16-20%
-slower. So their pairs wait, marked in the step's ``(prefixes, n)``
-``pending`` flag, until enough have come together. Since batching only
-changes how many rows one ``_price_cells`` call holds, and that call works
-row by row (the batch's widest envelope sets the slot count, and ``lo =
-+inf`` pads the rest), a pair's cells are the same whichever batch
-compiled them. On the 1000-query, 5-model bench sweeps, compiling small
-fills in batches raised the share of rows a warm run keeps (below, "Delta
-runs") from 49% to 78%.
-
-Small fills wait only in an engine whose step 0 has cells. Every row
-reaches step 0, so without cells there no run keeps a row (below, "When
-no reference is kept"), and cells at later steps would only save the full
-selections of their own steps: on 41-row, 8-model validation tables, whose
-first fill never compiles, batching their small fills anyway made the
-cascade-routing engine runs of 8 bench sweeps about 10% slower (median of
-8 alternating runs, 7 of them slower) and kept no row. A step none of whose
-pairs was compiled skips the lookup.
+Which fills are compiled. One rule, per step: a step compiles all its
+fills or none, as its first fill decides. It compiles them when that fill
+holds ``rows >= max(columns, 64)`` pairs at a step of ``columns`` columns
+(``_compiles``), or when step 0 has cells; then every later fill of the
+step is compiled too, however small, by one ``_price_cells`` call over the
+quality, open cost and block thresholds the fill has just computed. Step
+0's first fill holds every row, so a table with ``n >= max(2^k, 64)`` rows
+compiles every fill of every step, and a smaller one compiles only the
+steps whose first fill is large enough on its own. A step that compiles
+no fill skips the lookup. The walk costs about ten numpy calls per
+envelope piece and the bounds one pass over ``(pieces, columns)`` per row,
+once per fill; a lookup saves the full selection's passes over ``(rows,
+columns)`` on every later visit. A small fill, like the handful of pairs a
+bisection run or a search proposal reaches for the first time, does not
+pay that back through its own lookups alone: on 41-row, 8-model validation
+tables, compiling every fill with as many rows as columns made
+cascade-routing engine runs 16-20% slower, and no step of theirs compiles
+(41 rows are fewer than 64). In a step that compiles, it pays back
+through the rows it lets a warm run keep (below, "Delta runs"): a row is
+kept only when every step it reached gave it a cell. ``_price_cells``
+works row by row (a fill's widest envelope sets its slot count, and ``lo =
++inf`` pads the rest), so a pair's cells do not depend on the fill that
+compiled it. On 8 sweeps shaped like the 1000-query, 5-model bench
+workload, compiling every fill of such steps, instead of gathering small
+fills into batches of ``max(columns, 64)`` pairs, cut the rows taken
+through the full selection from 26,928 to 2,532, at 758 ``_price_cells``
+calls instead of 234, and the share of the step loop's rows kept from the
+reference rose from 74.4% to 76.3%. Where step 0 has no cells, deciding
+per step and not per fill matters too: compiling every fill of a step
+whose first fill compiled took 17% less process CPU than compiling only
+the fills that met ``_compiles`` on their own, and 31% less than
+compiling none, in default-config cascade-routing sweeps of a 500-query,
+8-model workload (174- and 175-row tables against 256 step-0 columns;
+medians of 4 runs each, 2 shared vCPUs).
 
 Block thresholds follow one rule: every filled pair of a pruning step
-keeps the ``beta`` row its fill computed, whether it is compiled with its
-fill, waits, or is compiled in a batch. A compile reads the rows back from
-the step's tables, with the pairs' quality and open cost, so
-``_block_threshold`` runs once per pair, in its fill, and no row is ever
-released. A row is ``8 * 2^(k - t)`` bytes at step t, so a step holds
+keeps the ``beta`` row its fill computed, which its compile takes as it
+is, so ``_block_threshold`` runs once per pair, in its fill, and no row is
+ever released. A row is ``8 * 2^(k - t)`` bytes at step t, so a step holds
 ``8 * 2^(k - t)`` bytes per filled pair, and its packed table, which
 doubles when full, at most as much again in spare capacity: at most
 ``8 * n * (3^k - 1)`` bytes in use if every pair of every step were filled.
@@ -173,11 +177,11 @@ bisection steps, search proposals, the second pick of a pair. So a
 cascade-routing engine keeps the outcome of its last one-pair run as a
 reference (``_Reference``): per row the answer, execution order and
 realized cost, and per step the row reached the float32 cell ``[lo, hi]``
-its choice came from. A step decided by the full selection (a cell miss, or
-a pair without cells) holds the empty cell, and a step the row never
-reached holds ``[-inf, +inf]``. So a row that reaches a pending pair is
-re-run by every later run until the pair's step compiles its pending pairs;
-from then on it is kept whenever its cells hold. A new run compares every
+its choice came from. Only an engine whose step 0 has cells keeps a
+reference, and there every step compiles, so every reached pair has cells:
+a step decided by the full selection is a cell miss and holds the empty
+cell, and a step the row never reached holds ``[-inf, +inf]``. A new run
+compares every
 row's cells with its prices in one ``(n, k)`` comparison, the float32
 bounds against the prices as a float64 array. Rows whose cells all hold keep
 the reference outcome; only the others go through the steps, written into
@@ -198,8 +202,8 @@ The rows to re-decide come from one ``(P, n)`` comparison against the
 reference; each step then makes one cell lookup and one full selection
 over the re-decided rows of every pair, with one ``argmax_tradeoff_rows``
 call per pick present (``_argmax_by_pick``), and a (prefix, row) pair that
-several pairs reach for the first time is filled once, in
-first-occurrence order. Outcomes go into ``(P, n)`` copies of the
+several pairs reach for the first time is filled once, in rank-major
+order. Outcomes go into ``(P, n)`` copies of the
 reference arrays, and each pair's means are taken over its own contiguous
 ``(n,)`` row, so they are a one-pair pass's to the last bit. A single
 ``run`` is the same step loop with one pair. The counters
@@ -219,10 +223,11 @@ every run's outcome is exact, so a search pass of one pair leaves the
 reference a ``run`` at its prices and pick would leave.
 
 When no reference is kept. Every row reaches step 0, so a run whose step 0
-has no compiled fill could keep no row: such an engine keeps no reference,
-does no copies or bookkeeping and compiles no small fills. That holds for
-every table too small to compile its first fill, such as 41-row, 8-model
-validation tables, and for chains, which take no steps (below). A run that
+has no compiled fill could keep no row: such an engine keeps no reference
+and does no copies or bookkeeping, though its later steps may compile.
+That holds for every table too small to compile its first fill, such as
+41-row, 8-model validation tables, and for chains, which take no steps
+(below). A run that
 raises leaves the reference as it was. The reference takes
 ``9 * n * (k + 1)`` bytes: int8 answers and execution orders, float64 costs
 and two float32 cells per step. The counters ``kept_rows`` and
@@ -420,8 +425,9 @@ class _StepTables:
 
     Axes are prefix rank, the engine's table row and the layout column, or
     for the price cells the cell slot; only pairs whose ``filled`` flag is
-    set hold computed values. The cell tables widen when a fill needs more
-    slots than any earlier one.
+    set hold computed values. In a step that compiles, every filled pair
+    holds its cells, and the cell tables widen when a fill needs more slots
+    than any earlier one; in any other step they stay one sentinel wide.
     """
 
     quality: np.ndarray  # (P, n, columns) expected-max quality of each candidate
@@ -431,8 +437,6 @@ class _StepTables:
     next_model: np.ndarray  # (P, n, columns) int8 model each column runs next; -1 in column 0
     answer: np.ndarray  # (P, n) int8 answer of a query that stops here; -1 at t = 0
     filled: np.ndarray  # (P, n) bool
-    pending: np.ndarray  # (P, n) bool: filled pairs without cells, waiting to be compiled together
-    pending_count: int  # pairs set in ``pending``
     allowed: np.ndarray  # (columns,) bool: not the empty prefix, and one added model for GREEDY
     lo: np.ndarray  # (P, n, slots) float32 lowest price of each cell, ascending; +inf pads
     hi: np.ndarray  # (P, n, slots) float32 highest price of each cell
@@ -541,19 +545,6 @@ _MIN_COMPILE_ROWS = 64
 _CELL_SAFETY = 2.0
 
 
-def _first_occurrences(ranks: np.ndarray, rows: np.ndarray, n: int):
-    """Ascending positions of the first occurrence of each distinct (prefix rank, row) pair.
-
-    Strictly ascending rows, as every row set of a single run has, are all
-    distinct; then every position is one, returned as ``slice(None)``.
-    """
-    if (rows[1:] > rows[:-1]).all():
-        return slice(None)
-    first = np.unique(ranks * n + rows, return_index=True)[1]
-    first.sort()
-    return first
-
-
 def _rows(value, idx):
     """A per-row array at rows ``idx``; a value shared by every row as it is."""
     return value[idx] if isinstance(value, np.ndarray) else value
@@ -593,9 +584,9 @@ def _argmax_by_pick(scores, pick, size: int) -> np.ndarray:
 
 
 def _compiles(rows: int, columns: int) -> bool:
-    """Whether ``rows`` filled pairs without cells at a step of ``columns`` columns are compiled together.
+    """Whether a step's first fill of ``rows`` pairs, at a step of ``columns`` columns, makes the step compile.
 
-    They are when they are at least as many as the step has columns, and at
+    It does when they are at least as many as the step has columns, and at
     least ``_MIN_COMPILE_ROWS``; the module docstring says why.
     """
     return rows >= max(columns, _MIN_COMPILE_ROWS)
@@ -774,8 +765,9 @@ class RunResult:
 class _Reference:
     """The last run's outcome per row, and the cell each step it reached chose from.
 
-    A step the row never reached holds ``[-inf, +inf]``, and a step decided
-    by the full selection the empty ``[+inf, -inf]``.
+    Kept only by an engine whose step 0 has cells, so every reached pair
+    holds cells: a step the row never reached holds ``[-inf, +inf]``, and a
+    step decided by the full selection, a cell miss, the empty ``[+inf, -inf]``.
     """
 
     answer: np.ndarray  # (n,) int8
@@ -869,15 +861,22 @@ class BatchCascadeEngine:
         Everything a step needs but the price is cached per step in
         ``self._step_cache[t]``; a (prefix, row) pair is computed the first
         time the row reaches the prefix and read afterwards. All pairs a step
-        reaches for the first time are filled together: their qualities by
-        one ``_lattice_quality`` call, whatever prefixes they hold, then
-        their block thresholds, price cells (``_compile``), next models and
-        stop answers.
-        Cascade routing only; ``beta`` is None for SLOW, which never prunes.
+        reaches for the first time are filled together, each once however
+        often ``ranks`` and ``rows`` repeat it, in rank-major order: their
+        qualities by one ``_lattice_quality`` call, whatever prefixes they
+        hold, then their block thresholds, next models and stop answers.
+        A step's first fill decides whether the step compiles: it does when
+        that fill meets ``_compiles`` or step 0 has cells. Every fill of a
+        step that compiles gets its pairs' price cells from one
+        ``_price_cells`` call over the quality, open cost and block
+        thresholds it has just computed; no fill of any other step does
+        (module docstring, "Which fills are compiled"). Cascade routing only;
+        ``beta`` is None for SLOW, which never prunes.
         """
         layout = self._layout(t)
         tables = self._step_cache.get(t)
-        if tables is None:
+        first = tables is None
+        if first:
             shape = (layout.prefixes.size, self.table.n_queries, layout.bits.shape[0])
             allowed = np.ones(shape[2], dtype=bool)
             allowed[0] = t > 0  # running nothing is never a candidate
@@ -891,69 +890,38 @@ class BatchCascadeEngine:
                 next_model=np.empty(shape, dtype=np.int8),
                 answer=np.empty(shape[:2], dtype=np.int8),
                 filled=np.zeros(shape[:2], dtype=bool),
-                pending=np.zeros(shape[:2], dtype=bool),
-                pending_count=0,
                 allowed=allowed,
                 lo=np.full(shape[:2] + (1,), -np.inf, dtype=np.float32),
                 hi=np.full(shape[:2] + (1,), -np.inf, dtype=np.float32),
                 win=np.zeros(shape[:2] + (1,), dtype=np.min_scalar_type(shape[2] - 1)),
             )
             self._step_cache[t] = tables
-        filled = tables.filled[ranks, rows]
-        if not filled.all():
-            todo = ~filled
-            new_ranks, fill = ranks[todo], rows[todo]
-            # proposals of one batch may reach the same new pair
-            first = _first_occurrences(new_ranks, fill, self.table.n_queries)
-            new_ranks, fill = new_ranks[first], fill[first]
+        todo = ~tables.filled[ranks, rows]
+        if todo.any():
+            # a pass of several pairs may reach one new pair more than once
+            reached = np.zeros_like(tables.filled)
+            reached[ranks[todo], rows[todo]] = True
+            new_ranks, fill = np.nonzero(reached)
             prefixes, free = layout.prefixes[new_ranks], layout.free[new_ranks]
             quality = self._lattice_quality(t, prefixes, fill)
             tables.quality[new_ranks, fill] = quality
             cost = self._cost_open(t)[fill[:, None], free]
-            if tables.beta is not None:
-                self._keep_beta(tables, new_ranks, fill, _block_threshold(quality, cost, t == 0))
-            self._compile(t, tables, new_ranks, fill)
+            beta = None if tables.beta is None else _block_threshold(quality, cost, t == 0)
+            if beta is not None:
+                self._keep_beta(tables, new_ranks, fill, beta)
             computed = (prefixes[:, None] >> np.arange(self.table.n_models)) & 1 == 1
+            # a step is wider than its sentinel once compiled, and step 0 is every run's first step
+            if tables.lo.shape[2] > 1 or first and (
+                _compiles(fill.size, tables.allowed.size) or self._step_cache[0].lo.shape[2] > 1
+            ):
+                sunk = np.abs(np.where(computed, self.table.computed_cost[fill], 0.0)).sum(axis=1)
+                cells = _price_cells(quality, cost @ layout.bits.T, beta, tables.allowed, sunk)
+                self._store_cells(tables, new_ranks, fill, cells)
+                self.compiled_pairs += fill.size
             tables.next_model[new_ranks, fill] = _cheapest_added(cost, free)
             tables.answer[new_ranks, fill] = self._stop_answer(t, computed, fill)
             tables.filled[new_ranks, fill] = True
         return tables
-
-    def _compile(self, t, tables, ranks, rows) -> None:
-        """Compile a fill's new pairs, with the step's pending pairs, once they are enough; else hold them.
-
-        When the new and pending pairs together meet ``_compiles``, they all
-        get price cells from one ``_price_cells`` call, pending pairs first,
-        every pair's quality, open cost and block thresholds read back from
-        the step's tables. Otherwise the new pairs hold no cell; they join
-        the pending pairs only when step 0 has cells (module docstring,
-        "Which fills are compiled").
-        """
-        layout = self._layout(t)
-        count = rows.size + tables.pending_count
-        if not _compiles(count, tables.allowed.size):
-            if tables.lo.shape[2] > 1:  # width 1 is the allocated sentinel
-                tables.lo[ranks, rows, 0] = -np.inf
-                tables.hi[ranks, rows, 0] = -np.inf
-                tables.lo[ranks, rows, 1:] = np.inf
-            step0 = self._step_cache.get(0)
-            if step0 is not None and step0.lo.shape[2] > 1:
-                tables.pending[ranks, rows] = True
-                tables.pending_count = count
-            return
-        if tables.pending_count:
-            old_ranks, old_rows = tables.pending.nonzero()
-            ranks, rows = np.concatenate([old_ranks, ranks]), np.concatenate([old_rows, rows])
-            tables.pending[old_ranks, old_rows] = False
-            tables.pending_count = 0
-        quality = tables.quality[ranks, rows]
-        cost = self._cost_open(t)[rows[:, None], layout.free[ranks]]
-        beta = None if tables.beta is None else tables.beta[tables.beta_row[ranks, rows] - 1]
-        computed = (layout.prefixes[ranks][:, None] >> np.arange(self.table.n_models)) & 1 == 1
-        sunk = np.abs(np.where(computed, self.table.computed_cost[rows], 0.0)).sum(axis=1)
-        cells = _price_cells(quality, cost @ layout.bits.T, beta, tables.allowed, sunk)
-        self._store_cells(tables, ranks, rows, cells)
-        self.compiled_pairs += rows.size
 
     @staticmethod
     def _keep_beta(tables: _StepTables, ranks: np.ndarray, rows: np.ndarray, beta: np.ndarray) -> None:
@@ -1084,12 +1052,12 @@ class BatchCascadeEngine:
         The step's ``allowed`` columns leave out running nothing at step 0
         and, for GREEDY, every lattice column adding more than one model.
 
-        Returns ``(choice, cells)``. ``cells`` is None when no fill of the
-        step was compiled, and otherwise the float32 ``(lo, hi)`` of each
+        Returns ``(choice, cells)``. ``cells`` is None when the step
+        compiles no fill, and otherwise the float32 ``(lo, hi)`` of each
         row's cell, empty (``+inf``, ``-inf``) for rows of the full selection.
         """
         tables = self._step_tables(t, ranks, rows)
-        if tables.lo.shape[2] == 1:  # no fill of the step was compiled
+        if tables.lo.shape[2] == 1:  # the step compiles no fill
             self.fallback_rows += rows.size
             return self._full_selection(t, lam, pick, tables, ranks, rows, sunk), None
         # float32 bounds against float64 prices compare in float64
@@ -1326,8 +1294,8 @@ class BatchCascadeEngine:
                     # every row reaches step 0: without cells there, no row could be kept
                     cell_lo = np.full((n, k), -np.inf, dtype=np.float32)
                     cell_hi = np.full((n, k), np.inf, dtype=np.float32)
-                if cell_lo is not None:
-                    cell_lo[act, t], cell_hi[act, t] = (np.inf, -np.inf) if cells is None else cells
+                if cell_lo is not None:  # step 0 has cells, so every step does
+                    cell_lo[act, t], cell_hi[act, t] = cells
             tables = self._step_cache[t]
             go = choice != 0
             if not go.all():

@@ -26,7 +26,7 @@ from modelselect.montecarlo import MonteCarloConfig
 GOLDEN = "1cf9fc35ae46991262f411eb467f1c0b89050a4dbb67be26d619d87342bfece2"
 
 # Lattice engines driven the way a fit drives them, long enough that later
-# steps compile the pairs of many small fills together.
+# steps compile many small fills.
 BATCH_GOLDEN = "7d9f4280b3b8846a1dd324b3abcbb21f89de6a18b6b3bdd669b9c1f7c6e70fb9"
 
 # ``run_cascade`` and ``run_cascade_route`` over a price ladder.
