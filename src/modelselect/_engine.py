@@ -164,9 +164,10 @@ the engine's one path for it: ``run_metrics`` is ``run_many`` of one pair,
 and ``params_metrics`` is ``params_metrics_many`` of one point, whose
 mixtures read their deterministic runs from one ``run_many``. A run is
 deterministic, so ``run_many`` memoizes every pair's means, keyed by its
-prices as floats and its pick; it checks the prices of only the distinct
-pairs it has not stored and runs each of them once, so a bisection price
-asked again, or a search proposal repeated within a batch, is run once.
+prices as floats and whether its pick is the cheap one; it checks the
+prices of only the distinct pairs it has not stored and runs each of them
+once, so a bisection price asked again, or a search proposal repeated
+within a batch, is run once.
 The pairs it runs go to the engine's one runner (``_run``), which takes
 the same ``(P, k)`` prices and P picks for either engine kind: the step
 loop of ``_run_lattice`` for cascade routing and the threshold pass of
@@ -561,7 +562,8 @@ def _column(lam):
 
 def _pair_picks(picks: Sequence[Pick]):
     """The Pick every pair of a pass shares; for mixed picks, a per-pair bool, true for ``Pick.MIN_COST``."""
-    return picks[0] if len(set(picks)) == 1 else np.array([each is Pick.MIN_COST for each in picks])
+    first = picks[0]
+    return first if all(each is first for each in picks) else np.array([each is Pick.MIN_COST for each in picks])
 
 
 def _argmax_by_pick(scores, pick, size: int) -> np.ndarray:
@@ -810,7 +812,7 @@ class BatchCascadeEngine:
         self._step_cache: dict[int, _StepTables] = {}
         self._cost_open_cache: dict[int, np.ndarray] = {}
         self._full_answer: Optional[np.ndarray] = None
-        self._metrics_cache: dict[tuple[tuple[float, ...], Pick], tuple[float, float]] = {}
+        self._metrics_cache: dict[tuple[tuple[float, ...], bool], tuple[float, float]] = {}
         self._reference: Optional[_Reference] = None
         self._chain_tables: Optional[_ChainTables] = None
         # lattice: (prefix, row) pairs compiled into cells; row selections
@@ -1331,11 +1333,12 @@ class BatchCascadeEngine:
         ``lambdas`` is ``(P, k)``, one row of per-step prices per pair, and
         ``picks`` holds P picks. This is the engine's one metrics path. A
         run is deterministic, so the means of every (prices, pick) are
-        memoized, keyed by the prices as floats and the pick. The keys are
-        built before any array is, so a stored pair costs a lookup; only the
-        distinct pairs not stored yet have their prices checked and are run,
-        each once, in one pass of the engine's runner over their (pair,
-        query) rows (``_run``; module docstring, "Batched runs" and
+        memoized, keyed by the prices as floats and whether the pick is
+        ``Pick.MIN_COST`` (a bool hashes in C, an Enum member in Python). The
+        keys are built before any array is, so a stored pair costs a lookup;
+        only the distinct pairs not stored yet have their prices checked and
+        are run, each once, in one pass of the engine's runner over their
+        (pair, query) rows (``_run``; module docstring, "Batched runs" and
         "Cascading runs"). Each pair's means are taken over its own
         contiguous ``(n,)`` row, and no ``RunResult`` is kept.
         """
@@ -1343,7 +1346,9 @@ class BatchCascadeEngine:
         if self.table.true_quality is None:
             raise ValueError("realized quality needs ground truth in the table")
         try:
-            keys = [(tuple(map(float, prices)), pick) for prices, pick in zip(lambdas, picks, strict=True)]
+            keys = [
+                (tuple(map(float, prices)), pick is Pick.MIN_COST) for prices, pick in zip(lambdas, picks, strict=True)
+            ]
         except (TypeError, ValueError):
             raise ValueError("lambdas must have one entry per model, and a row per pick") from None
         metrics = [self._metrics_cache.get(key) for key in keys]
@@ -1351,7 +1356,8 @@ class BatchCascadeEngine:
             todo = list(dict.fromkeys(key for key, stored in zip(keys, metrics) if stored is None))
             for prices, _ in todo:
                 check_decision_inputs(k, lambdas=prices)
-            run = self._run(np.array([prices for prices, _ in todo]), [pick for _, pick in todo])
+            picks = [Pick.MIN_COST if cheap else Pick.MAX_COST for _, cheap in todo]
+            run = self._run(np.array([prices for prices, _ in todo]), picks)
             answer, cost = run.answer.reshape(-1, n), run.realized_cost.reshape(-1, n)
             if len(todo) > 1:
                 self.batched_passes += 1

@@ -71,9 +71,9 @@ class FittedCascade:
 class StepEstimates:
     """One query's estimates at one decision step.
 
-    ``quality_std`` carries the fitted per-(model, step) uncertainty, not the
-    table's informational stds. ``known_cost`` is what a computed model
-    is charged, ``EstimateTable.computed_cost``.
+    ``quality_std`` carries the fitted per-(model, step) uncertainty
+    (``estimate_sigma``), since the table holds means only. ``known_cost``
+    is what a computed model is charged, ``EstimateTable.computed_cost``.
     """
 
     quality_mean: np.ndarray

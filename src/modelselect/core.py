@@ -278,35 +278,32 @@ class EstimateTable:
     decision step, where step index ``t`` means ``t`` models have been
     computed so far (under the chain convention, models ``0..t-1``). The
     final index ``t = k`` holds the all-computed estimates used when
-    calibrating estimate uncertainty.
+    calibrating estimate uncertainty. The table holds means only: the
+    strategies read one uncertainty per (model, step), fitted on validation
+    data by ``cascading.estimate_sigma``.
     """
 
     query_ids: np.ndarray
     quality_mean: np.ndarray
-    quality_std: np.ndarray
     cost_mean: np.ndarray
-    cost_std: np.ndarray
     true_quality: Optional[np.ndarray] = None
     true_cost: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.query_ids = np.asarray(self.query_ids, dtype=np.int64)
-        for name in ("quality_mean", "quality_std", "cost_mean", "cost_std"):
+        for name in ("quality_mean", "cost_mean"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         n, s, k = self.quality_mean.shape
         if s != k + 1:
             raise ValueError("step axis must have length n_models + 1")
-        for name in ("quality_std", "cost_mean", "cost_std"):
-            if getattr(self, name).shape != (n, s, k):
-                raise ValueError(f"{name} shape disagrees with quality_mean")
+        if self.cost_mean.shape != (n, s, k):
+            raise ValueError("cost_mean shape disagrees with quality_mean")
         if self.query_ids.shape != (n,):
             raise ValueError("query_ids length disagrees with estimates")
         _require_ids(self)
-        _require_finite(self, ("quality_mean", "quality_std", "cost_mean", "cost_std"))
+        _require_finite(self, ("quality_mean", "cost_mean"))
         if np.any(self.cost_mean < 0):
             raise ValueError("cost estimate means must be >= 0")
-        if np.any(self.quality_std < 0) or np.any(self.cost_std < 0):
-            raise ValueError("estimate stds must be >= 0")
         for name in ("true_quality", "true_cost"):
             arr = getattr(self, name)
             if arr is not None:
@@ -322,8 +319,6 @@ class EstimateTable:
     def build(
         quality_mean,
         cost_mean,
-        quality_std=0.0,
-        cost_std=0.0,
         true_quality=None,
         true_cost=None,
         query_ids=None,
@@ -331,8 +326,8 @@ class EstimateTable:
         """Build a table from per-(query, model) arrays, broadcast over steps.
 
         Convenience for tests and for data whose estimates do not change as
-        models are computed. 2-D inputs of shape ``(n, k)`` are repeated on
-        the step axis; 3-D inputs are taken as-is.
+        models are computed. 2-D means of shape ``(n, k)`` are repeated on
+        the step axis; 3-D means are taken as-is.
         """
         qm = np.asarray(quality_mean, dtype=np.float64)
         if qm.ndim != 2 and qm.ndim != 3:
@@ -351,9 +346,7 @@ class EstimateTable:
         return EstimateTable(
             query_ids=np.asarray(query_ids),
             quality_mean=expand(qm),
-            quality_std=expand(quality_std),
             cost_mean=expand(cost_mean),
-            cost_std=expand(cost_std),
             true_quality=None if true_quality is None else np.asarray(true_quality, dtype=np.float64),
             true_cost=None if true_cost is None else np.asarray(true_cost, dtype=np.float64),
         )
@@ -393,9 +386,7 @@ class EstimateTable:
         return EstimateTable(
             query_ids=self.query_ids[idx],
             quality_mean=self.quality_mean[idx],
-            quality_std=self.quality_std[idx],
             cost_mean=self.cost_mean[idx],
-            cost_std=self.cost_std[idx],
             true_quality=None if self.true_quality is None else self.true_quality[idx],
             true_cost=None if self.true_cost is None else self.true_cost[idx],
         )
@@ -408,9 +399,7 @@ class EstimateTable:
         return EstimateTable(
             query_ids=self.query_ids,
             quality_mean=self.quality_mean[:, :, p],
-            quality_std=self.quality_std[:, :, p],
             cost_mean=self.cost_mean[:, :, p],
-            cost_std=self.cost_std[:, :, p],
             true_quality=None if self.true_quality is None else self.true_quality[:, p],
             true_cost=None if self.true_cost is None else self.true_cost[:, p],
         )

@@ -152,8 +152,8 @@ def generate_workload(spec: WorkloadSpec) -> TrueTable:
     return TrueTable(query_ids=np.arange(n), quality=quality, cost=cost)
 
 
-def _fit_signal_map(signal: np.ndarray, target: np.ndarray) -> tuple[float, float, float]:
-    """Univariate slope/intercept/residual-std mapping a noisy signal to truth.
+def _fit_signal_map(signal: np.ndarray, target: np.ndarray) -> tuple[float, float]:
+    """Univariate least-squares slope and intercept mapping a noisy signal to truth.
 
     A (near-)constant signal carries no information; fall back to predicting
     the target mean.
@@ -161,13 +161,10 @@ def _fit_signal_map(signal: np.ndarray, target: np.ndarray) -> tuple[float, floa
     sx = float(np.std(signal))
     scale = max(1.0, float(np.max(np.abs(signal))))
     if sx <= 1e-12 * scale:
-        mean = float(np.mean(target))
-        return 0.0, mean, float(np.std(target))
+        return 0.0, float(np.mean(target))
     cov = float(np.mean((signal - signal.mean()) * (target - target.mean())))
     slope = cov / (sx * sx)
-    intercept = float(target.mean() - slope * signal.mean())
-    resid = float(np.sqrt(np.mean((target - (slope * signal + intercept)) ** 2)))
-    return slope, intercept, resid
+    return slope, float(target.mean() - slope * signal.mean())
 
 
 def simulate_estimates(
@@ -183,8 +180,9 @@ def simulate_estimates(
     signal-to-truth map per (model, regime) on ``fit_indices`` (default: all
     queries), and fill step ``t`` with the before-regime estimate while the
     model is uncomputed under the chain convention (``t <= model``) and the
-    after-regime estimate once computed. Estimate stds carry the fit's
-    residual std. Deterministic under ``seed``.
+    after-regime estimate once computed. The table holds means only: the
+    uncertainty the strategies read is fitted on validation data
+    (``cascading.estimate_sigma``). Deterministic under ``seed``.
     """
     n, k = true_table.n_queries, true_table.n_models
     fit_idx = np.arange(n) if fit_indices is None else np.asarray(fit_indices)
@@ -202,34 +200,25 @@ def simulate_estimates(
     truths = {"quality": true_table.quality, "cost": true_table.cost}
 
     est_mean = {key: np.empty((n, k)) for key in signals}
-    est_std = {key: np.empty(k) for key in signals}
     for (channel, regime), sig in signals.items():
         target = truths[channel]
         for i in range(k):
-            slope, intercept, resid = _fit_signal_map(sig[fit_idx, i], target[fit_idx, i])
+            slope, intercept = _fit_signal_map(sig[fit_idx, i], target[fit_idx, i])
             est_mean[(channel, regime)][:, i] = slope * sig[:, i] + intercept
-            est_std[(channel, regime)][i] = resid
 
     steps = np.arange(k + 1)[:, None]
     models = np.arange(k)[None, :]
     after = steps > models  # chain convention: model i is computed from step i+1 on
 
-    def per_step(channel: str, kind: str) -> np.ndarray:
-        if kind == "mean":
-            before_arr = est_mean[(channel, "before")][:, None, :]
-            after_arr = est_mean[(channel, "after")][:, None, :]
-        else:
-            before_arr = np.broadcast_to(est_std[(channel, "before")], (n, 1, k))
-            after_arr = np.broadcast_to(est_std[(channel, "after")], (n, 1, k))
+    def per_step(channel: str) -> np.ndarray:
+        before_arr = est_mean[(channel, "before")][:, None, :]
+        after_arr = est_mean[(channel, "after")][:, None, :]
         return np.where(after[None, :, :], after_arr, before_arr)
 
-    cost_mean = np.clip(per_step("cost", "mean"), 0.0, None)
     return EstimateTable(
         query_ids=true_table.query_ids.copy(),
-        quality_mean=per_step("quality", "mean"),
-        quality_std=per_step("quality", "std"),
-        cost_mean=cost_mean,
-        cost_std=per_step("cost", "std"),
+        quality_mean=per_step("quality"),
+        cost_mean=np.clip(per_step("cost"), 0.0, None),
         true_quality=true_table.quality.copy(),
         true_cost=true_table.cost.copy(),
     )

@@ -241,15 +241,13 @@ def split_from_labels(labels: np.ndarray):
     return parts
 
 
-def _model_mean_costs(table, indices=None) -> np.ndarray:
+def _model_mean_costs(table) -> np.ndarray:
     if isinstance(table, TrueTable):
         costs = table.cost
     elif table.true_cost is not None:
         costs = table.true_cost
     else:
         costs = table.cost_mean[:, 0, :]
-    if indices is not None:
-        costs = costs[np.asarray(indices)]
     return costs.mean(axis=0)
 
 
@@ -258,9 +256,9 @@ def _model_mean_qualities(table: EstimateTable) -> np.ndarray:
     return quality.mean(axis=0)
 
 
-def budget_grid(table, n_points: int = 20, indices=None) -> np.ndarray:
+def budget_grid(table, n_points: int = 20) -> np.ndarray:
     """Evenly spaced budgets from the cheapest to the dearest model's mean cost."""
-    means = _model_mean_costs(table, indices)
+    means = _model_mean_costs(table)
     lo, hi = float(means.min()), float(means.max())
     if lo == hi:
         return np.array([lo])
@@ -730,15 +728,14 @@ def prepare_run(config: BenchmarkConfig, estimates: Optional[EstimateTable] = No
             parts = split_dataset(truth.n_queries, config.splits, config.seed)
         table = simulate_estimates(truth, config.noise_spec(), config.seed, fit_indices=parts[0])
     _, val_idx, test_idx = parts
-    sigma = estimate_sigma(table, val_idx)
-    budgets = budget_grid(table, config.budget_points, indices=val_idx)
+    val_table = table.subset(val_idx)
     return RunContext(
         config=config,
         model_order=perm,
-        val_table=table.subset(val_idx),
+        val_table=val_table,
         test_table=table.subset(test_idx),
-        sigma=sigma,
-        budgets=budgets,
+        sigma=estimate_sigma(val_table),
+        budgets=budget_grid(val_table, config.budget_points),
         mc=MonteCarloConfig(n_samples=config.mc_samples, seed=config.seed),
     )
 

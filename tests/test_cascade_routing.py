@@ -2022,8 +2022,7 @@ class TestRowIndependence:
         rng = np.random.default_rng(seed)
         t = random_table(rng, n=n, k=k, step_varying=True)
         scaled = dataclasses.replace(
-            t, cost_mean=t.cost_mean * 2.0**s, cost_std=t.cost_std * 2.0**s,
-            true_cost=t.true_cost * 2.0**s,
+            t, cost_mean=t.cost_mean * 2.0**s, true_cost=t.true_cost * 2.0**s
         )
         sigma = rng.uniform(0.0, 0.35, (k, k + 1))
         mc = MonteCarloConfig(n_samples=64, seed=seed)

@@ -71,15 +71,17 @@ class TestSimulateEstimates:
         est = simulate_estimates(truth, NoiseSpec(0, 0, 0, 0), seed=1)
         np.testing.assert_allclose(est.quality_mean[:, 0, :], truth.quality, atol=1e-9)
         np.testing.assert_allclose(est.cost_mean[:, -1, :], truth.cost, atol=1e-9)
-        assert est.quality_std.max() < 1e-9
 
     def test_after_noise_tighter_than_before(self, rng):
         truth = toy_truth(rng, n=1000)
         est = simulate_estimates(truth, NOISE_PRESETS["low"], seed=2)
         k = truth.n_models
-        # before-regime residual (step 0) vs after-regime residual (final step)
+        # per model, the RMS error against truth of the before-regime estimate
+        # (step 0) and of the after-regime estimate (final step), over the
+        # fit rows (every row here)
+        rms = np.sqrt(((est.quality_mean - truth.quality[:, None, :]) ** 2).mean(axis=0))
         for i in range(k):
-            assert est.quality_std[0, 0, i] > est.quality_std[0, k, i]
+            assert rms[k, i] < rms[0, i]
 
     def test_destroyed_cost_signal_flattens_to_mean(self, rng):
         truth = toy_truth(rng, n=1000)

@@ -3,11 +3,12 @@
 Every field of every ``RunResult`` (with its dtype) and every ``run_metrics``
 pair over a fixed matrix of engines and prices is hashed into one sha256,
 and so is every field of the ``DecisionTrace``s of the per-query paths, and
-the fingerprint of two small sweeps of every strategy. Changes meant to keep
-behaviour must keep them; a change that moves a decision on purpose updates
+the fingerprint of two small sweeps of every strategy, and so are the
+estimate tables of the default workload. Changes meant to keep behaviour
+must keep them; a change that moves a decision on purpose updates
 ``GOLDEN``, ``BATCH_GOLDEN``, ``PER_QUERY_GOLDEN``,
-``ESTIMATED_SIGMA_GOLDEN``, ``SWEEP_GOLDEN`` or ``DEFAULT_SUITE_GOLDEN``
-and says why in CHANGES.md.
+``ESTIMATED_SIGMA_GOLDEN``, ``SWEEP_GOLDEN``, ``DEFAULT_SUITE_GOLDEN`` or
+``ESTIMATES_GOLDEN`` and says why in CHANGES.md.
 """
 import hashlib
 import json
@@ -20,7 +21,8 @@ from modelselect._fitting import LAMBDA_CAP
 from modelselect.cascade_routing import run_cascade_route
 from modelselect.cascading import run_cascade
 from modelselect.core import EstimateTable, Pick, StrategyParams
-from modelselect.harness import BenchmarkConfig, run_sweep
+from modelselect.estimators import generate_workload, simulate_estimates
+from modelselect.harness import BenchmarkConfig, run_sweep, split_dataset
 from modelselect.montecarlo import MonteCarloConfig
 
 GOLDEN = "1cf9fc35ae46991262f411eb467f1c0b89050a4dbb67be26d619d87342bfece2"
@@ -52,7 +54,16 @@ DEFAULT_SUITE_GOLDEN = {
     3: "6ad0df0c3f6b1fce1872cdb17bebcd3b224c910f51f49a1de4ad18673a30a151",
 }
 
+# ``simulate_estimates`` of the default workload per seed, as ``prepare_run``
+# makes it (models in mean-cost order, fitted on the train split): every
+# array of the table, with its dtype.
+ESTIMATES_GOLDEN = {
+    0: "07b5508a515b1a5fdd3d88f53320dc8de17795ee5ea91ce2d374550d64e5aa72",
+    3: "4a64651e6681da2c9672093e23a78db2d9f551f6c56e7dd59f28fc95b396dbc9",
+}
+
 RUN_FIELDS = ("answer", "exec_order", "n_executed", "realized_cost")
+ESTIMATE_FIELDS = ("query_ids", "quality_mean", "cost_mean", "true_quality", "true_cost")
 
 
 def table(rng, n, k, tied):
@@ -251,3 +262,23 @@ def test_sweep_fingerprint_matches_golden_digest(shape):
 def test_default_suite_fingerprint_matches_golden_digest(seed):
     config = BenchmarkConfig(data={"workload": "default"}, seed=seed)
     assert report_digest(config) == DEFAULT_SUITE_GOLDEN[seed]
+
+
+def estimates_digest(seed: int) -> str:
+    """sha256 of the dtype and bytes of every array of the default workload's estimate table."""
+    config = BenchmarkConfig(data={"workload": "default"}, seed=seed)
+    truth = generate_workload(config.workload_spec())
+    truth = truth.reorder_models(list(np.argsort(truth.cost.mean(axis=0), kind="stable")))
+    train, _, _ = split_dataset(truth.n_queries, config.splits, seed)
+    est = simulate_estimates(truth, config.noise_spec(), seed, fit_indices=train)
+    digest = hashlib.sha256()
+    for field in ESTIMATE_FIELDS:
+        arr = getattr(est, field)
+        digest.update(str(arr.dtype).encode())
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", list(ESTIMATES_GOLDEN))
+def test_default_estimates_match_golden_digest(seed):
+    assert estimates_digest(seed) == ESTIMATES_GOLDEN[seed]

@@ -230,8 +230,7 @@ def test_fits_meet_budget_at_small_cost_units(rng, fitter, s):
     # every tolerance is relative, so costs in units of 2^-s fit as in units of 1
     base = random_table(rng, 300, 5, step_varying=True)
     table = dataclasses.replace(
-        base, cost_mean=base.cost_mean * 2.0**-s, cost_std=base.cost_std * 2.0**-s,
-        true_cost=base.true_cost * 2.0**-s,
+        base, cost_mean=base.cost_mean * 2.0**-s, true_cost=base.true_cost * 2.0**-s
     )
     sigma = estimate_sigma(table)
     mc = MonteCarloConfig(n_samples=64, seed=0)
