@@ -125,6 +125,34 @@ class TestTypes:
         with pytest.raises(ValueError):
             EstimateTable.build(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"quality_mean": np.zeros((2, 3, 3))}, "step axis must have length n_models \\+ 1"),
+            ({"cost_mean": np.ones((2, 4, 2))}, "cost_mean shape disagrees with quality_mean"),
+            ({"query_ids": np.arange(3)}, "query_ids length disagrees with estimates"),
+            ({"true_quality": np.zeros((2, 2))}, "true_quality must be \\(n_queries, n_models\\)"),
+            ({"true_cost": np.ones((3, 3))}, "true_cost must be \\(n_queries, n_models\\)"),
+        ],
+        ids=["steps", "cost_mean", "query_ids", "true_quality", "true_cost"],
+    )
+    def test_estimate_table_shape_errors_name_the_array(self, change, message):
+        arrays = {
+            "query_ids": np.arange(2), "quality_mean": np.zeros((2, 4, 3)), "cost_mean": np.ones((2, 4, 3)),
+            "true_quality": np.zeros((2, 3)), "true_cost": np.ones((2, 3)),
+        }
+        EstimateTable(**arrays)
+        with pytest.raises(ValueError, match=message):
+            EstimateTable(**{**arrays, **change})
+
+    @pytest.mark.parametrize("name", ["quality_std", "cost_std"])
+    def test_estimate_table_holds_means_only(self, name):
+        # the per-entry std arrays are gone: the uncertainty the strategies
+        # read is the per-(model, step) sigma of cascading.estimate_sigma
+        assert name not in {f.name for f in dataclasses.fields(EstimateTable)}
+        with pytest.raises(TypeError):
+            EstimateTable.build(np.zeros((2, 2)), np.ones((2, 2)), **{name: np.zeros((2, 2))})
+
     def test_table_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             EstimateTable.build(np.zeros((2, 2)), -np.ones((2, 2)))
