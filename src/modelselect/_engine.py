@@ -3,11 +3,11 @@
 Candidate supermodels are bitmasks over model indices. At decision step t
 every still-active query has computed exactly t models, so every query
 scores the same number of candidates: its computed prefix extended by each
-column of the step's layout (``_StepLayout``). Cascade routing scores every
-submask of its f = k - t free models, 2^f columns; cascading is cascade
-routing restricted to chain prefixes, so a chain-only step has the one
-prefix of the first t models and f + 1 columns, the bare prefix and each
-longer chain prefix. One cascade-routing step is therefore one selection
+column of the step. Cascade routing scores every submask of its f = k - t
+free models, 2^f columns (the step's ``_StepLayout``); cascading is cascade
+routing restricted to chain prefixes, so a chain step has the one prefix of
+the first t models and f + 1 columns, the bare prefix and each longer chain
+prefix (``_chain_bits``). One cascade-routing step is therefore one selection
 over an ``(active rows, columns)`` score matrix, whatever mix of prefixes
 the rows hold. Cascading scores the same columns, but a chain's choice is
 only stop or continue, so its runs take one pass over per-step price
@@ -96,26 +96,13 @@ envelope piece and the bounds one pass over ``(pieces, columns)`` per row,
 once per fill; a lookup saves the full selection's passes over ``(rows,
 columns)`` on every later visit. A small fill, like the handful of pairs a
 bisection run or a search proposal reaches for the first time, does not
-pay that back through its own lookups alone: on 41-row, 8-model validation
-tables, compiling every fill with as many rows as columns made
-cascade-routing engine runs 16-20% slower, and no step of theirs compiles
-(41 rows are fewer than 64). In a step that compiles, it pays back
+pay that back through its own lookups alone, so a step whose first fill is
+small compiles nothing. In a step that compiles, a small fill pays back
 through the rows it lets a warm run keep (below, "Delta runs"): a row is
 kept only when every step it reached gave it a cell. ``_price_cells``
 works row by row (a fill's widest envelope sets its slot count, and ``lo =
 +inf`` pads the rest), so a pair's cells do not depend on the fill that
-compiled it. On 8 sweeps shaped like the 1000-query, 5-model bench
-workload, compiling every fill of such steps, instead of gathering small
-fills into batches of ``max(columns, 64)`` pairs, cut the rows taken
-through the full selection from 26,928 to 2,532, at 758 ``_price_cells``
-calls instead of 234, and the share of the step loop's rows kept from the
-reference rose from 74.4% to 76.3%. Where step 0 has no cells, deciding
-per step and not per fill matters too: compiling every fill of a step
-whose first fill compiled took 17% less process CPU than compiling only
-the fills that met ``_compiles`` on their own, and 31% less than
-compiling none, in default-config cascade-routing sweeps of a 500-query,
-8-model workload (174- and 175-row tables against 256 step-0 columns;
-medians of 4 runs each, 2 shared vCPUs).
+compiled it.
 
 Block thresholds follow one rule: every filled pair of a pruning step
 keeps the ``beta`` row its fill computed, which its compile takes as it
@@ -152,10 +139,7 @@ S)`` block. That root holds the values the full build gives: with std 0,
 -0.0, and a maximum is exact. A -0.0 mean can only flip the sign of a zero
 expected maximum, which no comparison sees. Rows with a varying member,
 and unsampled rows, keep the full build; at t = 0 there are no members,
-so every sampled row draws all k models. On a 1400-row, 5-model split of
-the tall bench workload this cut a fill's time per row at steps 1, 2, 3 and
-4 by 6%, 23%, 38% and 61% for the lattice and by 4%, 14%, 45% and 64% for
-chains.
+so every sampled row draws all k models.
 
 Metrics. Fitting asks one question of the engine, again and again: the
 realized mean (quality, cost) of a (prices, pick) pair. ``run_many``
@@ -194,17 +178,17 @@ reference: a pass of one pair replaces it when its step 0 has cells, and a
 pass of several pairs only reads it. A ``run``, a bisection price, the
 floor's run and a search pass that holds one new pair are one-pair passes.
 
-Batched runs. Each step of a run costs a fixed number of numpy calls, so
-a warm run on the 1000-query bench sweeps took about 0.45 ms whether it
-re-decided 1 row or 10. The local search's proposals are therefore run
+Batched runs. Each step of a run costs a fixed number of numpy calls,
+whether it re-decides 1 row or 10, so the local search's proposals are run
 several at a time, by either runner. The step loop's rows are (pair,
 query) rows, row ``p * n + q``, each with its own price per step and pick.
 The rows to re-decide come from one ``(P, n)`` comparison against the
 reference; each step then makes one cell lookup and one full selection
-over the re-decided rows of every pair, with one ``argmax_tradeoff_rows``
-call per pick present (``_argmax_by_pick``), and a (prefix, row) pair that
-several pairs reach for the first time is filled once, in rank-major
-order. Outcomes go into ``(P, n)`` copies of the
+over the re-decided rows of every pair, one ``argmax_tradeoff_rows`` call
+whatever the mix of picks: a pass that mixes them passes each row's pick
+as a bool, and the call builds the tie mask once for both. A (prefix, row)
+pair that several pairs reach for the first time is filled once, in
+rank-major order. Outcomes go into ``(P, n)`` copies of the
 reference arrays, and each pair's means are taken over its own contiguous
 ``(n,)`` row, so they are a one-pair pass's to the last bit. A single
 ``run`` is the same step loop with one pair. The counters
@@ -269,10 +253,11 @@ a certified continue. A row that certainly stops there is done. The others
 take the full selection at that step, the lowest such step first: one
 ``_chain_continues`` call per step over the rows of every pair at that
 step, each with its pair's price and pick, over the same ``(tau, cost,
-valid)`` arrays as the step loop (one ``argmax_tradeoff_rows`` call per
-pick present). It fills the (step, row) pairs reached for the first time,
-each once however many pairs reach it, so each step is filled at most once
-per pass; the rows that continue move on to their next such step. A row's outcome depends only on its step, its table row and its
+valid)`` arrays as the step loop, in one ``argmax_tradeoff_rows`` call
+whatever the mix of picks. It fills the (step, row) pairs reached for the
+first time, each once however many pairs reach it, so each step is filled
+at most once per pass; the rows that continue move on to their next such
+step. A row's outcome depends only on its step, its table row and its
 pair's prices, so every pair's outcome is its one-pair pass's, bit for bit.
 Counters: ``threshold_row_steps`` and ``exact_selections`` count the
 row-steps decided each way (a row decides at steps 1..s, except at step k).
@@ -296,16 +281,10 @@ is exact: ``(-z) * s == -(z * s)`` and ``m + -(x) == m - x``. The S samples
 of each model stay contiguous, so every expected maximum is a mean over a
 contiguous run of S samples, which sums in the same order as
 ``EmaxEvaluator.expected_max`` and so gives the same value to the last bit;
-a maximum is exact, whichever axis it runs over. Against the
-``(chunk, k, S)`` layout, where one model's samples were strided across the
-block, the model-major walk cut a fill's time over all steps by 15-19%
-for the lattice and 6-9% for chains, on 1400-, 349- and 41-row subsets of
-a 5-model split of the tall bench workload (two in-process A/B runs, best
-of 5 calls, 2 shared vCPUs). The saving is largest at step 0, up to 26%,
-and none at step k - 1, whose walk reads one free model. ``_block_threshold``
-and ``_cheapest_added`` likewise work on ``(columns, rows)`` copies, so
-each lattice column they gather is one contiguous row, and return the
-``(rows, columns)`` view: 30-41% and 32-45% less time at f = 3 to 5.
+a maximum is exact, whichever axis it runs over. ``_block_threshold`` and
+``_cheapest_added`` likewise work on ``(columns, rows)`` copies, so each
+lattice column they gather is one contiguous row, and return the ``(rows,
+columns)`` view.
 
 This module is internal; the public per-query operations live in
 ``cascading`` and ``cascade_routing`` and are cross-checked against it.
@@ -384,40 +363,39 @@ def _lattice_tables(k: int) -> _LatticeTables:
 
 @dataclass(frozen=True)
 class _StepLayout:
-    """The prefixes of step t (t models computed) in rank order, and their candidates.
+    """The lattice prefixes of step t (t models computed) in rank order, and their candidates.
 
-    Column s of a prefix is the candidate that adds the free models set in
-    ``bits[s]``. The lattice has every prefix with t bits and every submask
-    of its f = k - t free models, in ascending submask order, which is
-    ascending in the full candidate mask. A chain has the one prefix
-    ``(1 << t) - 1`` and f + 1 columns, the bare prefix and each longer chain
-    prefix, so its ``bits`` are lower-triangular. Column 0 is always the bare
-    prefix. ``child[p, m]`` is the step-(t + 1) rank of prefix p plus its
-    free model m, where a query goes once it runs m.
+    Every prefix with t bits, ascending. Column s of a prefix is the
+    candidate that adds the free models set in ``bits[s]``: every submask of
+    its f = k - t free models, in ascending submask order, which is
+    ascending in the full candidate mask. Column 0 is the bare prefix.
+    ``child[p, m]`` is the step-(t + 1) rank of prefix p plus its free model
+    m, where a query goes once it runs m.
     """
 
-    prefixes: np.ndarray  # (P,) ascending: C(k, t) for the lattice, 1 for a chain
+    prefixes: np.ndarray  # (C(k, t),) ascending
     free: np.ndarray  # (P, f) free models of each prefix, ascending
-    bits: np.ndarray  # (columns, f) float, free models each column adds
+    bits: np.ndarray  # (2^f, f) float, free models each column adds
     child: np.ndarray  # (P, k) next-step rank of prefix | 1 << m; unused for members m
 
 
 @lru_cache(maxsize=None)
-def _step_layout(k: int, t: int, chain: bool) -> _StepLayout:
-    f = k - t
-    if chain:
-        prefixes = np.array([(1 << t) - 1], dtype=np.int64)
-        free = np.arange(t, k, dtype=np.int64)[None, :]
-        bits = np.tri(f + 1, f, -1)
-        child = np.zeros((1, k), dtype=np.int64)
-    else:
-        tabs = _lattice_tables(k)
-        prefixes = tabs.masks[tabs.popcount == t]
-        free = np.nonzero(~tabs.bit_set[:, prefixes].T)[1].reshape(prefixes.size, f)
-        bits = _lattice_tables(f).bits
-        next_rank = np.cumsum(tabs.popcount == t + 1) - 1
-        child = next_rank[prefixes[:, None] | np.int64(1) << np.arange(k)]
-    return _StepLayout(prefixes, free, bits, child)
+def _step_layout(k: int, t: int) -> _StepLayout:
+    tabs = _lattice_tables(k)
+    prefixes = tabs.masks[tabs.popcount == t]
+    free = np.nonzero(~tabs.bit_set[:, prefixes].T)[1].reshape(prefixes.size, k - t)
+    next_rank = np.cumsum(tabs.popcount == t + 1) - 1
+    child = next_rank[prefixes[:, None] | np.int64(1) << np.arange(k)]
+    return _StepLayout(prefixes, free, _lattice_tables(k - t).bits, child)
+
+
+@lru_cache(maxsize=None)
+def _chain_bits(f: int) -> np.ndarray:
+    """(f + 1, f) float, lower-triangular: the free models each chain column of a step with f free models adds.
+
+    Column 0 is the bare prefix and column c adds the first c free models.
+    """
+    return np.tri(f + 1, f, -1)
 
 
 @dataclass
@@ -564,25 +542,6 @@ def _pair_picks(picks: Sequence[Pick]):
     """The Pick every pair of a pass shares; for mixed picks, a per-pair bool, true for ``Pick.MIN_COST``."""
     first = picks[0]
     return first if all(each is first for each in picks) else np.array([each is Pick.MIN_COST for each in picks])
-
-
-def _argmax_by_pick(scores, pick, size: int) -> np.ndarray:
-    """``argmax_tradeoff_rows`` of each of ``size`` rows under its pick: one call per pick present.
-
-    ``pick`` is the Pick of every row or, in a pass that mixes picks, a
-    per-row bool array, true for ``Pick.MIN_COST``. ``scores(sel)`` gives
-    the ``(tau, cost, valid)`` of rows ``sel``, a slice of every row or an
-    index array, so a mixed pass builds each pick's scores for its own rows
-    only. Rows are independent, so splitting them by pick changes no row's
-    column.
-    """
-    if isinstance(pick, Pick):
-        return argmax_tradeoff_rows(*scores(slice(None)), pick)
-    choice = np.empty(size, dtype=np.intp)
-    for each, part in ((Pick.MIN_COST, pick), (Pick.MAX_COST, ~pick)):
-        sel = np.flatnonzero(part)
-        choice[sel] = argmax_tradeoff_rows(*scores(sel), each)
-    return choice
 
 
 def _compiles(rows: int, columns: int) -> bool:
@@ -783,11 +742,11 @@ class BatchCascadeEngine:
     """Runs a whole table through a cascade (routing) strategy at once.
 
     ``chain_only`` restricts candidates to chain prefixes of the model order
-    (the chain ``_StepLayout``) and always executes the next chain model,
+    (``_chain_bits``) and always executes the next chain model,
     which is exactly the plain cascading strategy. Plain cascading answers
     with the last computed model; cascade routing is not bound by that
     restriction and answers with ``EstimateTable.best_computed``. Both
-    score the step layout's columns with the same expected-max fill;
+    score a step's columns with the same expected-max fill;
     cascade routing selects through the step tables and cascading through
     its stop/continue thresholds. Expected-max columns depend only on the
     table, the uncertainty matrix and the step, so one engine instance can
@@ -840,7 +799,8 @@ class BatchCascadeEngine:
         return self._z
 
     def _layout(self, t: int) -> _StepLayout:
-        return _step_layout(self.table.n_models, t, self.chain_only)
+        """Step t's lattice layout (cascade routing only)."""
+        return _step_layout(self.table.n_models, t)
 
     def _cost_open(self, t: int) -> np.ndarray:
         """(n, k) estimated cost of model i while still uncomputed at step t."""
@@ -1001,7 +961,7 @@ class BatchCascadeEngine:
         constant = sampled & (stds[:, :t] == 0).all(axis=1)
         f = k - t
         drawn_samples = 2 * self.mc.half
-        width = self._layout(t).bits.shape[0]
+        width = f + 1 if self.chain_only else 1 << f
         out = np.empty((rows.size, width))
         # (rows, samples per model, first model drawn): unsampled rows, rows
         # whose members all have zero std, and rows with a varying member
@@ -1042,15 +1002,15 @@ class BatchCascadeEngine:
         """The layout column each row picks at step t, and the cell it came from; column 0 stops.
 
         ``lam`` is a float64 price shared by every row or each row's price,
-        ``pick`` likewise one Pick or a per-row bool (``_argmax_by_pick``),
-        and ``sunk`` each row's sunk cost. A row whose (prefix, row) pair
-        holds a price cell containing its price takes the cell's column.
-        Every other row goes through the full selection, one
-        ``argmax_tradeoff_rows`` call per pick present even when no row needs
-        it. Every row has computed exactly t models, so each scores the same
-        columns of the step's layout, its prefix plus each submask of its
-        free models (cascade routing only). Columns are ascending in the full
-        candidate mask, which implements the lowest-id residual tie-break.
+        ``pick`` likewise one Pick or a per-row bool, true for
+        ``Pick.MIN_COST``, and ``sunk`` each row's sunk cost. A row whose
+        (prefix, row) pair holds a price cell containing its price takes the
+        cell's column. Every other row goes through the full selection, one
+        ``argmax_tradeoff_rows`` call even when no row needs it. Every row
+        has computed exactly t models, so each scores the same columns of the
+        step's layout, its prefix plus each submask of its free models
+        (cascade routing only). Columns are ascending in the full candidate
+        mask, which implements the lowest-id residual tie-break.
         The step's ``allowed`` columns leave out running nothing at step 0
         and, for GREEDY, every lattice column adding more than one model.
 
@@ -1079,31 +1039,28 @@ class BatchCascadeEngine:
         return choice, (cell_lo, cell_hi)
 
     def _full_selection(self, t, lam, pick, tables, ranks, rows, sunk):
-        """The full selection's column for each row under its pick (``_argmax_by_pick``)."""
-        return _argmax_by_pick(
-            lambda sel: self._full_scores(t, _rows(lam, sel), tables, ranks[sel], rows[sel], sunk[sel]), pick, rows.size
-        )
+        """The column each row's full selection picks over every column: one ``argmax_tradeoff_rows`` call.
 
-    def _full_scores(self, t, lam, tables, ranks, rows, sunk):
-        """(tau, cost, valid) of the full selection over every column, for ``argmax_tradeoff_rows``.
-
-        ``lam`` is one price or each row's, and ``sunk`` each row's sunk cost. Quality and
-        block thresholds are gathered from the step's tables by (prefix rank,
-        row) and a column's added cost is a product with the layout's
-        ``bits``; a candidate is pruned when ``lam > beta``, which is the
-        negative-marginal-gain rule closed over supersets.
-        No rows give empty arrays at once.
+        ``lam`` is one price or each row's, ``pick`` one Pick or each row's
+        bool (true for ``Pick.MIN_COST``), and ``sunk`` each row's sunk
+        cost. Quality and block thresholds are gathered from the step's
+        tables by (prefix rank, row) and a column's added cost is a product
+        with the layout's ``bits``; a candidate is pruned when ``lam >
+        beta``, which is the negative-marginal-gain rule closed over
+        supersets. No rows select from empty arrays at once.
         """
         if rows.size == 0:
             tau = np.empty((0, tables.allowed.size))
-            return tau, tau, np.empty(tau.shape, dtype=bool)
+            return argmax_tradeoff_rows(tau, tau, np.empty(tau.shape, dtype=bool), pick)
         layout = self._layout(t)
         cost = sunk[:, None] + self._cost_open(t)[rows[:, None], layout.free[ranks]] @ layout.bits.T
         lam = _column(lam)
         tau = tables.quality[ranks, rows] - lam * cost
         if tables.beta is None:
-            return tau, cost, np.broadcast_to(tables.allowed, tau.shape)
-        return tau, cost, ~(lam > tables.beta[tables.beta_row[ranks, rows] - 1]) & tables.allowed
+            valid = np.broadcast_to(tables.allowed, tau.shape)
+        else:
+            valid = ~(lam > tables.beta[tables.beta_row[ranks, rows] - 1]) & tables.allowed
+        return argmax_tradeoff_rows(tau, cost, valid, pick)
 
     # -- cascading runs ---------------------------------------------------------
 
@@ -1149,21 +1106,20 @@ class BatchCascadeEngine:
         return quality[rows]
 
     def _added_cost(self, t: int, rows: np.ndarray) -> np.ndarray:
-        """(rows, f + 1) estimated cost each chain column of step t adds to the sunk cost."""
-        layout = self._layout(t)
-        return self._cost_open(t)[rows[:, None], layout.free[0]] @ layout.bits.T
+        """(rows, f + 1) estimated cost each chain column of step t adds to the sunk cost: its models from t on."""
+        return self._cost_open(t)[rows, t:] @ _chain_bits(self.table.n_models - t).T
 
     def _chain_continues(self, t: int, lam: np.ndarray, pick, rows: np.ndarray) -> np.ndarray:
         """Whether each row's full selection at chain step t >= 1 runs model t.
 
         ``rows`` are table rows, ``lam`` each row's price and ``pick`` one
-        Pick or each row's (``_argmax_by_pick``).
+        Pick or each row's bool, true for ``Pick.MIN_COST``: one
+        ``argmax_tradeoff_rows`` call.
         """
         quality = self._chain_quality(t, rows)
         cost = self._chain().cost[t, rows][:, None] + self._added_cost(t, rows)
         tau = quality - _column(lam) * cost
-        valid = np.broadcast_to(True, tau.shape)
-        return _argmax_by_pick(lambda sel: (tau[sel], cost[sel], valid[sel]), pick, rows.size) != 0
+        return argmax_tradeoff_rows(tau, cost, np.broadcast_to(True, tau.shape), pick) != 0
 
     def _first_open_step(self, cont, prices, rows, start):
         """Per (pair, query) row, its first step from ``start`` on that is no certified continue, and whether it is a certified stop."""

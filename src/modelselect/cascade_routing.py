@@ -319,9 +319,14 @@ def route_floor_cost(
     """Realized cost of the cheapest strategy: pick cheap, stop immediately.
 
     Priced at ``LAMBDA_CAP``, the highest price the budget bisection tries,
-    so the floor is what fitting can reach whatever the unit of cost.
+    so the floor is what fitting can reach whatever the unit of cost. A
+    given ``engine`` must be built on ``table``; ``sigma`` and ``mc`` are
+    then not read.
     """
-    engine = engine or BatchCascadeEngine(table, sigma, mc)
+    if engine is None:
+        engine = BatchCascadeEngine(table, sigma, mc)
+    elif engine.table is not table:
+        raise ValueError("engine was built on a different table")
     return engine.run_metrics([LAMBDA_CAP] * table.n_models, Pick.MIN_COST)[1]
 
 
@@ -334,13 +339,17 @@ def fit_cascade_router(
     search_config: Optional[SearchConfig] = None,
     engine: Optional[BatchCascadeEngine] = None,
 ) -> StrategyParams:
-    """Same two-stage fit as cascading, with cascade routing as the kernel."""
-    if sigma is None:
-        sigma = estimate_sigma(table)
+    """Same two-stage fit as cascading, with cascade routing as the kernel.
+
+    A given ``engine`` must be a cascade-routing engine of ``variant`` built
+    on ``table``; ``sigma`` and ``mc`` are then not read.
+    """
     if engine is None:
-        engine = BatchCascadeEngine(table, sigma, mc, variant)
+        engine = BatchCascadeEngine(table, estimate_sigma(table) if sigma is None else sigma, mc, variant)
     elif engine.variant is not variant or engine.chain_only:
         raise ValueError("engine was built for a different variant")
-    floor = route_floor_cost(table, sigma, mc, engine=engine)
+    elif engine.table is not table:
+        raise ValueError("engine was built on a different table")
+    floor = route_floor_cost(table, engine.sigma, engine=engine)
     budget = check_budget_floor(budget, floor, "infeasible budget: below the cheapest strategy cost")
     return _fit_prices(engine, budget, search_config)

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._engine import BatchCascadeEngine, Variant, check_decision_inputs
+from ._engine import BatchCascadeEngine, check_decision_inputs
 from ._fitting import check_budget_floor, fit_budget_mixture, halve_bracket
 from .core import (
     DecisionTrace,
@@ -232,18 +232,20 @@ def fit_cascade(
     """Fit per-step prices and the mixing weight against the budget.
 
     The two-stage fit of ``_fit_prices``, on a chain-only engine, for a
-    budget no lower than the cheapest cascade's cost.
+    budget no lower than the cheapest cascade's cost. A given ``engine``
+    must be a chain-only engine built on ``table``; its sigma is the one the
+    fit uses and returns, and ``sigma`` and ``mc`` are not read.
     """
-    if sigma is None:
-        sigma = estimate_sigma(table)
     if engine is None:
-        engine = BatchCascadeEngine(table, sigma, mc, Variant.DEFAULT, chain_only=True)
+        engine = BatchCascadeEngine(table, estimate_sigma(table) if sigma is None else sigma, mc, chain_only=True)
     elif not engine.chain_only:
         raise ValueError("fit_cascade needs a chain-only engine")
+    elif engine.table is not table:
+        raise ValueError("engine was built on a different table")
     floor = cascade_floor_cost(table)
     budget = check_budget_floor(budget, floor, "infeasible budget: below the cheapest cascade cost")
     best = _fit_prices(engine, budget, search_config)
-    return FittedCascade(params=best, sigma=np.asarray(sigma, dtype=np.float64))
+    return FittedCascade(params=best, sigma=engine.sigma)
 
 
 def _fit_prices(

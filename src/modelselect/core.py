@@ -108,14 +108,21 @@ def argmax_tradeoff_rows(
     tau: np.ndarray,
     cost: np.ndarray,
     valid: np.ndarray,
-    pick: Pick,
+    pick: Pick | np.ndarray,
 ) -> np.ndarray:
     """Row-wise ``argmax_tradeoff`` over score/cost matrices.
 
-    Columns are candidates in ascending-id order, so ``argmin``/``argmax``
-    first-hit semantics implement the lowest-id residual tie-break. Rows with
-    no valid column raise; no rows give an empty result.
+    ``pick`` is one ``Pick`` for every row, or a bool array with one entry
+    per row, true for ``Pick.MIN_COST``. The tie mask is built once either
+    way: a per-row pick takes the cheap argmin of every row, then the dear
+    argmax of the rows that are false. Columns are candidates in
+    ascending-id order, so ``argmin``/``argmax`` first-hit semantics
+    implement the lowest-id residual tie-break. Rows with no valid column
+    raise; no rows give an empty result.
     """
+    per_row = not isinstance(pick, Pick)
+    if per_row and not (isinstance(pick, np.ndarray) and pick.dtype == bool and pick.shape == tau.shape[:1]):
+        raise ValueError("pick must be a Pick or a bool array with one entry per row")
     if tau.shape[0] == 0:
         return np.zeros(0, dtype=np.intp)
     if not valid.any(axis=1).all():
@@ -124,11 +131,13 @@ def argmax_tradeoff_rows(
     tau_star = tau.max(axis=1, keepdims=True)
     tol = np.maximum(TIE_REL * np.abs(tau_star), TIE_ABS)
     tied = valid & (tau >= tau_star - tol)
-    if pick is Pick.MIN_COST:
-        keyed = np.where(tied, cost, np.inf)
-        return keyed.argmin(axis=1)
-    keyed = np.where(tied, cost, -np.inf)
-    return keyed.argmax(axis=1)
+    if pick is Pick.MAX_COST:
+        return np.where(tied, cost, -np.inf).argmax(axis=1)
+    choice = np.where(tied, cost, np.inf).argmin(axis=1)
+    if per_row:
+        dear = np.flatnonzero(~pick)
+        choice[dear] = np.where(tied[dear], cost[dear], -np.inf).argmax(axis=1)
+    return choice
 
 
 @dataclass(frozen=True)

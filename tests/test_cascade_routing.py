@@ -1002,9 +1002,9 @@ def chain_reference_run(engine, lambdas, pick):
     sunk = np.zeros(n)
     act = np.arange(n)
     for t in range(k):
-        layout = _engine._step_layout(k, t, True)
         quality = engine._lattice_quality(t, np.full(act.size, (1 << t) - 1, dtype=np.int64), act)
-        cost = sunk[act][:, None] + engine._cost_open(t)[act[:, None], layout.free[0]] @ layout.bits.T
+        # chain column c adds models t..t + c - 1
+        cost = sunk[act][:, None] + engine._cost_open(t)[act, t:] @ np.tri(k - t + 1, k - t, -1).T
         valid = np.ones(cost.shape, dtype=bool)
         valid[:, 0] = t > 0
         stop = argmax_tradeoff_rows(quality - np.float64(lambdas[t]) * cost, cost, valid, pick) == 0
@@ -1713,19 +1713,26 @@ class TestRunMany:
             assert tables.beta is None or tables.beta_used == int(tables.filled.sum())
 
     @pytest.mark.parametrize("mixed", [False, True])
-    def test_one_selection_per_pick_and_step(self, rng, monkeypatch, mixed):
-        # a 60-row table compiles no fill, so every step of every pair is a full selection
+    def test_one_selection_per_step(self, rng, monkeypatch, mixed):
+        # step 0's first fill holds 60 pairs, under 64, so it compiles no
+        # fill and every row of every pair takes its full selection; a pass
+        # that mixes picks still makes one call per step
         k = 4
         t = random_table(rng, n=60, k=k, step_varying=True)
         engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=7))
         calls = []
         select = _engine.argmax_tradeoff_rows
-        monkeypatch.setattr(_engine, "argmax_tradeoff_rows", lambda *a: calls.append(a[0].shape[0]) or select(*a))
+        monkeypatch.setattr(_engine, "argmax_tradeoff_rows",
+                            lambda tau, *a: calls.append((tau.shape[0], a[2])) or select(tau, *a))
         picks = [Pick.MIN_COST, Pick.MAX_COST if mixed else Pick.MIN_COST, Pick.MIN_COST]
         engine.run_many([[0.05] * k, [0.05] * k, [0.3] * k], picks)
-        steps = len(engine._step_cache)
         pairs = 3 if mixed else 2  # unmixed, the first two pairs are one, run once
-        assert len(calls) == (2 if mixed else 1) * steps and sum(calls[:1 + mixed]) == pairs * t.n_queries
+        assert len(calls) == len(engine._step_cache) > 1 and calls[0][0] == pairs * t.n_queries
+        if mixed:  # each row's pick, its pair's
+            want = np.repeat([True, False, True], t.n_queries)
+            assert calls[0][1].dtype == bool and np.array_equal(calls[0][1], want)
+        else:
+            assert all(pick is Pick.MIN_COST for _, pick in calls)
 
     def test_rejects_bad_prices(self, rng):
         k = 3
@@ -1824,6 +1831,28 @@ class TestChainThresholds:
         assert engine.exact_selections == sum(rows) > 0
         assert engine.threshold_row_steps > engine.exact_selections
         assert engine.cell_hits == engine.fallback_rows == engine.kept_rows == engine.compiled_pairs == 0
+
+    def test_mixed_pass_selects_once_per_step(self, rng, monkeypatch):
+        # a pass that mixes picks makes one call per step that has rows
+        # without a certified answer, each row under its pair's pick
+        k = 5
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        engine = BatchCascadeEngine(t, rng.uniform(0, 0.35, (k, k + 1)), MonteCarloConfig(n_samples=32, seed=13),
+                                    chain_only=True)
+        lambdas = [[0.05] * k, [0.05] * k, [0.2] * k, [0.2] * k]
+        picks = [Pick.MIN_COST, Pick.MAX_COST] * 2
+        calls = []
+        select = _engine.argmax_tradeoff_rows
+        monkeypatch.setattr(_engine, "argmax_tradeoff_rows", lambda *a: calls.append(a) or select(*a))
+        got = engine.run_many(lambdas, picks)
+        # a step-t call scores the bare prefix and the k - t longer chains
+        steps = [k + 1 - tau.shape[1] for tau, *_ in calls]
+        assert steps == sorted(set(steps)) and len(steps) > 1
+        assert sum(tau.shape[0] for tau, *_ in calls) == engine.exact_selections
+        assert any(pick.any() and not pick.all() for *_, pick in calls)
+        for lam, pick, metrics in zip(lambdas, picks, got):
+            one = BatchCascadeEngine(t, engine.sigma, engine.mc, chain_only=True)
+            assert one.run_metrics(lam, pick) == metrics
 
     def test_warm_run_selects_at_most_once_per_step(self, rng, monkeypatch):
         k = 6
@@ -2147,6 +2176,50 @@ class TestFitCascadeRouter:
         assert 0 < engine.batched_passes <= -(-config.max_evals // 8) + len(accepted)
         assert engine.batched_pairs >= 2 * engine.batched_passes  # only passes of several pairs count
 
+
+
+class TestFitGivenAnEngine:
+    """A fit given an engine fits that engine, with its σ, and only on its own table."""
+
+    @pytest.mark.parametrize("chain_only", [True, False])
+    def test_fit_uses_and_returns_the_engines_sigma(self, rng, monkeypatch, chain_only):
+        # the engine's σ is not the table's: the fit must not estimate one,
+        # and a cascade's returned σ must reproduce the engine's decisions
+        k = 4
+        t = random_table(rng, n=60, k=k, step_varying=True)
+        sigma = 3 * estimate_sigma(t)
+        mc = MonteCarloConfig(n_samples=32, seed=17)
+        engine = BatchCascadeEngine(t, sigma, mc, chain_only=chain_only)
+        for module in (cascading, cascade_routing):
+            monkeypatch.setattr(module, "estimate_sigma", mock.Mock(side_effect=AssertionError("σ estimated")))
+        config = SearchConfig(max_evals=10, seed=3)
+        if not chain_only:
+            fit_cascade_router(t, 1.5 * route_floor_cost(t, sigma, mc, engine=engine), search_config=config,
+                               engine=engine)
+            return
+        fitted = cascading.fit_cascade(t, 1.5 * cascading.cascade_floor_cost(t), search_config=config, engine=engine)
+        assert np.array_equal(fitted.sigma, sigma)
+        lambdas = fitted.params.lambdas
+        for pick, u in ((Pick.MIN_COST, 0.0), (Pick.MAX_COST, 1.0)):
+            run = engine.run(lambdas, pick)
+            for q in range(t.n_queries):
+                assert_same_decision(run_cascade(t, q, StrategyParams(lambdas, 0.5), fitted.sigma, mc, u=u), run, q)
+
+    def test_engine_on_another_table_is_rejected(self, rng):
+        k = 3
+        t = random_table(rng, n=40, k=k, step_varying=True)
+        sigma = estimate_sigma(t)
+        other = t.subset(np.arange(1, t.n_queries))
+        chain = BatchCascadeEngine(other, sigma, chain_only=True)
+        lattice = BatchCascadeEngine(other, sigma)
+        budget = 2 * float(t.true_cost.mean())
+        with pytest.raises(ValueError, match="different table"):
+            cascading.fit_cascade(t, budget, engine=chain)
+        with pytest.raises(ValueError, match="different table"):
+            fit_cascade_router(t, budget, engine=lattice)
+        with pytest.raises(ValueError, match="different table"):
+            route_floor_cost(t, sigma, engine=lattice)
+        assert chain._metrics_cache == lattice._metrics_cache == {}  # rejected before any run
 
 @pytest.mark.parametrize("module", [cascading, cascade_routing])
 def test_public_names_resolve(module):

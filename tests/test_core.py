@@ -68,6 +68,48 @@ class TestArgmaxTradeoffRows:
             assert got.shape == (0,) and got.dtype == np.intp
 
 
+    @given(
+        columns=st.integers(1, 5),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_per_row_pick_equals_row_by_row_calls_property(self, columns, data):
+        # scores from a small grid tie exactly, or inside the tie tolerance;
+        # costs include 0.0 and -0.0, which tie under argmin and argmax
+        n = data.draw(st.integers(0, 6))
+        cells = st.tuples(
+            st.sampled_from([-1.0, 0.0, 0.5, 0.5 + 1e-12, 1.0]),
+            st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+            st.booleans(),
+        )
+        grid = data.draw(st.lists(st.lists(cells, min_size=columns, max_size=columns), min_size=n, max_size=n))
+        tau, cost, valid = (np.array([[c[i] for c in row] for row in grid]).reshape(n, columns) for i in range(3))
+        valid = valid.astype(bool)
+        valid[np.arange(n), data.draw(st.lists(st.integers(0, columns - 1), min_size=n, max_size=n))] = True
+        cheap = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        got = argmax_tradeoff_rows(tau, cost, valid, cheap)
+        want = [
+            argmax_tradeoff_rows(tau[i : i + 1], cost[i : i + 1], valid[i : i + 1],
+                                 Pick.MIN_COST if cheap[i] else Pick.MAX_COST)[0]
+            for i in range(n)
+        ]
+        assert got.dtype == np.intp and got.tolist() == want
+        for pick in Pick:  # a per-row pick that every row shares is that Pick
+            shared = argmax_tradeoff_rows(tau, cost, valid, pick)
+            assert np.array_equal(argmax_tradeoff_rows(tau, cost, valid, np.full(n, pick is Pick.MIN_COST)), shared)
+
+    def test_per_row_pick_must_be_bool_with_one_entry_per_row(self):
+        tau = np.zeros((3, 2))
+        valid = np.ones((3, 2), dtype=bool)
+        for pick in (np.ones(2, dtype=bool), np.ones(4, dtype=bool), np.ones(3, dtype=int), np.ones((3, 1), dtype=bool),
+                     [True, False, True], "min_cost", None):
+            with pytest.raises(ValueError, match="one entry per row"):
+                argmax_tradeoff_rows(tau, tau, valid, pick)
+        empty = np.empty((0, 2))
+        with pytest.raises(ValueError, match="one entry per row"):  # checked before the zero-row return
+            argmax_tradeoff_rows(empty, empty, empty.astype(bool), np.ones(1, dtype=bool))
+
+
 # Coarse grids keep score gaps far from the tie tolerance, so the invariance
 # statements are exact rather than epsilon-fragile.
 coarse = st.integers(min_value=0, max_value=200).map(lambda v: v / 100.0)
