@@ -319,17 +319,24 @@ class Variant(Enum):
 
 
 def check_decision_inputs(
-    n_models: int,
+    n_models: int = 0,
     sigma: Optional[np.ndarray] = None,
     lambdas: Optional[Sequence[float]] = None,
+    picks: Sequence[Pick] = (),
+    variant: Variant = Variant.DEFAULT,
 ) -> None:
     """Reject inputs that would otherwise become a silent wrong decision.
 
-    Shared by the engine and the per-query paths: ``sigma`` must be a finite,
-    nonnegative ``(n_models, n_models + 1)`` matrix and ``lambdas`` must hold
-    one finite, nonnegative price per model. Arguments left as None are not
-    checked.
+    Shared by the engine, the per-query paths and the per-step adapters:
+    ``sigma`` must be a finite, nonnegative ``(n_models, n_models + 1)``
+    matrix, ``lambdas`` must hold one finite, nonnegative price per model,
+    each of ``picks`` must be a ``Pick`` and ``variant`` a ``Variant``, not
+    their string values. ``sigma`` and ``lambdas`` left as None are not
+    checked; ``n_models`` is read only to check them.
     """
+    for name, value, enum in [("variant", variant, Variant)] + [("pick", pick, Pick) for pick in picks]:
+        if not isinstance(value, enum):
+            raise ValueError(f"{name} must be a {enum.__name__}, got {value!r}")
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=np.float64)
         if sigma.shape != (n_models, n_models + 1):
@@ -762,7 +769,7 @@ class BatchCascadeEngine:
         chain_only: bool = False,
     ):
         self.table = table
-        check_decision_inputs(table.n_models, sigma=sigma)
+        check_decision_inputs(table.n_models, sigma=sigma, variant=variant)
         self.sigma = np.asarray(sigma, dtype=np.float64)
         self.mc = mc or MonteCarloConfig()
         self.variant = variant
@@ -1185,7 +1192,7 @@ class BatchCascadeEngine:
         reference of later runs when step 0 has cells (module docstring,
         "Delta runs"), or a chain's threshold pass (``_run_chain``).
         """
-        check_decision_inputs(self.table.n_models, lambdas=lambdas)
+        check_decision_inputs(self.table.n_models, lambdas=lambdas, picks=(pick,))
         return self._run(np.asarray(lambdas, dtype=np.float64)[None], [pick])
 
     def _run(self, lams: np.ndarray, picks: Sequence[Pick]) -> RunResult:
@@ -1301,6 +1308,7 @@ class BatchCascadeEngine:
         n, k = self.table.n_queries, self.table.n_models
         if self.table.true_quality is None:
             raise ValueError("realized quality needs ground truth in the table")
+        check_decision_inputs(picks=picks)
         try:
             keys = [
                 (tuple(map(float, prices)), pick is Pick.MIN_COST) for prices, pick in zip(lambdas, picks, strict=True)

@@ -209,6 +209,7 @@ def enumerate_candidates(
     GREEDY keeps only the stop action and single-model extensions; the other
     variants enumerate every subset. Candidates are ordered by size then id.
     """
+    check_decision_inputs(variant=variant)
     free = sorted(set(uncomputed))
     if prefix.member_set & set(free):
         raise ValueError("prefix and uncomputed models must be disjoint")
@@ -234,6 +235,7 @@ def prune_candidates(
     containing all of it; the bare prefix always survives. SLOW mode returns
     the candidates untouched.
     """
+    check_decision_inputs(variant=variant)
     if variant is Variant.SLOW:
         return candidates
     ordered = _ordered_masks(candidates)
@@ -251,6 +253,7 @@ def select_with_pick(
     evaluator: EmaxEvaluator,
 ) -> Supermodel:
     """Deterministic branch of the selection: best score, cost tie-break."""
+    check_decision_inputs(picks=(pick,), variant=variant)
     ordered = _ordered_masks(candidates)
     scores = _StepScores(est, evaluator, candidates.prefix.members, variant is Variant.NO_EXPECT)
     chosen = _select(list(ordered), scores, lam, pick)
@@ -274,7 +277,7 @@ def run_cascade_route(
     evaluator. The answer is ``EstimateTable.best_computed``.
     """
     k = table.n_models
-    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas)
+    check_decision_inputs(k, sigma=sigma, lambdas=params.lambdas, picks=[] if pick is None else [pick], variant=variant)
     mc = mc or MonteCarloConfig()
     qid = int(table.query_ids[q])
     if pick is None:
@@ -344,6 +347,7 @@ def fit_cascade_router(
     A given ``engine`` must be a cascade-routing engine of ``variant`` built
     on ``table``; ``sigma`` and ``mc`` are then not read.
     """
+    check_decision_inputs(variant=variant)
     if engine is None:
         engine = BatchCascadeEngine(table, estimate_sigma(table) if sigma is None else sigma, mc, variant)
     elif engine.variant is not variant or engine.chain_only:

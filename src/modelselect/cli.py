@@ -128,26 +128,27 @@ def _cmd_sweep(args) -> int:
     return STRATEGY_ERROR if failures and args.strict else 0
 
 
+def _print_json(payload: dict, output, label: str) -> None:
+    """Write ``payload`` as JSON to ``output`` and print ``<label>: <output>``, or print the JSON without ``output``."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if output:
+        Path(output).write_text(text + "\n", encoding="utf-8")
+        print(f"{label}: {output}")
+    else:
+        print(text)
+
+
 def _cmd_fit(args) -> int:
-    budget = args.budget
-    if not math.isfinite(budget):  # linear-interp fits nothing, so no fit would check it
-        raise ValueError(f"budget must be finite, got {budget}")
     config = _load_config(args)
     ctx = prepare_run(config)
     runner = STRATEGIES[args.strategy](ctx)
-    grid = np.flatnonzero(ctx.budgets == budget)
+    grid = np.flatnonzero(ctx.budgets == args.budget)
     if grid.size:
         index = int(grid[0])
         fitted = runner.fit(runner.grid_budget(index, runner.floor())[0], index)
     else:
-        fitted = runner.fit_seeded(budget, config.seed)
-    payload = {"strategy": args.strategy, "budget": budget, **runner.to_json(fitted)}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-        print(f"params: {args.output}")
-    else:
-        print(text)
+        fitted = runner.fit_seeded(args.budget, config.seed)
+    _print_json({"strategy": args.strategy, "budget": args.budget, **runner.to_json(fitted)}, args.output, "params")
     return 0
 
 
@@ -164,15 +165,9 @@ def _cmd_evaluate(args) -> int:
     if strategy not in STRATEGY_NAMES:
         raise DataFormatError(f"{args.params}: unknown strategy {strategy!r}")
     runner = STRATEGIES[strategy](ctx)
-    fitted = runner.from_json(payload)
-    cost, quality = runner.evaluate(fitted, budget)
+    cost, quality = runner.evaluate(runner.from_json(payload), budget)
     result = {"strategy": strategy, "budget": budget, "test_cost": cost, "test_quality": quality}
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-        print(f"metrics: {args.output}")
-    else:
-        print(text)
+    _print_json(result, args.output, "metrics")
     return 0
 
 
@@ -202,6 +197,12 @@ def _cmd_ablate(args) -> int:
     return STRATEGY_ERROR if failures and args.strict else 0
 
 
+# Each subcommand's handler; the parser requires one of these names.
+COMMANDS = {
+    "generate": _cmd_generate, "sweep": _cmd_sweep, "fit": _cmd_fit, "evaluate": _cmd_evaluate, "ablate": _cmd_ablate,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -209,17 +210,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "ablate":
-            return _cmd_ablate(args)
-        return USAGE_ERROR
+        return COMMANDS[args.command](args)
     except (DataFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return DATA_ERROR

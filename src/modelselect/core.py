@@ -91,6 +91,8 @@ def argmax_tradeoff(
     one with the smallest (``Pick.MIN_COST``) or largest (``Pick.MAX_COST``)
     cost wins; residual ties go to the lowest id.
     """
+    if not isinstance(pick, Pick):
+        raise ValueError(f"pick must be a Pick, got {pick!r}")
     if len(candidates) == 0:
         raise ValueError("no candidates")
     taus = [tradeoff(q, c, lam) for (_, q, c) in candidates]

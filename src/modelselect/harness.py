@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._engine import BatchCascadeEngine, Variant
+from ._fitting import check_budget_floor
 from .cascading import (
     cascade_floor_cost,
     estimate_sigma,
@@ -375,6 +376,7 @@ class _LinearInterp(_StrategyRunner):
         return -np.inf
 
     def fit_seeded(self, budget: float, search_seed: int):
+        check_budget_floor(budget, self.floor(), "")  # the floor is -inf: only a budget that is not finite fails
         return None
 
     def evaluate(self, fitted, budget: float) -> tuple[float, float]:

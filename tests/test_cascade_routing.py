@@ -597,6 +597,59 @@ class TestEnginePriceChecks:
         assert engine.run([LAMBDA_CAP] * k, Pick.MIN_COST).n_executed.min() >= 1
 
 
+class TestPickAndVariantChecks:
+    """A pick or variant that is not an enum member, such as its string value, raises; it is not run as another."""
+
+    K = 4
+    NOT_PICKS = ["min_cost", "max_cost", None, 0]
+    NOT_VARIANTS = ["greedy", "default", "bogus", None]
+
+    @pytest.mark.parametrize("chain_only", [False, True])
+    def test_engine_rejects_a_pick_before_its_memo(self, rng, chain_only):
+        k = self.K
+        engine = BatchCascadeEngine(random_table(rng, n=20, k=k), np.full((k, k + 1), 0.1), chain_only=chain_only)
+        for pick in Pick:  # both picks are stored, so a lookup by key would answer
+            engine.run_metrics([0.0] * k, pick)
+        for bad in self.NOT_PICKS:
+            for call in (lambda: engine.run_metrics([0.0] * k, bad), lambda: engine.run([0.0] * k, bad),
+                         lambda: engine.run_many([[0.0] * k] * 2, [Pick.MIN_COST, bad])):
+                with pytest.raises(ValueError, match="pick must be a Pick"):
+                    call()
+
+    def test_per_query_paths_reject_a_pick(self, rng):
+        k = self.K
+        t = random_table(rng, n=4, k=k)
+        est = make_step_estimates(quality=[0.5, 1.0], cost=[1.0, 2.0])
+        cs = enumerate_candidates(Supermodel(()), [0, 1], Variant.DEFAULT)
+        for bad in self.NOT_PICKS:
+            with pytest.raises(ValueError, match="pick must be a Pick"):
+                select_with_pick(cs, est, 0.5, bad, Variant.DEFAULT, evaluator_for(est))
+            if bad is not None:  # a pick of None flips the query's coin
+                with pytest.raises(ValueError, match="pick must be a Pick"):
+                    run_cascade_route(t, 0, StrategyParams.equal(0.1, k), np.full((k, k + 1), 0.1), pick=bad)
+
+    @pytest.mark.parametrize("variant", NOT_VARIANTS)
+    def test_every_entry_point_rejects_a_variant(self, rng, variant):
+        k = self.K
+        t = random_table(rng, n=20, k=k)
+        sigma = np.full((k, k + 1), 0.1)
+        est = make_step_estimates(quality=[0.9, 0.901, 0.7], cost=[0.3, 1.0, 1.0], computed=[0])
+        cs = enumerate_candidates(Supermodel((0,)), [1, 2], Variant.DEFAULT)
+        calls = [
+            lambda: BatchCascadeEngine(t, sigma, variant=variant),
+            lambda: fit_cascade_router(t, 1.0, variant=variant),
+            lambda: run_cascade_route(t, 0, StrategyParams.equal(0.1, k), sigma, variant),
+            lambda: enumerate_candidates(Supermodel((0,)), [1, 2], variant),
+            lambda: prune_candidates(cs, est, 0.5, variant, evaluator_for(est)),
+            lambda: select_with_pick(cs, est, 0.5, Pick.MIN_COST, variant, evaluator_for(est)),
+        ]
+        # the fit rejects it before it estimates sigma
+        with mock.patch.object(cascade_routing, "estimate_sigma", side_effect=AssertionError("sigma estimated")):
+            for call in calls:
+                with pytest.raises(ValueError, match="variant must be a Variant"):
+                    call()
+
+
 class TestPruningSavesWork:
     """On the timed per-query path, pruning computes fewer subset qualities."""
 

@@ -53,6 +53,12 @@ class TestArgmaxTradeoff:
         with pytest.raises(ValueError, match="no candidates"):
             argmax_tradeoff([], 1.0, Pick.MIN_COST)
 
+    @pytest.mark.parametrize("pick", ["min_cost", "max_cost", None, True])
+    def test_pick_that_is_not_a_pick_raises(self, pick):
+        # the string "min_cost" once took the dear tie-break
+        with pytest.raises(ValueError, match="pick must be a Pick"):
+            argmax_tradeoff([(0, 0.5, 1.0), (1, 1.0, 2.0)], 0.5, pick)
+
     def test_residual_tie_lowest_id(self):
         cands = [(3, 0.5, 1.0), (1, 0.5, 1.0), (2, 0.5, 1.0)]
         assert argmax_tradeoff(cands, 0.0, Pick.MIN_COST) == 1
@@ -97,6 +103,26 @@ class TestArgmaxTradeoffRows:
         for pick in Pick:  # a per-row pick that every row shares is that Pick
             shared = argmax_tradeoff_rows(tau, cost, valid, pick)
             assert np.array_equal(argmax_tradeoff_rows(tau, cost, valid, np.full(n, pick is Pick.MIN_COST)), shared)
+
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.5, 0.5 + 1e-10, 0.5 + 1e-8, 1.0]),
+                st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]),
+            ),
+            min_size=1, max_size=6,
+        ),
+        lam=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=300)
+    def test_agrees_with_argmax_tradeoff_property(self, cells, lam):
+        # the per-query paths take argmax_tradeoff on (id, quality, cost) lists, the engine and routing this on
+        # arrays; qualities tie exactly, inside the tie tolerance and just outside it, costs include 0.0 and
+        # -0.0, and the price may be 0
+        quality, cost = (np.array([[c[i] for c in cells]]) for i in range(2))
+        for pick in Pick:
+            got = argmax_tradeoff_rows(quality - lam * cost, cost, np.ones_like(cost, dtype=bool), pick)
+            assert got.tolist() == [argmax_tradeoff([(i, q, c) for i, (q, c) in enumerate(cells)], lam, pick)]
 
     def test_per_row_pick_must_be_bool_with_one_entry_per_row(self):
         tau = np.zeros((3, 2))

@@ -12,7 +12,7 @@ import pytest
 
 from modelselect import harness
 from modelselect._fitting import check_budget_floor
-from modelselect.cli import STRATEGY_ERROR, _build_parser, main as cli_main
+from modelselect.cli import COMMANDS, STRATEGY_ERROR, _build_parser, main as cli_main
 from modelselect.core import EstimateTable, TrueTable
 from modelselect._engine import Variant
 from modelselect.harness import (
@@ -702,6 +702,25 @@ class TestCli:
                          f"--budget={budget}"]) == 2
         assert "budget must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), float("-inf")])
+    def test_linear_interp_fit_rejects_a_budget_that_is_not_finite(self, budget):
+        runner = STRATEGIES["linear-interp"](prepare_run(BenchmarkConfig.from_dict(self.GRID_CONFIG)))
+        with pytest.raises(ValueError, match="budget must be finite"):
+            runner.fit_seeded(budget, 0)
+
+    def test_fit_and_evaluate_print_what_they_write(self, tmp_path, capsys):
+        # without --output each prints the JSON it writes with it, and with it names the file
+        cfg_path, params_path, _, budget = self.fit_at_grid_point(tmp_path, "cascade", 2)
+        assert capsys.readouterr().out == f"params: {params_path}\n"
+        assert cli_main(["fit", "--config", str(cfg_path), "--strategy", "cascade", "--budget", repr(budget)]) == 0
+        assert capsys.readouterr().out == params_path.read_text(encoding="utf-8")
+        metrics_path = tmp_path / "m.json"
+        evaluate = ["evaluate", "--config", str(cfg_path), "--params", str(params_path)]
+        assert cli_main([*evaluate, "--output", str(metrics_path)]) == 0
+        assert capsys.readouterr().out == f"metrics: {metrics_path}\n"
+        assert cli_main(evaluate) == 0
+        assert capsys.readouterr().out == metrics_path.read_text(encoding="utf-8")
+
     def test_budget_floor_rejects_a_budget_that_is_not_finite(self):
         for budget in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="budget must be finite"):
@@ -722,6 +741,9 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-m", "modelselect", "--help"], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0 and "evaluate" in proc.stdout
+
+    def test_subcommands_are_the_command_table(self):
+        assert list(_build_parser()._subparsers._group_actions[0].choices) == list(COMMANDS)
 
     def test_choices_follow_the_tables(self):
         commands = _build_parser()._subparsers._group_actions[0].choices
